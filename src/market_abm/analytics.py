@@ -293,29 +293,30 @@ def period_series(records, steps_per_period: int) -> dict[str, np.ndarray]:
     Returns and volatility come from period-close prices; spread, first gap
     and book depth are sampled at the close (gaps averaged over the two book
     sides, quote values held over undefined stretches); volume counts the
-    period's executed trades.
+    period's executed trades. Every series is a compact array of its own,
+    so a bundle of them does not keep the run's step records alive.
     """
     spp = int(steps_per_period)
     n_periods = len(records.price) // spp
     if n_periods < 2:
         raise ValueError("need at least two full trading periods")
     sel = slice(spp - 1, n_periods * spp, spp)
-    closes = records.price[sel]
-    fv_closes = records.fundamental_value[sel]
+    closes = records.price[sel].copy()
+    fv_closes = records.fundamental_value[sel].copy()
     log_ret = np.diff(np.log(closes))
     gap = _side_mean_gap(records)
     traded = records.traded[: n_periods * spp].astype(float)
     return {
         "return": log_ret,
         "volatility": np.abs(log_ret),
-        "spread": forward_fill(records.spread)[sel],
-        "first_gap": forward_fill(gap)[sel],
+        "spread": forward_fill(records.spread)[sel].copy(),
+        "first_gap": forward_fill(gap)[sel].copy(),
         "volume": traded.reshape(n_periods, spp).sum(axis=1),
         "depth": records.depth[sel].astype(float),
         "fv_return": np.diff(np.log(fv_closes)),
         "close": closes,
         "fv_close": fv_closes,
-        "pc": records.pc[sel],
+        "pc": records.pc[sel].copy(),
     }
 
 
@@ -558,6 +559,18 @@ def analyze_runs(
     )
 
 
+def _pooled_kurtosis(parts: list[np.ndarray]) -> float | None:
+    """Excess kurtosis of the runs' pooled differences at one lag; None when
+    there is none to report: no differences, fewer than four, or a flat
+    market whose differences are all zero."""
+    if not parts:
+        return None
+    try:
+        return excess_kurtosis(np.concatenate(parts))
+    except ValueError:
+        return None
+
+
 def analyze_bundles(
     bundles: list[RunBundle],
     steps_per_period: int,
@@ -710,14 +723,8 @@ def analyze_bundles(
                 fv_by_lag[lag].append(logf[lag:] - logf[:-lag])
     agg_gauss = {
         "lags": lag_list,
-        "excess_kurtosis": [
-            excess_kurtosis(np.concatenate(ret_by_lag[lag])) if ret_by_lag[lag] else None
-            for lag in lag_list
-        ],
-        "fv_excess_kurtosis": [
-            excess_kurtosis(np.concatenate(fv_by_lag[lag])) if fv_by_lag[lag] else None
-            for lag in lag_list
-        ],
+        "excess_kurtosis": [_pooled_kurtosis(ret_by_lag[lag]) for lag in lag_list],
+        "fv_excess_kurtosis": [_pooled_kurtosis(fv_by_lag[lag]) for lag in lag_list],
     }
 
     meta = {

@@ -89,6 +89,14 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _timed_run(job) -> tuple:
+    """One seed's run and its wall-clock seconds, measured where it runs, so
+    a pooled run's time excludes its wait in the pool's queue."""
+    started = time.perf_counter()
+    run = _run_with_seed(job)
+    return run, time.perf_counter() - started
+
+
 def _run_seeds_to_dirs(
     cfg: SimConfig, seeds, out_root: Path, workers: int, snapshots=(), reducer=None
 ) -> tuple[list[dict], dict]:
@@ -113,25 +121,23 @@ def _run_seeds_to_dirs(
 
     if workers <= 1:
         for seed, job in jobs.items():
-            started = time.perf_counter()
             try:
-                run = _run_with_seed(job)
+                run, elapsed = _timed_run(job)
             except Exception as exc:  # noqa: BLE001 - reported per seed
                 failures.append((seed, str(exc)))
                 continue
-            _write(seed, run, time.perf_counter() - started)
+            _write(seed, run, elapsed)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_with_seed, job): seed for seed, job in jobs.items()}
-            started = time.perf_counter()
+            futures = {pool.submit(_timed_run, job): seed for seed, job in jobs.items()}
             for fut in concurrent.futures.as_completed(futures):
                 seed = futures[fut]
                 try:
-                    run = fut.result()
+                    run, elapsed = fut.result()
                 except Exception as exc:  # noqa: BLE001
                     failures.append((seed, str(exc)))
                     continue
-                _write(seed, run, time.perf_counter() - started)
+                _write(seed, run, elapsed)
     for seed, message in failures:
         print(f"  seed {seed} FAILED: {message}", file=sys.stderr)
     ordered = [entries[s] for s in seeds if s in entries]

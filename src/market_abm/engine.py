@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .population import (
 )
 
 _BAND_EPS = 1e-12  # relative slack so exact boundary prices stay inside the band
+_DRAW_BLOCK_DOUBLES = 32_768  # switching uniforms drawn at once: 256 KiB, 64 sweeps of 500 agents
 
 STEP_COLUMNS = [
     "step",
@@ -238,13 +240,23 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         else:
             committed_shares[order.agent_id] -= 1
 
-    types = pop.types  # rebound after switching since apply_switching replaces the array
+    types = pop.types  # apply_switching moves agents in place
+    counts = pop.counts()
+    n_f, n_plus, n_minus = counts.n_f, counts.n_plus, counts.n_minus
+    # All-agents sweeps take their uniforms from blocks of sweeps drawn at
+    # once; rng.random(n * k) yields the same stream as k calls of
+    # rng.random(n). Per-trade sweeps interleave an integer draw, so they
+    # draw their own.
+    per_trade = config.switch_mode == "per_trade"
+    block_steps = max(1, _DRAW_BLOCK_DOUBLES // n_agents)
+    draws = None
 
+    period_start = price[0]
+    p_prev = float(price[0])  # price[t - 1]; a Python float computes the same values faster
     for t in range(1, n_steps + 1):
-        period_start = price[((t - 1) // spp) * spp]
-
         # new trading period: the band anchor moved, purge stale out-of-band orders
         if t > 1 and (t - 1) % spp == 0:
+            period_start = price[t - 1]
             lo = period_start * (1.0 - config.band) * (1.0 - _BAND_EPS)
             hi = period_start * (1.0 + config.band) * (1.0 + _BAND_EPS)
             for order in book.purge_outside(lo, hi):
@@ -252,8 +264,6 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
         for order in book.expire(t):
             release(order)
-
-        p_prev = price[t - 1]
 
         if config.switching_enabled:
             history = price[:t]
@@ -268,14 +278,22 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                 trend_f=trend_f,
                 trend_c=trend_c,
             )
-            if config.switch_mode == "per_trade":
+            if per_trade:
                 only = [int(rng_switch.integers(n_agents))]
+                uniforms = None
             else:
                 only = None
-            stats = apply_switching(pop, market, sparams, dt, rng_switch, only=only)
+                row = (t - 1) % block_steps
+                if row == 0:
+                    draws = rng_switch.random(n_agents * block_steps).reshape(block_steps, n_agents)
+                uniforms = draws[row]
+            stats = apply_switching(
+                pop, market, sparams, dt, rng_switch, only=only,
+                counts=(n_f, n_plus, n_minus), uniforms=uniforms,
+            )
             clamp_events += stats.clamped
             switch_count += stats.switches
-            types = pop.types
+            n_f, n_plus, n_minus = stats.counts
 
         p_f_now = fv[t]
 
@@ -331,7 +349,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                     # both None: submit rejected a self-cross; counted by the book
 
         p_now = current_price(book, trade, p_prev)
-        if not np.isfinite(p_now) or p_now <= 0.0:
+        if not math.isfinite(p_now) or p_now <= 0.0:
             raise FloatingPointError(f"non-finite or non-positive price at step {t}: {p_now!r}")
         price[t] = p_now
 
@@ -351,9 +369,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         if stats_book.ask_gap is not None:
             rec.ask_gap[i] = stats_book.ask_gap
         rec.depth[i] = stats_book.depth
-        n_plus = int(np.count_nonzero(types == 1))
-        n_minus = int(np.count_nonzero(types == 2))
-        rec.n_f[i] = n_agents - n_plus - n_minus
+        rec.n_f[i] = n_f
         rec.n_plus[i] = n_plus
         rec.n_minus[i] = n_minus
         if trade is not None:
@@ -362,6 +378,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
         if t in snapshot_at:
             snapshots[t] = book.snapshot_levels()
+        p_prev = p_now
 
     rejections["self_cross"] = book.self_trade_rejections
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,9 +81,9 @@ class Agent:
     shares: int
 
 
-@dataclass(frozen=True)
-class MarketView:
-    """Per-step market context consumed by the switching rules."""
+class MarketView(NamedTuple):
+    """Per-step market context consumed by the switching rules (a tuple,
+    because the engine builds one every step)."""
 
     p: float
     p_f: float
@@ -94,6 +95,7 @@ class MarketView:
 class SwitchStats:
     switches: int = 0
     clamped: int = 0
+    counts: tuple[int, int, int] = (0, 0, 0)  # (n_f, n_plus, n_minus) after the sweep
 
 
 def average_price_trend(price_history, horizon: int, dt: float) -> float:
@@ -266,6 +268,8 @@ def apply_switching(
     dt: float,
     rng: np.random.Generator,
     only=None,
+    counts: tuple[int, int, int] | None = None,
+    uniforms: np.ndarray | None = None,
 ) -> SwitchStats:
     """One synchronous switching sweep over the whole population.
 
@@ -276,64 +280,83 @@ def apply_switching(
     Opinion groups below MIN_GROUP_FRACTION of the population cannot be left.
     `only` restricts the sweep to the given agent ids (the per-trade variant);
     the draw stream is consumed identically either way.
+
+    `counts` is the caller's (n_f, n_plus, n_minus) of `pop.types`, counted
+    here when not given. `uniforms` holds this sweep's n draws, taken from
+    `rng` when not given, so a caller may draw several sweeps at once.
+    Moves are written into `pop.types` in place; the stats carry the counts
+    after the sweep.
     """
-    counts = pop.counts()
-    n = counts.total
-    stats = SwitchStats()
+    if counts is None:
+        entry = pop.counts()
+        counts = (entry.n_f, entry.n_plus, entry.n_minus)
+    n_f, n_plus, n_minus = counts
+    types = pop.types
+    n = len(types)
+    stats = SwitchStats(counts=tuple(counts))
     if n == 0:
         return stats
 
-    u1 = compute_U1(counts.x, market.trend_c, market.p, params)
-    u21_c = compute_U2(OPTIMIST, market.trend_c, market.p, market.p_f, params)
-    u21_f = compute_U2(OPTIMIST, market.trend_f, market.p, market.p_f, params)
-    u22_c = compute_U2(PESSIMIST, market.trend_c, market.p, market.p_f, params)
-    u22_f = compute_U2(PESSIMIST, market.trend_f, market.p, market.p_f, params)
+    n_c = n_plus + n_minus
+    x = (n_plus - n_minus) / n_c if n_c else 0.0
+    p, p_f, trend_c, trend_f = market.p, market.p_f, market.trend_c, market.trend_f
+    u1 = compute_U1(x, trend_c, p, params)
+    u21_c = compute_U2(OPTIMIST, trend_c, p, p_f, params)
+    u21_f = compute_U2(OPTIMIST, trend_f, p, p_f, params)
+    u22_c = compute_U2(PESSIMIST, trend_c, p, p_f, params)
+    u22_f = compute_U2(PESSIMIST, trend_f, p, p_f, params)
 
-    # Each agent evaluates the trend over its own current horizon, so paired
+    # Per-step probabilities rate * dt (the rates of transition_rate). Each
+    # agent evaluates the trend over its own current horizon, so paired
     # flows use differently-horizoned signals.
-    raw = {
-        (OPTIMIST, PESSIMIST): transition_rate(OPTIMIST, PESSIMIST, counts, u1, params) * dt,
-        (PESSIMIST, OPTIMIST): transition_rate(PESSIMIST, OPTIMIST, counts, u1, params) * dt,
-        (OPTIMIST, FUNDAMENTALIST): transition_rate(OPTIMIST, FUNDAMENTALIST, counts, u21_c, params) * dt,
-        (FUNDAMENTALIST, OPTIMIST): transition_rate(FUNDAMENTALIST, OPTIMIST, counts, u21_f, params) * dt,
-        (PESSIMIST, FUNDAMENTALIST): transition_rate(PESSIMIST, FUNDAMENTALIST, counts, u22_c, params) * dt,
-        (FUNDAMENTALIST, PESSIMIST): transition_rate(FUNDAMENTALIST, PESSIMIST, counts, u22_f, params) * dt,
-    }
-    stats.clamped = sum(1 for v in raw.values() if v > 1.0)
-    prob = {pair: min(max(v, 0.0), 1.0) for pair, v in raw.items()}
+    v1, v2 = params.v1, params.v2
+    o_to_p = v1 * (n_c / n) * math.exp(-u1) * dt
+    p_to_o = v1 * (n_c / n) * math.exp(u1) * dt
+    o_to_f = v2 * (n_f / n) * math.exp(-u21_c) * dt
+    f_to_o = v2 * (n_plus / n) * math.exp(u21_f) * dt
+    p_to_f = v2 * (n_f / n) * math.exp(-u22_c) * dt
+    f_to_p = v2 * (n_minus / n) * math.exp(u22_f) * dt
+    stats.clamped = (
+        (o_to_p > 1.0) + (p_to_o > 1.0) + (o_to_f > 1.0)
+        + (f_to_o > 1.0) + (p_to_f > 1.0) + (f_to_p > 1.0)
+    )
 
-    frozen_f = counts.n_f / n < MIN_GROUP_FRACTION
-    frozen_plus = counts.n_plus / n < MIN_GROUP_FRACTION
-    frozen_minus = counts.n_minus / n < MIN_GROUP_FRACTION
+    # Indexed by type code (fundamentalist, optimist, pessimist): first
+    # target, second target, p1 and the reach p1 + p2. A draw below p1 moves
+    # to the first target, one in [p1, p1 + p2) to the second; a frozen
+    # group's reach is -1, below every draw.
+    rules = []
+    for first, second, raw1, raw2, size in (
+        (OPTIMIST, PESSIMIST, f_to_o, f_to_p, n_f),
+        (PESSIMIST, FUNDAMENTALIST, o_to_p, o_to_f, n_plus),
+        (OPTIMIST, FUNDAMENTALIST, p_to_o, p_to_f, n_minus),
+    ):
+        p1 = min(max(raw1, 0.0), 1.0)
+        p2 = min(max(raw2, 0.0), 1.0)
+        reach = -1.0 if size / n < MIN_GROUP_FRACTION else p1 + p2
+        rules.append((first, second, p1, reach))
 
-    types = pop.types
-    u = rng.random(n)
-    new_types = types.copy()
-
-    if not frozen_plus:
-        is_o = types == OPTIMIST
-        p1 = prob[(OPTIMIST, PESSIMIST)]
-        p2 = prob[(OPTIMIST, FUNDAMENTALIST)]
-        new_types[is_o & (u < p1)] = PESSIMIST
-        new_types[is_o & (u >= p1) & (u < p1 + p2)] = FUNDAMENTALIST
-    if not frozen_minus:
-        is_p = types == PESSIMIST
-        p1 = prob[(PESSIMIST, OPTIMIST)]
-        p2 = prob[(PESSIMIST, FUNDAMENTALIST)]
-        new_types[is_p & (u < p1)] = OPTIMIST
-        new_types[is_p & (u >= p1) & (u < p1 + p2)] = FUNDAMENTALIST
-    if not frozen_f:
-        is_f = types == FUNDAMENTALIST
-        p1 = prob[(FUNDAMENTALIST, OPTIMIST)]
-        p2 = prob[(FUNDAMENTALIST, PESSIMIST)]
-        new_types[is_f & (u < p1)] = OPTIMIST
-        new_types[is_f & (u >= p1) & (u < p1 + p2)] = PESSIMIST
-
+    u = rng.random(n) if uniforms is None else uniforms
+    hit = u < max(rules[0][3], rules[1][3], rules[2][3])
     if only is not None:
         allowed = np.zeros(n, dtype=bool)
         allowed[np.asarray(only, dtype=int)] = True
-        new_types = np.where(allowed, new_types, types)
+        hit &= allowed
+    candidates = hit.nonzero()[0]
+    if not len(candidates):
+        return stats
 
-    stats.switches = int(np.count_nonzero(new_types != types))
-    pop.types = new_types
+    # every kind is read before any move is written: decisions use entry types
+    sizes = [n_f, n_plus, n_minus]
+    switches = 0
+    for i, kind, draw in zip(candidates.tolist(), types[candidates].tolist(), u[candidates].tolist()):
+        first, second, p1, reach = rules[kind]
+        if draw < reach:
+            target = first if draw < p1 else second
+            types[i] = target
+            sizes[kind] -= 1
+            sizes[target] += 1
+            switches += 1
+    stats.switches = switches
+    stats.counts = tuple(sizes)
     return stats

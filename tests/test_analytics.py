@@ -1,5 +1,6 @@
 """Tests for the statistics pipeline, anchored on independent synthetic oracles."""
 
+import copy
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from market_abm.analytics import (
     MRFM,
     RegimeBin,
     aggregational_gaussianity,
+    analyze_bundles,
     bin_by_pc,
     bin_indices,
     ccdf,
@@ -23,10 +25,14 @@ from market_abm.analytics import (
     fluctuation_function,
     forward_fill,
     log_box_sizes,
+    period_series,
+    reduce_run,
     sigma_vs_pc,
     spearman,
     tail_fit_quantile,
 )
+from market_abm.cli import experiment_config
+from market_abm.engine import run_simulation
 
 
 def fgn_spectral(h, n, rng):
@@ -319,3 +325,26 @@ class TestHelpers:
 
     def test_spearman_ties(self):
         assert spearman([1, 1, 2, 3], [2, 2, 4, 6]) == pytest.approx(1.0)
+
+
+class TestRunBundles:
+    @pytest.fixture(scope="class")
+    def records(self):
+        return run_simulation(experiment_config(1.0, False, {"steps": 3000, "seed": 3})).records
+
+    def test_period_series_own_their_data(self, records):
+        # a view would keep the run's full step arrays alive with the bundle
+        for name, series in period_series(records, 100).items():
+            assert series.base is None, name
+
+    def test_flat_market_kurtosis_reported_as_none(self, records):
+        # every close equal, as in a market frozen at depth 0: the lagged
+        # differences have zero variance, so no kurtosis exists to report
+        flat = copy.deepcopy(records)
+        flat.price[:] = 300.0
+        bundles = [reduce_run(flat, 100), reduce_run(flat, 100)]
+        report = analyze_bundles(bundles, 100, lags=(1, 4))
+        assert report.agg_gauss["excess_kurtosis"] == [None, None]
+        assert all(math.isfinite(k) for k in report.agg_gauss["fv_excess_kurtosis"])
+        with pytest.raises(ValueError, match="zero variance"):
+            excess_kurtosis(np.zeros(10))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from market_abm import cli
 from market_abm.cli import main
 from market_abm.config import SimConfig, dump_config, load_config, parse_overrides
 
@@ -93,7 +94,33 @@ class TestRunCommand:
         assert "bogus" in capsys.readouterr().err
 
 
+_measured_run = cli._timed_run
+
+
+def _fixed_time_run(job):
+    """The real run, reporting a made-up time that names its seed."""
+    run, _ = _measured_run(job)
+    return run, 1000.0 + job[1]
+
+
 class TestEnsembleCommand:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wall_clock_is_measured_per_run(self, tmp_path, config_file, monkeypatch, workers):
+        # pooled runs used to record time since the pool started; each entry
+        # must carry the seconds its own run took, measured in the worker
+        monkeypatch.setattr(cli, "_timed_run", _fixed_time_run)
+        out = tmp_path / "ens"
+        assert main(["ensemble", "--config", str(config_file), "--seeds", "3",
+                     "--out", str(out), "--workers", str(workers)]) == 0
+        manifest = json.loads((out / "experiment.json").read_text())
+        assert [(e["seed"], e["wall_clock_s"]) for e in manifest["runs"]] == [
+            (7, 1007.0), (8, 1008.0), (9, 1009.0)]
+
+    def test_timed_run_reports_seconds(self):
+        run, seconds = cli._timed_run((SimConfig(steps=50, n_agents=20), 4, ()))
+        assert run.seed == 4 and len(run.records) == 50
+        assert seconds > 0.0
+
     def test_runs_and_manifest(self, tmp_path, config_file):
         out = tmp_path / "ens"
         assert main(["ensemble", "--config", str(config_file), "--seeds", "3",
