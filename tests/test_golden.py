@@ -3,13 +3,17 @@
 Any change that moves a trajectory by one byte fails here. Refactors and
 speedups must keep these digests. A model change that is meant to move the
 trajectory re-pins them, with a CHANGES.md entry that says why it moved.
+
+Besides `steps.csv` and `trades.csv`, the pin covers book snapshots,
+the fundamental trace, and every file `market-abm analyze` writes over the
+three run directories (which reads them back through the loader).
 """
 
 import pytest
 
-from market_abm.cli import experiment_config
+from market_abm.cli import experiment_config, main
 from market_abm.engine import run_simulation
-from market_abm.runio import sha256_file, write_run
+from market_abm.runio import sha256_file, write_fundamental_trace, write_run
 
 STEPS = 5000
 SEED = 100
@@ -37,15 +41,76 @@ GOLDEN = {
     ),
 }
 
+# Extra files of the hetero_all_agents run: book snapshots and the fundamental trace.
+EXTRA_RUN = "hetero_all_agents"
+SNAPSHOT_STEPS = (1000, 2500, 5000)
+EXTRA_FILES = {
+    "lob_1000.csv": "e962a9af61ccb053fb2841e9d2b4327334f07c74333a91e5e41b8706cb5bef2b",
+    "lob_2500.csv": "e6a9c7bca96355f49100dd1680474057f98790e10c35d79892dcb462e2499d6c",
+    "lob_5000.csv": "fb7f1aa6359f226e9dc948335e2a5ea287406440de8e46eb0e24bb88efd36268",
+    "fundamental.csv": "f4690855f9d3346e9f8a7803e14e5cf0904f11987a69a4233e168a88b29c95f3",
+}
+
+# `analyze` over all three runs; thin thresholds so every curve is written.
+ANALYZE_ARGS = ["--burn-periods", "5", "--min-obs", "2"]
+ANALYSIS_FILES = {
+    "analysis.json": "6072695f79c802917058766fe89a9baeb079a17e09fc69bc4e9ddd71f95de271",
+    "ccdf_first_gap.csv": "5219e8de34ebb7d51cca9cfbd8d5a1f6e50f869a628da41e5b53f70770c6e170",
+    "ccdf_return_negative.csv": "acd806a2c8598ef1ac30929ee03d3f28eb87fcc51ff208fdeb5d4eb7c74042d1",
+    "ccdf_return_positive.csv": "25df4d498951097e337c8018241eed890a3639e02a9cbc98c30fd4bcf39174e6",
+    "ccdf_spread.csv": "8614bbf338d4d183ce1cbb5a2faba93fb1e9921ae7e4a4307fe3500ace52472a",
+    "fn_first_gap.csv": "87cd9bebe143076261c5fb66547d620ee311aa659512e90161b0407eb315a0ac",
+    "fn_fv_return.csv": "9eb232667e44108e4f988dbc279892cd4a4f65a2cd9ed3526950c0f0010e81d7",
+    "fn_return.csv": "900b4fdd912a4d83fde69140f99668344d03211c0290aa9721de87188a8435cc",
+    "fn_spread.csv": "bc29cc73bccab9dd6fb86b1036e4a8af790a0a4d19e005b3094537850b667603",
+    "fn_volatility.csv": "0c7f0032ceb845a22de836c68b5835e5af6e052c30bfc4bc73a34cf8ec97f220",
+    "fn_volume.csv": "c72907d63d9fe30eb20e9e47dae8da23b607baaaf361376bace1996591d83466",
+    "ne_vs_pc_first_gap.csv": "6444a961fa21ddbf0230bf24a5acba571783bfc0d4c9cb4295122919a53a8e4b",
+    "ne_vs_pc_spread.csv": "dadc857d4e7e2bb4d9f804bf047ff530fbd8fe61253952736ded98eb0268fa47",
+    "ne_vs_pc_volatility.csv": "ee929230d61015fcc73fa4e8abc39fbafa8c241b5d5af2122b4214d4c01a47dc",
+    "sigma_vs_pc_first_gap.csv": "a4dda512a50c1b05586585478634cffaf5c36256ec7f15124d7d890a1e4053bb",
+    "sigma_vs_pc_spread.csv": "4ed6bbf43e735e5a11586f6e178346a9a52d03efd8aea2b4c183484fb789841e",
+    "sigma_vs_pc_volatility.csv": "70a72359138a3a621e0c43fe433461df0b4d5a81e94d779eaa0c0c4b2552c765",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_root(tmp_path_factory):
+    """The three golden runs written once, as `<root>/<name>/`; returns (root, manifests)."""
+    root = tmp_path_factory.mktemp("golden")
+    manifests = {}
+    for name, (homogeneous, overrides, *_pins) in GOLDEN.items():
+        cfg = experiment_config(1.0, homogeneous, {"steps": STEPS, "seed": SEED, **overrides})
+        snapshots = SNAPSHOT_STEPS if name == EXTRA_RUN else ()
+        run = run_simulation(cfg, lob_snapshot_steps=snapshots)
+        manifests[name] = write_run(root / name, run)
+        if name == EXTRA_RUN:
+            write_fundamental_trace(root / name / "fundamental.csv", run.records)
+    return root, manifests
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_trajectory(name, tmp_path):
-    homogeneous, overrides, steps_sha, trades_sha, switches, clamps, n_trades = GOLDEN[name]
-    cfg = experiment_config(1.0, homogeneous, {"steps": STEPS, "seed": SEED, **overrides})
-    run = run_simulation(cfg)
-    manifest = write_run(tmp_path, run)
+def test_golden_trajectory(name, golden_root):
+    root, manifests = golden_root
+    _h, _o, steps_sha, trades_sha, switches, clamps, n_trades = GOLDEN[name]
+    manifest = manifests[name]
     assert (manifest["switches"], manifest["clamp_events"], manifest["trades"]) == (
         switches, clamps, n_trades,
     )
-    assert sha256_file(tmp_path / "steps.csv") == steps_sha
-    assert sha256_file(tmp_path / "trades.csv") == trades_sha
+    assert sha256_file(root / name / "steps.csv") == steps_sha
+    assert sha256_file(root / name / "trades.csv") == trades_sha
+
+
+@pytest.mark.parametrize("filename", sorted(EXTRA_FILES))
+def test_golden_snapshot_and_fundamental(filename, golden_root):
+    root, _ = golden_root
+    assert sha256_file(root / EXTRA_RUN / filename) == EXTRA_FILES[filename]
+
+
+def test_golden_analysis(golden_root, tmp_path, capsys):
+    root, _ = golden_root
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--in", str(root), "--out", str(out), *ANALYZE_ARGS]) == 0
+    capsys.readouterr()
+    written = {p.name: sha256_file(p) for p in out.iterdir()}
+    assert written == ANALYSIS_FILES
