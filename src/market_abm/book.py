@@ -38,9 +38,6 @@ class LimitOrder:
     submitted_at: int
     expires_at: int
 
-    def price(self, tick_size: float) -> float:
-        return self.ticks * tick_size
-
 
 @dataclass(frozen=True)
 class Trade:
@@ -94,9 +91,6 @@ class OrderBook:
     @property
     def depth(self) -> int:
         return len(self._orders)
-
-    def orders(self) -> list[LimitOrder]:
-        return [self._orders[oid] for oid in sorted(self._orders)]
 
     # -- mutation ----------------------------------------------------------
 

@@ -37,22 +37,25 @@ from .population import (
 _BAND_EPS = 1e-12  # relative slack so exact boundary prices stay inside the band
 _DRAW_BLOCK_DOUBLES = 32_768  # switching uniforms drawn at once: 256 KiB, 64 sweeps of 500 agents
 
-STEP_COLUMNS = [
-    "step",
-    "price",
-    "fundamental_value",
-    "best_bid",
-    "best_ask",
-    "spread",
-    "bid_gap",
-    "ask_gap",
-    "depth",
-    "n_f",
-    "n_plus",
-    "n_minus",
-    "traded",
-    "trade_price",
-]
+# The step record, in file column order: (name, dtype). It drives the
+# allocation of `StepRecords`, the CSV writer and the loader.
+STEP_SCHEMA = (
+    ("step", np.int64),
+    ("price", np.float64),
+    ("fundamental_value", np.float64),
+    ("best_bid", np.float64),
+    ("best_ask", np.float64),
+    ("spread", np.float64),
+    ("bid_gap", np.float64),
+    ("ask_gap", np.float64),
+    ("depth", np.int64),
+    ("n_f", np.int64),
+    ("n_plus", np.int64),
+    ("n_minus", np.int64),
+    ("traded", np.bool_),
+    ("trade_price", np.float64),
+)
+STEP_COLUMNS = [name for name, _ in STEP_SCHEMA]
 
 TRADE_COLUMNS = ["step", "price", "buyer_id", "seller_id", "aggressor"]
 
@@ -78,6 +81,17 @@ class StepRecords:
 
     def __len__(self) -> int:
         return len(self.step)
+
+    @classmethod
+    def allocate(cls, n_steps: int) -> StepRecords:
+        """Records for steps 1..n_steps: floats NaN, ints 0, flags False."""
+        columns = {
+            name: np.full(n_steps, np.nan) if np.dtype(dtype).kind == "f"
+            else np.zeros(n_steps, dtype=dtype)
+            for name, dtype in STEP_SCHEMA
+        }
+        columns["step"] = np.arange(1, n_steps + 1, dtype=np.int64)
+        return cls(**columns)
 
     @property
     def pc(self) -> np.ndarray:
@@ -204,23 +218,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     price = np.empty(n_steps + 1)
     price[0] = config.p0
 
-    nan = np.nan
-    rec = StepRecords(
-        step=np.arange(1, n_steps + 1, dtype=np.int64),
-        price=np.empty(n_steps),
-        fundamental_value=np.empty(n_steps),
-        best_bid=np.full(n_steps, nan),
-        best_ask=np.full(n_steps, nan),
-        spread=np.full(n_steps, nan),
-        bid_gap=np.full(n_steps, nan),
-        ask_gap=np.full(n_steps, nan),
-        depth=np.zeros(n_steps, dtype=np.int64),
-        n_f=np.zeros(n_steps, dtype=np.int64),
-        n_plus=np.zeros(n_steps, dtype=np.int64),
-        n_minus=np.zeros(n_steps, dtype=np.int64),
-        traded=np.zeros(n_steps, dtype=bool),
-        trade_price=np.full(n_steps, nan),
-    )
+    rec = StepRecords.allocate(n_steps)
     tr_step = np.empty(n_steps, dtype=np.int64)
     tr_price = np.empty(n_steps)
     tr_buyer = np.empty(n_steps, dtype=np.int64)

@@ -136,53 +136,6 @@ def compute_U2(direction: int, trend: float, p: float, p_f: float, params: Switc
     raise ValueError("direction must be OPTIMIST or PESSIMIST")
 
 
-def transition_rate(
-    from_type: int, to_type: int, counts: PopulationCounts, u: float, params: SwitchParams
-) -> float:
-    """Poisson rate for one opinion change, before scaling by the step size.
-
-    `u` is the signal for the pair: the chartist-chartist signal for flows
-    between optimists and pessimists, otherwise the profit differential of
-    the chartist camp involved. Its sign convention: flows toward the
-    optimist camp (or away from fundamentalism) take exp(+u), the reverse
-    flows exp(-u).
-    """
-    if from_type == to_type:
-        raise ValueError("transition requires two distinct types")
-    n = counts.total
-    if n == 0:
-        raise ValueError("empty population")
-    pair = (from_type, to_type)
-    if pair == (PESSIMIST, OPTIMIST):
-        return params.v1 * (counts.n_c / n) * math.exp(u)
-    if pair == (OPTIMIST, PESSIMIST):
-        return params.v1 * (counts.n_c / n) * math.exp(-u)
-    if pair == (FUNDAMENTALIST, OPTIMIST):
-        return params.v2 * (counts.n_plus / n) * math.exp(u)
-    if pair == (OPTIMIST, FUNDAMENTALIST):
-        return params.v2 * (counts.n_f / n) * math.exp(-u)
-    if pair == (FUNDAMENTALIST, PESSIMIST):
-        return params.v2 * (counts.n_minus / n) * math.exp(u)
-    if pair == (PESSIMIST, FUNDAMENTALIST):
-        return params.v2 * (counts.n_f / n) * math.exp(-u)
-    raise ValueError(f"unknown transition pair {pair}")
-
-
-def transition_probability(
-    from_type: int,
-    to_type: int,
-    counts: PopulationCounts,
-    u: float,
-    params: SwitchParams,
-    dt: float,
-) -> float:
-    """Per-step switching probability rate * dt, clamped into [0, 1]."""
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    prob = transition_rate(from_type, to_type, counts, u, params) * dt
-    return min(max(prob, 0.0), 1.0)
-
-
 class Population:
     """Array-backed population; cash is accounted in integer tick units so
     conservation checks are exact."""
@@ -306,9 +259,11 @@ def apply_switching(
     u22_c = compute_U2(PESSIMIST, trend_c, p, p_f, params)
     u22_f = compute_U2(PESSIMIST, trend_f, p, p_f, params)
 
-    # Per-step probabilities rate * dt (the rates of transition_rate). Each
-    # agent evaluates the trend over its own current horizon, so paired
-    # flows use differently-horizoned signals.
+    # Per-step probabilities rate * dt: a herding prefactor times exp(+-u),
+    # where flows toward the optimist camp or away from fundamentalism take
+    # exp(+u) and the reverse flows exp(-u). Each agent evaluates the trend
+    # over its own current horizon, so paired flows use differently-horizoned
+    # signals.
     v1, v2 = params.v1, params.v2
     o_to_p = v1 * (n_c / n) * math.exp(-u1) * dt
     p_to_o = v1 * (n_c / n) * math.exp(u1) * dt

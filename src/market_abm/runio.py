@@ -1,92 +1,88 @@
 """On-disk formats for runs and analyses.
 
 Each run directory holds `steps.csv` (one row per step, columns in the
-declared order), `trades.csv`, `manifest.json` (config echo, seed, totals,
-rejection counters) and optional `lob_<step>.csv` book snapshots with ask
-volumes negative.
+order of `engine.STEP_SCHEMA`), `trades.csv`, `manifest.json` (config echo,
+seed, totals, rejection counters) and optional `lob_<step>.csv` book
+snapshots with ask volumes negative.
+
+Every CSV is written by one helper that formats whole columns and writes
+`_BLOCK_ROWS` rows at a time: floats as `%.12g` with non-finite values left
+blank, flags as 0/1, integers as themselves. The loader parses `steps.csv`
+with `np.loadtxt`, reads its columns by header name and casts each to its
+schema dtype; blank fields load as NaN.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .book import Side
-from .engine import STEP_COLUMNS, TRADE_COLUMNS, RunOutput, StepRecords, TradeRecords
+from .engine import STEP_COLUMNS, STEP_SCHEMA, TRADE_COLUMNS, RunOutput, StepRecords, TradeRecords
+
+_BLOCK_ROWS = 4096  # rows formatted and written at once: a few MiB of strings
+_BLANK_FIELD = re.compile(r",(?=[,\n])")  # an empty field that is not a line's first
 
 
-def _fmt(value: float) -> str:
-    return "" if not np.isfinite(value) else format(value, ".12g")
+def _fields(column: np.ndarray) -> list[str]:
+    """CSV fields of one column."""
+    values = column.tolist()
+    kind = column.dtype.kind
+    if kind == "f":
+        fields = ["%.12g" % v for v in values]
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            fields[i] = ""
+        return fields
+    if kind == "b":
+        return ["1" if v else "0" for v in values]
+    return [str(v) for v in values]
+
+
+def _write_csv(path: Path, names, columns) -> None:
+    """A header line, then the rows of equal-length columns, one block at a time."""
+    n_rows = len(columns[0])
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = [_fields(c[start:start + _BLOCK_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_steps_csv(path: Path, records: StepRecords) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(STEP_COLUMNS) + "\n")
-        for i in range(len(records)):
-            row = (
-                f"{records.step[i]},{_fmt(records.price[i])},"
-                f"{_fmt(records.fundamental_value[i])},{_fmt(records.best_bid[i])},"
-                f"{_fmt(records.best_ask[i])},{_fmt(records.spread[i])},"
-                f"{_fmt(records.bid_gap[i])},{_fmt(records.ask_gap[i])},"
-                f"{records.depth[i]},{records.n_f[i]},{records.n_plus[i]},"
-                f"{records.n_minus[i]},{int(records.traded[i])},{_fmt(records.trade_price[i])}\n"
-            )
-            fh.write(row)
+    _write_csv(path, STEP_COLUMNS, [getattr(records, name) for name in STEP_COLUMNS])
 
 
 def load_steps_csv(path: Path) -> StepRecords:
-    data = np.genfromtxt(path, delimiter=",", names=True, dtype=float, filling_values=np.nan)
-    data = np.atleast_1d(data)
-
-    def col(name, dtype=None):
-        arr = data[name]
-        return arr.astype(dtype) if dtype else arr.copy()
-
-    return StepRecords(
-        step=col("step", np.int64),
-        price=col("price"),
-        fundamental_value=col("fundamental_value"),
-        best_bid=col("best_bid"),
-        best_ask=col("best_ask"),
-        spread=col("spread"),
-        bid_gap=col("bid_gap"),
-        ask_gap=col("ask_gap"),
-        depth=col("depth", np.int64),
-        n_f=col("n_f", np.int64),
-        n_plus=col("n_plus", np.int64),
-        n_minus=col("n_minus", np.int64),
-        traded=data["traded"].astype(bool),
-        trade_price=col("trade_price"),
-    )
+    header, _, body = Path(path).read_text().partition("\n")
+    index = {name: j for j, name in enumerate(header.split(","))}
+    if body:
+        data = np.loadtxt(io.StringIO(_BLANK_FIELD.sub(",nan", body)), delimiter=",", ndmin=2)
+    else:
+        data = np.empty((0, len(index)))
+    return StepRecords(**{name: data[:, index[name]].astype(dtype) for name, dtype in STEP_SCHEMA})
 
 
 def write_trades_csv(path: Path, trades: TradeRecords) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(TRADE_COLUMNS) + "\n")
-        for i in range(len(trades)):
-            side = "buy" if trades.aggressor[i] == int(Side.BUY) else "sell"
-            fh.write(
-                f"{trades.step[i]},{_fmt(trades.price[i])},"
-                f"{trades.buyer_id[i]},{trades.seller_id[i]},{side}\n"
-            )
+    side = np.where(trades.aggressor == int(Side.BUY), "buy", "sell")
+    _write_csv(path, TRADE_COLUMNS,
+               [trades.step, trades.price, trades.buyer_id, trades.seller_id, side])
 
 
 def write_lob_snapshot(path: Path, rows: list[tuple[float, int]]) -> None:
-    with open(path, "w") as fh:
-        fh.write("price,volume\n")
-        for price, volume in rows:
-            fh.write(f"{_fmt(price)},{volume}\n")
+    _write_csv(path, ["price", "volume"], [
+        np.array([price for price, _ in rows], dtype=float),
+        np.array([volume for _, volume in rows], dtype=np.int64),
+    ])
 
 
 def write_fundamental_trace(path: Path, records: StepRecords) -> None:
     """Two-column dump (step, value) of the fundamental path."""
-    with open(path, "w") as fh:
-        fh.write("step,value\n")
-        for i in range(len(records)):
-            fh.write(f"{records.step[i]},{_fmt(records.fundamental_value[i])}\n")
+    _write_csv(path, ["step", "value"], [records.step, records.fundamental_value])
 
 
 def run_manifest(run: RunOutput) -> dict:
@@ -169,6 +165,15 @@ def _jsonable(obj):
     return obj
 
 
+# plot kind -> (CSV header, keys of the plot's data); files are `<kind>_<name>.csv`
+_PLOT_COLUMNS = {
+    "fn": (["box_size", "fluctuation"], ["box_sizes", "fluctuations"]),
+    "ccdf": (["value", "prob"], ["values", "probs"]),
+    "sigma_vs_pc": (["pc", "sigma_norm"], ["centers", "curve"]),
+    "ne_vs_pc": (["pc", "ne", "mean_depth"], ["centers", "ne", "mean_depth"]),
+}
+
+
 def write_analysis(out_dir: Path, report) -> None:
     """analysis.json plus plot-ready CSV files for every exported curve."""
     out_dir = Path(out_dir)
@@ -176,23 +181,7 @@ def write_analysis(out_dir: Path, report) -> None:
     with open(out_dir / "analysis.json", "w") as fh:
         json.dump(_jsonable(report.tables()), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for kind, data in report.plots.get("fn", {}).items():
-        _write_columns(out_dir / f"fn_{kind}.csv", ["box_size", "fluctuation"],
-                       [data["box_sizes"], data["fluctuations"]])
-    for name, data in report.plots.get("ccdf", {}).items():
-        _write_columns(out_dir / f"ccdf_{name}.csv", ["value", "prob"],
-                       [data["values"], data["probs"]])
-    for quantity, data in report.plots.get("sigma_vs_pc", {}).items():
-        _write_columns(out_dir / f"sigma_vs_pc_{quantity}.csv", ["pc", "sigma_norm"],
-                       [data["centers"], data["curve"]])
-    for quantity, data in report.plots.get("ne_vs_pc", {}).items():
-        _write_columns(out_dir / f"ne_vs_pc_{quantity}.csv", ["pc", "ne", "mean_depth"],
-                       [data["centers"], data["ne"], data["mean_depth"]])
-
-
-def _write_columns(path: Path, names: list[str], columns) -> None:
-    arrays = [np.asarray(c, dtype=float) for c in columns]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(len(arrays[0])):
-            fh.write(",".join(_fmt(a[i]) for a in arrays) + "\n")
+    for kind, (header, keys) in _PLOT_COLUMNS.items():
+        for name, data in report.plots.get(kind, {}).items():
+            _write_csv(out_dir / f"{kind}_{name}.csv", header,
+                       [np.asarray(data[key], dtype=float) for key in keys])

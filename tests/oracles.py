@@ -1,0 +1,150 @@
+"""Reference implementations that the tests compare the library against.
+
+None of this is used by the library itself:
+
+- the original row-wise CSV writers and the `np.genfromtxt` loader, which
+  define the on-disk run format byte for byte;
+- the per-pair switching rates, which the switching sweep computes inline;
+- a listing of a book's resting orders and an order's price in currency.
+"""
+
+import math
+
+import numpy as np
+
+from market_abm.book import OrderBook, Side
+from market_abm.engine import STEP_COLUMNS, TRADE_COLUMNS, StepRecords, TradeRecords
+from market_abm.population import FUNDAMENTALIST, OPTIMIST, PESSIMIST, PopulationCounts, SwitchParams
+
+# ---------------------------------------------------------------------------
+# run I/O
+# ---------------------------------------------------------------------------
+
+
+def _fmt(value: float) -> str:
+    return "" if not np.isfinite(value) else format(value, ".12g")
+
+
+def write_steps_csv(path, records: StepRecords) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(STEP_COLUMNS) + "\n")
+        for i in range(len(records)):
+            row = (
+                f"{records.step[i]},{_fmt(records.price[i])},"
+                f"{_fmt(records.fundamental_value[i])},{_fmt(records.best_bid[i])},"
+                f"{_fmt(records.best_ask[i])},{_fmt(records.spread[i])},"
+                f"{_fmt(records.bid_gap[i])},{_fmt(records.ask_gap[i])},"
+                f"{records.depth[i]},{records.n_f[i]},{records.n_plus[i]},"
+                f"{records.n_minus[i]},{int(records.traded[i])},{_fmt(records.trade_price[i])}\n"
+            )
+            fh.write(row)
+
+
+def load_steps_csv(path) -> StepRecords:
+    data = np.genfromtxt(path, delimiter=",", names=True, dtype=float, filling_values=np.nan)
+    data = np.atleast_1d(data)
+
+    def col(name, dtype=None):
+        arr = data[name]
+        return arr.astype(dtype) if dtype else arr.copy()
+
+    return StepRecords(
+        step=col("step", np.int64),
+        price=col("price"),
+        fundamental_value=col("fundamental_value"),
+        best_bid=col("best_bid"),
+        best_ask=col("best_ask"),
+        spread=col("spread"),
+        bid_gap=col("bid_gap"),
+        ask_gap=col("ask_gap"),
+        depth=col("depth", np.int64),
+        n_f=col("n_f", np.int64),
+        n_plus=col("n_plus", np.int64),
+        n_minus=col("n_minus", np.int64),
+        traded=data["traded"].astype(bool),
+        trade_price=col("trade_price"),
+    )
+
+
+def write_trades_csv(path, trades: TradeRecords) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(TRADE_COLUMNS) + "\n")
+        for i in range(len(trades)):
+            side = "buy" if trades.aggressor[i] == int(Side.BUY) else "sell"
+            fh.write(
+                f"{trades.step[i]},{_fmt(trades.price[i])},"
+                f"{trades.buyer_id[i]},{trades.seller_id[i]},{side}\n"
+            )
+
+
+def write_lob_snapshot(path, rows: list[tuple[float, int]]) -> None:
+    with open(path, "w") as fh:
+        fh.write("price,volume\n")
+        for price, volume in rows:
+            fh.write(f"{_fmt(price)},{volume}\n")
+
+
+# ---------------------------------------------------------------------------
+# switching rates
+# ---------------------------------------------------------------------------
+
+
+def transition_rate(
+    from_type: int, to_type: int, counts: PopulationCounts, u: float, params: SwitchParams
+) -> float:
+    """Poisson rate for one opinion change, before scaling by the step size.
+
+    `u` is the signal for the pair: the chartist-chartist signal for flows
+    between optimists and pessimists, otherwise the profit differential of
+    the chartist camp involved. Its sign convention: flows toward the
+    optimist camp (or away from fundamentalism) take exp(+u), the reverse
+    flows exp(-u).
+    """
+    if from_type == to_type:
+        raise ValueError("transition requires two distinct types")
+    n = counts.total
+    if n == 0:
+        raise ValueError("empty population")
+    pair = (from_type, to_type)
+    if pair == (PESSIMIST, OPTIMIST):
+        return params.v1 * (counts.n_c / n) * math.exp(u)
+    if pair == (OPTIMIST, PESSIMIST):
+        return params.v1 * (counts.n_c / n) * math.exp(-u)
+    if pair == (FUNDAMENTALIST, OPTIMIST):
+        return params.v2 * (counts.n_plus / n) * math.exp(u)
+    if pair == (OPTIMIST, FUNDAMENTALIST):
+        return params.v2 * (counts.n_f / n) * math.exp(-u)
+    if pair == (FUNDAMENTALIST, PESSIMIST):
+        return params.v2 * (counts.n_minus / n) * math.exp(u)
+    if pair == (PESSIMIST, FUNDAMENTALIST):
+        return params.v2 * (counts.n_f / n) * math.exp(-u)
+    raise ValueError(f"unknown transition pair {pair}")
+
+
+def transition_probability(
+    from_type: int,
+    to_type: int,
+    counts: PopulationCounts,
+    u: float,
+    params: SwitchParams,
+    dt: float,
+) -> float:
+    """Per-step switching probability rate * dt, clamped into [0, 1]."""
+    if dt <= 0.0:
+        raise ValueError("dt must be > 0")
+    prob = transition_rate(from_type, to_type, counts, u, params) * dt
+    return min(max(prob, 0.0), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# book inspection
+# ---------------------------------------------------------------------------
+
+
+def resting_orders(book: OrderBook) -> list:
+    """Every resting order, oldest first."""
+    return [book._orders[oid] for oid in sorted(book._orders)]
+
+
+def order_price(order, tick_size: float) -> float:
+    return order.ticks * tick_size

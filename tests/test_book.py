@@ -5,6 +5,8 @@ import pytest
 
 from market_abm.book import BookStats, OrderBook, OrderIntent, Side, current_price
 
+from oracles import order_price, resting_orders
+
 TICK = 0.0005
 
 
@@ -145,9 +147,9 @@ class TestSubmit:
             it = intent(int(rng.integers(50)), Side.BUY if rng.random() < 0.5 else Side.SELL,
                         float(rng.uniform(280, 320)))
             book.submit(it, t)
-        for order in book.orders():
+        for order in resting_orders(book):
             assert order.ticks > 0
-            price = order.price(TICK)
+            price = order_price(order, TICK)
             assert abs(price / TICK - round(price / TICK)) < 1e-6
 
 
@@ -181,9 +183,9 @@ class TestExpire:
         book.expire(cutoff)
         expected_alive = {oid for oid, exp in expected_alive if exp > cutoff}
         # some expected-alive orders may have traded; the live set must be a subset
-        live = {o.order_id for o in book.orders()}
+        live = {o.order_id for o in resting_orders(book)}
         assert live <= expected_alive
-        for order in book.orders():
+        for order in resting_orders(book):
             assert order.expires_at > cutoff
 
 

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import market_abm
 from market_abm import cli
 from market_abm.cli import main
 from market_abm.config import SimConfig, dump_config, load_config, parse_overrides
@@ -196,3 +201,17 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = str(Path(market_abm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "market_abm", "run", "--out", str(out), "--seed", "3",
+         "-O", "steps=200", "-O", "n_agents=50"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "run seed=3: 200 steps" in proc.stdout
+    assert len((out / "steps.csv").read_text().splitlines()) == 201

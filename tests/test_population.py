@@ -17,9 +17,9 @@ from market_abm.population import (
     average_price_trend,
     compute_U1,
     compute_U2,
-    transition_probability,
-    transition_rate,
 )
+
+from oracles import transition_probability, transition_rate
 
 PARAMS = SwitchParams()
 

@@ -23,8 +23,9 @@ from market_abm.population import (
     apply_switching,
     compute_U1,
     compute_U2,
-    transition_rate,
 )
+
+from oracles import transition_rate
 
 
 def reference_probabilities(pop, market, params, dt):
