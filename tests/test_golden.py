@@ -1,13 +1,16 @@
-"""Golden trajectory pin: exact output digests of three short recipe runs.
+"""Golden trajectory pin: exact output digests of four short recipe runs.
 
 Any change that moves a trajectory by one byte fails here. Refactors and
 speedups must keep these digests. A model change that is meant to move the
 trajectory re-pins them, with a CHANGES.md entry that says why it moved.
 
-Besides `steps.csv` and `trades.csv`, the pin covers book snapshots,
-the fundamental trace, and every file `market-abm analyze` writes over the
-three run directories (which reads them back through the loader).
+Besides `steps.csv` and `trades.csv`, the pin covers each run's rejection
+counters and final per-agent holdings, book snapshots, the fundamental
+trace, and every file `market-abm analyze` writes over the first three run
+directories (which reads them back through the loader).
 """
+
+import hashlib
 
 import pytest
 
@@ -39,6 +42,37 @@ GOLDEN = {
         "f6425830740bd7ca0a0ed8bdf35ae67f9d90d5f19d4b7293efbc5397cec408b4",
         0, 0, 131,
     ),
+    # knobs no other run sets: self trades allowed, aligned sigma windows and
+    # the chartist horizon for the fundamentalist trend signal
+    "hetero_knobs": (
+        False, {"allow_self_trades": True, "sigma_window_aligned": True,
+                "u2_trend_horizon": "chartist"},
+        "2673670982bf4c617289580afd3965c062b94253d8f285e7f933071a8504ecd7",
+        "9380570d22036d37a29555dea5533b173a4b7304bd28ea27fa3ddabff847e5aa",
+        40399, 0, 466,
+    ),
+}
+# runs `analyze` reads; the knobs run is written apart so that the analysis pin holds
+ANALYZED = ("hetero_all_agents", "hetero_per_trade", "control")
+
+# name -> (manifest rejection counters, sha256 of the final (type, cash, shares) rows)
+OUTCOMES = {
+    "hetero_all_agents": (
+        {"band": 2728, "budget_buy": 313, "budget_sell": 329, "no_order": 49, "self_cross": 0},
+        "90d05cb96299edefb24659c8ac1b3505a7621ce0e24503b8a52aa9cc056b1161",
+    ),
+    "hetero_per_trade": (
+        {"band": 2478, "budget_buy": 756, "budget_sell": 702, "no_order": 49, "self_cross": 0},
+        "3356b2248b1124dbbfa23dcd539b0c8bfdaf92c73e53341b37e6554fbb451925",
+    ),
+    "control": (
+        {"band": 1109, "budget_buy": 634, "budget_sell": 333, "no_order": 0, "self_cross": 0},
+        "8c96ed90deb3c96b7c5ed1f0f06f641b452bbc319d8dee7bb691b738d28319a1",
+    ),
+    "hetero_knobs": (
+        {"band": 3316, "budget_buy": 193, "budget_sell": 212, "no_order": 49, "self_cross": 0},
+        "aa62101064b3551545e461e47fdf7ff28ecda9c8906150b3b3b54c06bfd1d109",
+    ),
 }
 
 # Extra files of the hetero_all_agents run: book snapshots and the fundamental trace.
@@ -51,7 +85,7 @@ EXTRA_FILES = {
     "fundamental.csv": "f4690855f9d3346e9f8a7803e14e5cf0904f11987a69a4233e168a88b29c95f3",
 }
 
-# `analyze` over all three runs; thin thresholds so every curve is written.
+# `analyze` over the three ANALYZED runs; thin thresholds so every curve is written.
 ANALYZE_ARGS = ["--burn-periods", "5", "--min-obs", "2"]
 ANALYSIS_FILES = {
     "analysis.json": "6072695f79c802917058766fe89a9baeb079a17e09fc69bc4e9ddd71f95de271",
@@ -74,41 +108,59 @@ ANALYSIS_FILES = {
 }
 
 
+def holdings_sha256(agents) -> str:
+    """sha256 of one `type,cash,shares` line per agent, in agent order."""
+    rows = "".join(f"{int(a.type)},{a.cash!r},{a.shares}\n" for a in agents)
+    return hashlib.sha256(rows.encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden_root(tmp_path_factory):
-    """The three golden runs written once, as `<root>/<name>/`; returns (root, manifests)."""
+    """The golden runs written once; returns (analysed root, run dirs, manifests,
+    holdings digests). The runs `analyze` reads sit in `<root>/<name>/`."""
     root = tmp_path_factory.mktemp("golden")
-    manifests = {}
+    apart = tmp_path_factory.mktemp("golden_apart")
+    dirs, manifests, holdings = {}, {}, {}
     for name, (homogeneous, overrides, *_pins) in GOLDEN.items():
         cfg = experiment_config(1.0, homogeneous, {"steps": STEPS, "seed": SEED, **overrides})
         snapshots = SNAPSHOT_STEPS if name == EXTRA_RUN else ()
         run = run_simulation(cfg, lob_snapshot_steps=snapshots)
-        manifests[name] = write_run(root / name, run)
+        dirs[name] = (root if name in ANALYZED else apart) / name
+        manifests[name] = write_run(dirs[name], run)
+        holdings[name] = holdings_sha256(run.final_agents)
         if name == EXTRA_RUN:
-            write_fundamental_trace(root / name / "fundamental.csv", run.records)
-    return root, manifests
+            write_fundamental_trace(dirs[name] / "fundamental.csv", run.records)
+    return root, dirs, manifests, holdings
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_trajectory(name, golden_root):
-    root, manifests = golden_root
+    _root, dirs, manifests, _holdings = golden_root
     _h, _o, steps_sha, trades_sha, switches, clamps, n_trades = GOLDEN[name]
     manifest = manifests[name]
     assert (manifest["switches"], manifest["clamp_events"], manifest["trades"]) == (
         switches, clamps, n_trades,
     )
-    assert sha256_file(root / name / "steps.csv") == steps_sha
-    assert sha256_file(root / name / "trades.csv") == trades_sha
+    assert sha256_file(dirs[name] / "steps.csv") == steps_sha
+    assert sha256_file(dirs[name] / "trades.csv") == trades_sha
+
+
+@pytest.mark.parametrize("name", sorted(OUTCOMES))
+def test_golden_rejections_and_holdings(name, golden_root):
+    _root, _dirs, manifests, holdings = golden_root
+    rejections, holdings_sha = OUTCOMES[name]
+    assert manifests[name]["rejections"] == rejections
+    assert holdings[name] == holdings_sha
 
 
 @pytest.mark.parametrize("filename", sorted(EXTRA_FILES))
 def test_golden_snapshot_and_fundamental(filename, golden_root):
-    root, _ = golden_root
-    assert sha256_file(root / EXTRA_RUN / filename) == EXTRA_FILES[filename]
+    _root, dirs, _manifests, _holdings = golden_root
+    assert sha256_file(dirs[EXTRA_RUN] / filename) == EXTRA_FILES[filename]
 
 
 def test_golden_analysis(golden_root, tmp_path, capsys):
-    root, _ = golden_root
+    root = golden_root[0]
     out = tmp_path / "analysis"
     assert main(["analyze", "--in", str(root), "--out", str(out), *ANALYZE_ARGS]) == 0
     capsys.readouterr()
