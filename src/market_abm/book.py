@@ -57,6 +57,9 @@ class BookStats:
     depth: int
 
 
+NO_TICK = 0  # stands for a missing quote or gap in tick fields; real ones are > 0
+
+
 class OrderBook:
     def __init__(self, tick_size: float, allow_self_trades: bool = False):
         if tick_size <= 0.0:
@@ -185,16 +188,43 @@ class OrderBook:
 
     # -- statistics ----------------------------------------------------------
 
+    def quote_ticks(self) -> tuple[int, int, int, int, int]:
+        """(best bid, best ask, bid gap, ask gap, depth) as ints; quotes and
+        gaps in ticks, NO_TICK where absent.
+
+        A gap is the distance from a side's best level to the next one.
+        """
+        bids = self._ticks[Side.BUY]
+        asks = self._ticks[Side.SELL]
+        return (
+            bids[-1] if bids else NO_TICK,
+            asks[0] if asks else NO_TICK,
+            bids[-1] - bids[-2] if len(bids) > 1 else NO_TICK,
+            asks[1] - asks[0] if len(asks) > 1 else NO_TICK,
+            len(self._orders),
+        )
+
     def spread_and_gaps(self) -> BookStats:
         """Best-quote spread, first gap behind each best level, total depth."""
-        bid_ticks = self._ticks[Side.BUY]
-        ask_ticks = self._ticks[Side.SELL]
-        spread = None
-        if bid_ticks and ask_ticks:
-            spread = (ask_ticks[0] - bid_ticks[-1]) * self.tick_size
-        bid_gap = (bid_ticks[-1] - bid_ticks[-2]) * self.tick_size if len(bid_ticks) >= 2 else None
-        ask_gap = (ask_ticks[1] - ask_ticks[0]) * self.tick_size if len(ask_ticks) >= 2 else None
-        return BookStats(spread=spread, bid_gap=bid_gap, ask_gap=ask_gap, depth=self.depth)
+        bid, ask, bid_gap, ask_gap, depth = self.quote_ticks()
+        tick = self.tick_size
+        return BookStats(
+            spread=(ask - bid) * tick if bid and ask else None,
+            bid_gap=bid_gap * tick if bid_gap else None,
+            ask_gap=ask_gap * tick if ask_gap else None,
+            depth=depth,
+        )
+
+    def pledges(self, n_agents: int) -> tuple[list[int], list[int]]:
+        """Per agent: the summed ticks of its resting bids and the number of its resting asks."""
+        cash = [0] * n_agents
+        shares = [0] * n_agents
+        for order in self._orders.values():
+            if order.side == Side.BUY:
+                cash[order.agent_id] += order.ticks
+            else:
+                shares[order.agent_id] += 1
+        return cash, shares
 
     def snapshot_levels(self) -> list[tuple[float, int]]:
         """(price, signed volume) rows, ask volumes negative, ascending price."""

@@ -8,7 +8,8 @@ match against the book, and record the market state.
 Cash is accounted in integer ticks and shares as integers, so conservation
 holds exactly. Cash pledged by resting bids and shares pledged by resting
 asks are escrowed until the order trades, expires or is purged, which makes
-the budget filter sound even with several live orders per agent.
+the budget filter sound even with several live orders per agent; every run
+ends by checking the escrow against the book's resting orders.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .book import OrderBook, OrderIntent, Side, Trade, current_price
+from .book import NO_TICK, OrderBook, OrderIntent, Side, Trade
+from .book import current_price  # noqa: F401 - inlined in run_simulation; perfbench traces it
 from .config import SimConfig
 from .expectations import ExpectationParams, decide_order, draw_k, expected_price, rolling_sigma
 from .fundamental import fundamental_path
@@ -125,15 +128,15 @@ class RunOutput:
     lob_snapshots: dict[int, list[tuple[float, int]]] = field(default_factory=dict)
 
 
-def circuit_breaker(intent: OrderIntent, reference_close: float, band: float) -> OrderIntent | None:
-    """Drop intents priced outside +-band around the previous period close."""
+def circuit_breaker(reference_close: float, band: float) -> tuple[float, float]:
+    """Price limits (lo, hi) of the +-band around the previous period close:
+    intents outside them are dropped, resting orders outside them purged."""
     if reference_close <= 0.0:
         raise ValueError("reference_close must be > 0")
-    hi = reference_close * (1.0 + band)
-    lo = reference_close * (1.0 - band)
-    if intent.price > hi * (1.0 + _BAND_EPS) or intent.price < lo * (1.0 - _BAND_EPS):
-        return None
-    return intent
+    return (
+        reference_close * (1.0 - band) * (1.0 - _BAND_EPS),
+        reference_close * (1.0 + band) * (1.0 + _BAND_EPS),
+    )
 
 
 def enforce_budget(
@@ -159,21 +162,27 @@ def enforce_budget(
     return intent
 
 
-def settle_trade(pop: Population, trade: Trade) -> None:
-    """Move the price in cash and one share between the counterparties."""
+def settle_trade(cash_ticks, shares, trade: Trade) -> None:
+    """Move the price in cash and one share between the counterparties'
+    holdings, indexed by agent id."""
     buyer, seller = trade.buyer_id, trade.seller_id
-    if pop.cash_ticks[buyer] < trade.ticks:
-        raise RuntimeError(
-            f"settle at step {trade.step}: buyer {buyer} cannot pay {trade.ticks} ticks"
-        )
-    if pop.shares[seller] < 1:
+    if cash_ticks[buyer] < trade.ticks:
+        raise RuntimeError(f"settle at step {trade.step}: buyer {buyer} cannot pay {trade.ticks}")
+    if shares[seller] < 1:
         raise RuntimeError(f"settle at step {trade.step}: seller {seller} holds no share")
-    pop.cash_ticks[buyer] -= trade.ticks
-    pop.cash_ticks[seller] += trade.ticks
-    pop.shares[buyer] += 1
-    pop.shares[seller] -= 1
-    if pop.cash_ticks[buyer] < 0 or pop.shares[seller] < 0:
+    cash_ticks[buyer] -= trade.ticks
+    cash_ticks[seller] += trade.ticks
+    shares[buyer] += 1
+    shares[seller] -= 1
+    if cash_ticks[buyer] < 0 or shares[seller] < 0:
         raise RuntimeError(f"settle at step {trade.step}: negative holdings after settle")
+
+
+def check_escrow(book: OrderBook, committed_cash: list[int], committed_shares: list[int]) -> None:
+    """Every agent's escrow must equal what its resting orders pledge: the
+    ticks of its bids in cash and one share per ask."""
+    if book.pledges(len(committed_cash)) != (list(committed_cash), list(committed_shares)):
+        raise RuntimeError("escrow violated: committed cash or shares differ from resting orders")
 
 
 def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
@@ -183,48 +192,49 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     spp = config.steps_per_period
     tick = config.tick
     dt = config.dt
+    horizon_f, horizon_c = config.horizon_f, config.horizon_c
+    sigma_eps, k_scale = config.sigma_eps, config.k_scale
 
     seed_seq = np.random.SeedSequence(config.seed)
     fund_ss, switch_ss, trade_ss = seed_seq.spawn(3)
     rng_switch = np.random.default_rng(switch_ss)
     rng_trade = np.random.default_rng(trade_ss)
 
-    fv = fundamental_path(config.pf0, config.sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
+    fv = fundamental_path(config.pf0, sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
+    fv_at = memoryview(fv)
 
     pop = Population.initial(
-        n_agents=n_agents,
-        frac_f=config.init_frac_f,
-        frac_opt=config.init_frac_opt,
-        cash=config.init_cash,
-        shares=config.init_shares,
-        horizon_f=config.horizon_f,
-        horizon_c=config.horizon_c,
-        tick_size=tick,
+        n_agents=n_agents, frac_f=config.init_frac_f, frac_opt=config.init_frac_opt,
+        cash=config.init_cash, shares=config.init_shares,
+        horizon_f=horizon_f, horizon_c=horizon_c, tick_size=tick,
     )
-    total_cash0 = int(pop.cash_ticks.sum())
-    total_shares0 = int(pop.shares.sum())
-    committed_cash = np.zeros(n_agents, dtype=np.int64)
-    committed_shares = np.zeros(n_agents, dtype=np.int64)
+    # The holdings ledger is plain ints during the run and goes back into
+    # `pop` at its end; committed amounts are escrowed by resting orders.
+    cash = pop.cash_ticks.tolist()
+    shares = pop.shares.tolist()
+    total_cash0, total_shares0 = sum(cash), sum(shares)
+    committed_cash, committed_shares = [0] * n_agents, [0] * n_agents
 
     book = OrderBook(tick_size=tick, allow_self_trades=config.allow_self_trades)
+    tick_size = book.tick_size  # float; the book prices every tick with it
     sparams = SwitchParams(
         v1=config.v1, v2=config.v2, alpha1=config.alpha1, alpha2=config.alpha2,
         alpha3=config.alpha3, big_r=config.big_r, s=config.s,
     )
-    eparams = ExpectationParams(
-        gamma_f=config.gamma_f, gamma_c=config.gamma_c, k_scale=config.k_scale, tick=tick,
-    )
+    eparams = ExpectationParams(config.gamma_f, config.gamma_c, k_scale, tick)
 
+    # Per-step values go through memoryviews, which read and store Python
+    # numbers faster than numpy indexing. The quote and gap columns hold tick
+    # counts (exact in a double below 2**53) until they are priced in place at
+    # the end; separate int64 columns raised a run's peak memory by ~1 MiB.
     price = np.empty(n_steps + 1)
     price[0] = config.p0
-
+    price_at = memoryview(price)
     rec = StepRecords.allocate(n_steps)
-    tr_step = np.empty(n_steps, dtype=np.int64)
-    tr_price = np.empty(n_steps)
-    tr_buyer = np.empty(n_steps, dtype=np.int64)
-    tr_seller = np.empty(n_steps, dtype=np.int64)
-    tr_aggr = np.empty(n_steps, dtype=np.int8)
-    n_trades = 0
+    tick_cols = (rec.best_bid, rec.best_ask, rec.bid_gap, rec.ask_gap)
+    bid_at, ask_at, bid_gap_at, ask_gap_at = map(memoryview, tick_cols)
+    depth_at = memoryview(rec.depth)
+    trade_rows = array("q")  # (step, ticks, buyer, seller, aggressor) per trade
 
     rejections = {"band": 0, "budget_buy": 0, "budget_sell": 0, "self_cross": 0, "no_order": 0}
     clamp_events = 0
@@ -241,6 +251,9 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     types = pop.types  # apply_switching moves agents in place
     counts = pop.counts()
     n_f, n_plus, n_minus = counts.n_f, counts.n_plus, counts.n_minus
+    rec.n_plus[:] = n_plus
+    rec.n_minus[:] = n_minus
+    n_plus_at, n_minus_at = memoryview(rec.n_plus), memoryview(rec.n_minus)
     # All-agents sweeps take their uniforms from blocks of sweeps drawn at
     # once; rng.random(n * k) yields the same stream as k calls of
     # rng.random(n). Per-trade sweeps interleave an integer draw, so they
@@ -249,14 +262,12 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     block_steps = max(1, _DRAW_BLOCK_DOUBLES // n_agents)
     draws = None
 
-    period_start = price[0]
+    lo, hi = circuit_breaker(config.p0, config.band)
     p_prev = float(price[0])  # price[t - 1]; a Python float computes the same values faster
     for t in range(1, n_steps + 1):
         # new trading period: the band anchor moved, purge stale out-of-band orders
         if t > 1 and (t - 1) % spp == 0:
-            period_start = price[t - 1]
-            lo = period_start * (1.0 - config.band) * (1.0 - _BAND_EPS)
-            hi = period_start * (1.0 + config.band) * (1.0 + _BAND_EPS)
+            lo, hi = circuit_breaker(p_prev, config.band)
             for order in book.purge_outside(lo, hi):
                 release(order)
 
@@ -265,17 +276,12 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
         if config.switching_enabled:
             history = price[:t]
-            trend_c = average_price_trend(history, config.horizon_c, dt)
+            trend_c = average_price_trend(history, horizon_c, dt)
             if config.u2_trend_horizon == "chartist":
                 trend_f = trend_c
             else:
-                trend_f = average_price_trend(history, config.horizon_f, dt)
-            market = MarketView(
-                p=p_prev,
-                p_f=fv[t - 1],
-                trend_f=trend_f,
-                trend_c=trend_c,
-            )
+                trend_f = average_price_trend(history, horizon_f, dt)
+            market = MarketView(p=p_prev, p_f=fv_at[t - 1], trend_f=trend_f, trend_c=trend_c)
             if per_trade:
                 only = [int(rng_switch.integers(n_agents))]
                 uniforms = None
@@ -292,87 +298,70 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             clamp_events += stats.clamped
             switch_count += stats.switches
             n_f, n_plus, n_minus = stats.counts
+            n_plus_at[t - 1] = n_plus
+            n_minus_at[t - 1] = n_minus
 
-        p_f_now = fv[t]
+        p_f_now = fv_at[t]
 
         agent = int(rng_trade.integers(n_agents))
         agent_type = int(types[agent])
         if agent_type == FUNDAMENTALIST:
             sigma_tau = 0.0
-            horizon = config.horizon_f
+            horizon = horizon_f
         else:
-            sigma_tau = rolling_sigma(price[:t], config.horizon_c, config.sigma_window_aligned)
-            horizon = config.horizon_c
+            sigma_tau = rolling_sigma(price[:t], horizon_c, config.sigma_window_aligned)
+            horizon = horizon_c
         expectation = expected_price(
-            agent_type, p_prev, p_f_now, sigma_tau, config.sigma_eps, eparams, rng_trade
+            agent_type, p_prev, p_f_now, sigma_tau, sigma_eps, eparams, rng_trade
         )
-        k = draw_k(rng_trade, config.k_scale)
+        k = draw_k(rng_trade, k_scale)
         intent = decide_order(agent, horizon, expectation, p_prev, k, tick)
 
         trade = None
         if intent is None:
             rejections["no_order"] += 1
+        elif not lo <= intent.price <= hi:
+            rejections["band"] += 1
         else:
-            intent = circuit_breaker(intent, period_start, config.band)
-            if intent is None:
-                rejections["band"] += 1
+            checked = enforce_budget(intent, book, cash[agent] - committed_cash[agent],
+                                     shares[agent] - committed_shares[agent])
+            if checked is None:
+                rejections["budget_buy" if intent.side == Side.BUY else "budget_sell"] += 1
             else:
-                checked = enforce_budget(
-                    intent,
-                    book,
-                    int(pop.cash_ticks[agent] - committed_cash[agent]),
-                    int(pop.shares[agent] - committed_shares[agent]),
-                )
-                if checked is None:
-                    rejections["budget_buy" if intent.side == Side.BUY else "budget_sell"] += 1
-                else:
-                    trade, rested = book.submit(checked, t)
-                    if trade is not None:
-                        if trade.aggressor == Side.BUY:
-                            committed_shares[trade.seller_id] -= 1
-                        else:
-                            committed_cash[trade.buyer_id] -= trade.ticks
-                        settle_trade(pop, trade)
-                        tr_step[n_trades] = t
-                        tr_price[n_trades] = trade.price
-                        tr_buyer[n_trades] = trade.buyer_id
-                        tr_seller[n_trades] = trade.seller_id
-                        tr_aggr[n_trades] = int(trade.aggressor)
-                        n_trades += 1
-                    elif rested is not None:
-                        if rested.side == Side.BUY:
-                            committed_cash[agent] += rested.ticks
-                        else:
-                            committed_shares[agent] += 1
-                    # both None: submit rejected a self-cross; counted by the book
+                trade, rested = book.submit(checked, t)
+                if trade is not None:
+                    if trade.aggressor == Side.BUY:
+                        committed_shares[trade.seller_id] -= 1
+                    else:
+                        committed_cash[trade.buyer_id] -= trade.ticks
+                    settle_trade(cash, shares, trade)
+                    trade_rows.extend(
+                        (t, trade.ticks, trade.buyer_id, trade.seller_id, trade.aggressor))
+                elif rested is not None:
+                    if rested.side == Side.BUY:
+                        committed_cash[agent] += rested.ticks
+                    else:
+                        committed_shares[agent] += 1
+                # both None: submit rejected a self-cross; counted by the book
 
-        p_now = current_price(book, trade, p_prev)
+        # the price proxy of book.current_price: trade price, else mid-quote, else last price
+        bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
+        if trade is not None:
+            p_now = trade.price
+        elif bid and ask:
+            p_now = (bid + ask) * tick_size / 2.0
+        else:
+            p_now = p_prev
         if not math.isfinite(p_now) or p_now <= 0.0:
             raise FloatingPointError(f"non-finite or non-positive price at step {t}: {p_now!r}")
-        price[t] = p_now
 
+        price_at[t] = p_now
         i = t - 1
-        rec.price[i] = p_now
-        rec.fundamental_value[i] = p_f_now
-        bb, ba = book.best_bid(), book.best_ask()
-        if bb is not None:
-            rec.best_bid[i] = bb
-        if ba is not None:
-            rec.best_ask[i] = ba
-        stats_book = book.spread_and_gaps()
-        if stats_book.spread is not None:
-            rec.spread[i] = stats_book.spread
-        if stats_book.bid_gap is not None:
-            rec.bid_gap[i] = stats_book.bid_gap
-        if stats_book.ask_gap is not None:
-            rec.ask_gap[i] = stats_book.ask_gap
-        rec.depth[i] = stats_book.depth
-        rec.n_f[i] = n_f
-        rec.n_plus[i] = n_plus
-        rec.n_minus[i] = n_minus
-        if trade is not None:
-            rec.traded[i] = True
-            rec.trade_price[i] = trade.price
+        bid_at[i] = bid
+        ask_at[i] = ask
+        bid_gap_at[i] = bid_gap
+        ask_gap_at[i] = ask_gap
+        depth_at[i] = depth
 
         if t in snapshot_at:
             snapshots[t] = book.snapshot_levels()
@@ -380,18 +369,32 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
     rejections["self_cross"] = book.self_trade_rejections
 
+    pop.cash_ticks[:] = cash
+    pop.shares[:] = shares
     if int(pop.cash_ticks.sum()) != total_cash0 or int(pop.shares.sum()) != total_shares0:
         raise RuntimeError("conservation violated: cash or share totals changed")
     if (pop.cash_ticks < 0).any() or (pop.shares < 0).any():
         raise RuntimeError("negative holdings at end of run")
+    check_escrow(book, committed_cash, committed_shares)
 
+    tr_step, tr_ticks, tr_buyer, tr_seller, tr_aggr = np.reshape(trade_rows, (-1, 5)).T
     trades = TradeRecords(
-        step=tr_step[:n_trades].copy(),
-        price=tr_price[:n_trades].copy(),
-        buyer_id=tr_buyer[:n_trades].copy(),
-        seller_id=tr_seller[:n_trades].copy(),
-        aggressor=tr_aggr[:n_trades].copy(),
+        step=tr_step.copy(), price=tr_ticks * tick_size, buyer_id=tr_buyer.copy(),
+        seller_id=tr_seller.copy(), aggressor=tr_aggr.astype(np.int8),
     )
+    # price the tick columns as the book does: a quote or gap is ticks * tick,
+    # the spread (ask - bid) * tick, and an absent one NaN
+    for column in tick_cols:
+        column[column == NO_TICK] = np.nan
+    np.subtract(rec.best_ask, rec.best_bid, out=rec.spread)
+    for column in (*tick_cols, rec.spread):
+        column *= tick_size
+    rec.price[:] = price[1:]
+    rec.fundamental_value[:] = fv[1:]
+    np.subtract(n_agents, rec.n_plus, out=rec.n_f)
+    rec.n_f -= rec.n_minus
+    rec.traded[trades.step - 1] = True
+    rec.trade_price[trades.step - 1] = trades.price
     return RunOutput(
         config=config,
         seed=config.seed,

@@ -8,41 +8,8 @@ trading period) has the configured standard deviation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class FundamentalState:
-    value: float
-    time: int = 0
-
-
-def apply_log_increment(state: FundamentalState, eps: float) -> FundamentalState:
-    """Advance one step with a given log increment; the exponential map keeps value > 0."""
-    value = state.value * math.exp(eps)
-    if not math.isfinite(value) or value <= 0.0:
-        raise FloatingPointError(
-            f"fundamental value became non-finite at t={state.time + 1} (eps={eps!r})"
-        )
-    return FundamentalState(value=value, time=state.time + 1)
-
-
-def step_fundamental(
-    state: FundamentalState, sigma_eps: float, dt: float, rng: np.random.Generator
-) -> FundamentalState:
-    """One Gaussian log-step of size sigma_eps * sqrt(dt).
-
-    Summing 1/dt consecutive steps gives a unit-time log increment with
-    standard deviation sigma_eps.
-    """
-    if sigma_eps < 0.0:
-        raise ValueError("sigma_eps must be >= 0")
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    eps = sigma_eps * math.sqrt(dt) * rng.standard_normal()
-    return apply_log_increment(state, eps)
 
 
 def fundamental_path(
@@ -50,9 +17,9 @@ def fundamental_path(
 ) -> np.ndarray:
     """Full value path as an array of length n_steps + 1, path[0] == p0.
 
-    Consumes the generator exactly like n_steps calls of step_fundamental;
-    the vectorised cumulative sum only changes float rounding, not the draw
-    sequence.
+    Consumes the generator exactly like n_steps scalar standard_normal()
+    draws; the vectorised cumulative sum only changes float rounding, not
+    the draw sequence.
     """
     if p0 <= 0.0:
         raise ValueError("p0 must be > 0")

@@ -5,10 +5,13 @@ None of this is used by the library itself:
 - the original row-wise CSV writers and the `np.genfromtxt` loader, which
   define the on-disk run format byte for byte;
 - the per-pair switching rates, which the switching sweep computes inline;
-- a listing of a book's resting orders and an order's price in currency.
+- a listing of a book's resting orders and an order's price in currency;
+- the step-by-step fundamental value process, which `fundamental_path`
+  computes in one vectorised pass.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,3 +151,40 @@ def resting_orders(book: OrderBook) -> list:
 
 def order_price(order, tick_size: float) -> float:
     return order.ticks * tick_size
+
+
+# ---------------------------------------------------------------------------
+# fundamental value, one step at a time
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FundamentalState:
+    value: float
+    time: int = 0
+
+
+def apply_log_increment(state: FundamentalState, eps: float) -> FundamentalState:
+    """Advance one step with a given log increment; the exponential map keeps value > 0."""
+    value = state.value * math.exp(eps)
+    if not math.isfinite(value) or value <= 0.0:
+        raise FloatingPointError(
+            f"fundamental value became non-finite at t={state.time + 1} (eps={eps!r})"
+        )
+    return FundamentalState(value=value, time=state.time + 1)
+
+
+def step_fundamental(
+    state: FundamentalState, sigma_eps: float, dt: float, rng: np.random.Generator
+) -> FundamentalState:
+    """One Gaussian log-step of size sigma_eps * sqrt(dt).
+
+    Summing 1/dt consecutive steps gives a unit-time log increment with
+    standard deviation sigma_eps.
+    """
+    if sigma_eps < 0.0:
+        raise ValueError("sigma_eps must be >= 0")
+    if dt <= 0.0:
+        raise ValueError("dt must be > 0")
+    eps = sigma_eps * math.sqrt(dt) * rng.standard_normal()
+    return apply_log_increment(state, eps)

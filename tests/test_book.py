@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from market_abm.book import BookStats, OrderBook, OrderIntent, Side, current_price
+from market_abm.book import NO_TICK, BookStats, OrderBook, OrderIntent, Side, current_price
 
 from oracles import order_price, resting_orders
 
@@ -244,6 +244,23 @@ class TestSpreadAndGaps:
         book.submit(intent(1, Side.BUY, 299.0), 1)
         book.submit(intent(2, Side.BUY, 299.0), 2)
         assert book.spread_and_gaps().bid_gap is None
+
+
+class TestQuoteTicks:
+    def test_explicit_book(self):
+        book = make_book()
+        for price in (299.0, 297.5):
+            book.submit(intent(1, Side.BUY, price), 1)
+        for price in (301.0, 302.0, 302.0):
+            book.submit(intent(2, Side.SELL, price), 1)
+        assert book.quote_ticks() == (598_000, 602_000, 3_000, 2_000, 5)
+
+    def test_missing_values_are_no_tick(self):
+        book = make_book()
+        assert book.quote_ticks() == (NO_TICK, NO_TICK, NO_TICK, NO_TICK, 0)
+        book.submit(intent(1, Side.BUY, 299.0), 1)
+        book.submit(intent(1, Side.BUY, 299.0), 2)
+        assert book.quote_ticks() == (598_000, NO_TICK, NO_TICK, NO_TICK, 2)
 
 
 class TestSnapshot:

@@ -4,10 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from market_abm.book import OrderBook, OrderIntent, Side, Trade
 from market_abm.config import SimConfig
 from market_abm.engine import (
+    check_escrow,
     circuit_breaker,
     enforce_budget,
     run_ensemble,
@@ -30,22 +33,26 @@ def intent(agent, side, price, horizon=100):
     return OrderIntent(agent_id=agent, side=side, ticks=ticks, price=ticks * TICK, horizon=horizon)
 
 
+def in_band(it, reference_close=300.0, band=0.15):
+    """The engine's band filter: an intent passes inside the circuit breaker's limits."""
+    lo, hi = circuit_breaker(reference_close, band)
+    return lo <= it.price <= hi
+
+
 class TestCircuitBreaker:
     def test_above_band_rejected(self):
-        assert circuit_breaker(intent(1, Side.BUY, 346.0), 300.0, 0.15) is None
+        assert not in_band(intent(1, Side.BUY, 346.0))
 
     def test_boundary_inclusive(self):
-        it = intent(1, Side.BUY, 345.0)
-        assert circuit_breaker(it, 300.0, 0.15) is it
-        it = intent(1, Side.SELL, 255.0)
-        assert circuit_breaker(it, 300.0, 0.15) is it
+        assert in_band(intent(1, Side.BUY, 345.0))
+        assert in_band(intent(1, Side.SELL, 255.0))
 
     def test_below_band_rejected(self):
-        assert circuit_breaker(intent(1, Side.SELL, 254.0), 300.0, 0.15) is None
+        assert not in_band(intent(1, Side.SELL, 254.0))
 
     def test_bad_reference(self):
         with pytest.raises(ValueError):
-            circuit_breaker(intent(1, Side.BUY, 300.0), 0.0, 0.15)
+            circuit_breaker(0.0, 0.15)
 
 
 class TestEnforceBudget:
@@ -84,14 +91,14 @@ class TestSettleTrade:
 
     def test_moves_cash_and_share(self):
         pop = self.make_pop()
-        settle_trade(pop, self.trade(300.0))
+        settle_trade(pop.cash_ticks, pop.shares, self.trade(300.0))
         assert pop.cash_of(0) == pytest.approx(700.0)
         assert pop.cash_of(1) == pytest.approx(1300.0)
         assert pop.shares[0] == 3 and pop.shares[1] == 1
 
     def test_totals_conserved(self):
         pop = self.make_pop()
-        settle_trade(pop, self.trade(299.9995))
+        settle_trade(pop.cash_ticks, pop.shares, self.trade(299.9995))
         assert pop.cash_ticks.sum() == 2 * round(1000.0 / TICK)
         assert pop.shares.sum() == 4
 
@@ -99,11 +106,69 @@ class TestSettleTrade:
         pop = self.make_pop()
         pop.cash_ticks[0] = 10
         with pytest.raises(RuntimeError):
-            settle_trade(pop, self.trade(300.0))
+            settle_trade(pop.cash_ticks, pop.shares, self.trade(300.0))
         pop = self.make_pop()
         pop.shares[1] = 0
         with pytest.raises(RuntimeError):
-            settle_trade(pop, self.trade(300.0))
+            settle_trade(pop.cash_ticks, pop.shares, self.trade(300.0))
+
+
+class TestEscrow:
+    def make_book(self):
+        book = OrderBook(TICK)
+        book.submit(intent(0, Side.BUY, 299.0), 1)
+        book.submit(intent(0, Side.BUY, 298.5), 1)
+        book.submit(intent(1, Side.SELL, 301.0), 1)
+        book.submit(intent(1, Side.SELL, 301.0), 2)
+        return book
+
+    BIDS_0 = int(round(299.0 / TICK)) + int(round(298.5 / TICK))
+
+    def test_consistent_ledger_passes(self):
+        check_escrow(self.make_book(), [self.BIDS_0, 0, 0], [0, 2, 0])
+        check_escrow(OrderBook(TICK), [0, 0], [0, 0])
+
+    def test_corrupted_ledger_trips(self):
+        book = self.make_book()
+        for cash, shares in (
+            ([self.BIDS_0 - 1, 0, 0], [0, 2, 0]),  # one tick short
+            ([self.BIDS_0, 1, 0], [0, 2, 0]),  # cash pledged by an agent without bids
+            ([self.BIDS_0, 0, 0], [0, 1, 0]),  # one ask not escrowed
+            ([self.BIDS_0, 0, 0], [1, 2, 0]),  # a share held back for no ask
+        ):
+            with pytest.raises(RuntimeError, match="escrow"):
+                check_escrow(book, cash, shares)
+
+    def test_run_trips_when_expiries_go_unreleased(self, monkeypatch):
+        # a book that expires orders without reporting them leaves stale escrow
+        expire = OrderBook.expire
+        monkeypatch.setattr(OrderBook, "expire", lambda self, t: expire(self, t) and [])
+        with pytest.raises(RuntimeError, match="escrow"):
+            run_simulation(small_config(steps=1000))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_agents=st.integers(1, 40),
+    steps=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+    switching=st.booleans(),
+    switch_mode=st.sampled_from(["all_agents", "per_trade"]),
+    allow_self_trades=st.booleans(),
+    horizon=st.integers(1, 120),
+    init_cash=st.sampled_from([300.0, 1000.0, 10_000.0]),
+    init_shares=st.integers(0, 3),
+)
+def test_small_runs_keep_escrow(n_agents, steps, seed, switching, switch_mode, allow_self_trades,
+                                horizon, init_cash, init_shares):
+    # run_simulation checks the escrow at the end of every run
+    cfg = SimConfig(
+        n_agents=n_agents, steps=steps, seed=seed, switching_enabled=switching,
+        switch_mode=switch_mode, allow_self_trades=allow_self_trades,
+        horizon_c=horizon, horizon_f=2 * horizon, init_cash=init_cash, init_shares=init_shares,
+    )
+    out = run_simulation(cfg)
+    assert len(out.records) == steps
 
 
 class TestRunSimulation:

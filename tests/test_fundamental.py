@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from market_abm.fundamental import FundamentalState, apply_log_increment, fundamental_path, step_fundamental
+from market_abm.fundamental import fundamental_path
+
+from oracles import FundamentalState, apply_log_increment, step_fundamental
 
 
 def test_zero_noise_is_identity():
