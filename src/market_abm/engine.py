@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .book import NO_TICK, OrderBook, OrderIntent, Side, Trade
-from .book import current_price  # noqa: F401 - inlined in run_simulation; perfbench traces it
+from .book import NO_TICK, OrderBook, OrderIntent, Side, Trade, current_price
 from .config import SimConfig
 from .expectations import ExpectationParams, decide_order, draw_k, expected_price, rolling_sigma
 from .fundamental import fundamental_path
@@ -344,18 +343,12 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                         committed_shares[agent] += 1
                 # both None: submit rejected a self-cross; counted by the book
 
-        # the price proxy of book.current_price: trade price, else mid-quote, else last price
-        bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
-        if trade is not None:
-            p_now = trade.price
-        elif bid and ask:
-            p_now = (bid + ask) * tick_size / 2.0
-        else:
-            p_now = p_prev
+        p_now = current_price(book, trade, p_prev)
         if not math.isfinite(p_now) or p_now <= 0.0:
             raise FloatingPointError(f"non-finite or non-positive price at step {t}: {p_now!r}")
-
         price_at[t] = p_now
+
+        bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
         i = t - 1
         bid_at[i] = bid
         ask_at[i] = ask

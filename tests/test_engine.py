@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from market_abm.book import OrderBook, OrderIntent, Side, Trade
+from market_abm import engine
 from market_abm.config import SimConfig
 from market_abm.engine import (
     check_escrow,
@@ -33,22 +34,42 @@ def intent(agent, side, price, horizon=100):
     return OrderIntent(agent_id=agent, side=side, ticks=ticks, price=ticks * TICK, horizon=horizon)
 
 
-def in_band(it, reference_close=300.0, band=0.15):
-    """The engine's band filter: an intent passes inside the circuit breaker's limits."""
-    lo, hi = circuit_breaker(reference_close, band)
-    return lo <= it.price <= hi
+def run_scripted(monkeypatch, p0, orders):
+    """A short run whose trader at step t submits the t-th (side, price) of
+    `orders` in place of its own decision; the band stays anchored at p0."""
+    script = iter(orders)
+
+    def scripted(agent, horizon, expectation, p, k, tick):
+        side, price = next(script)
+        return intent(agent, side, price, horizon)
+
+    monkeypatch.setattr(engine, "decide_order", scripted)
+    cfg = small_config(steps=len(orders), p0=p0, switching_enabled=False)
+    assert cfg.steps < cfg.steps_per_period
+    return run_simulation(cfg, lob_snapshot_steps=[cfg.steps])
 
 
 class TestCircuitBreaker:
-    def test_above_band_rejected(self):
-        assert not in_band(intent(1, Side.BUY, 346.0))
+    def test_above_band_rejected(self, monkeypatch):
+        out = run_scripted(monkeypatch, 100.0, [(Side.SELL, 115.0005), (Side.BUY, 115.0005)])
+        assert out.rejections["band"] == 2
+        assert out.lob_snapshots[2] == []
 
-    def test_boundary_inclusive(self):
-        assert in_band(intent(1, Side.BUY, 345.0))
-        assert in_band(intent(1, Side.SELL, 255.0))
+    def test_boundary_inclusive(self, monkeypatch):
+        # At the first two anchors a limit lands exactly on a grid price. At
+        # p0 = 100 the upper limit 100 * 1.15 rounds to 114.99999999999999,
+        # so only the relative slack keeps the order at 115.0 in the band.
+        assert circuit_breaker(99.9999999999, 0.15)[1] == 115.0
+        assert circuit_breaker(100.0000000001, 0.15)[0] == 85.0
+        for p0 in (99.9999999999, 100.0000000001, 100.0):
+            out = run_scripted(monkeypatch, p0, [(Side.BUY, 85.0), (Side.SELL, 115.0)])
+            assert out.rejections["band"] == 0
+            assert out.lob_snapshots[2] == [(85.0, 1), (115.0, -1)]
 
-    def test_below_band_rejected(self):
-        assert not in_band(intent(1, Side.SELL, 254.0))
+    def test_below_band_rejected(self, monkeypatch):
+        out = run_scripted(monkeypatch, 100.0, [(Side.BUY, 84.9995), (Side.SELL, 84.9995)])
+        assert out.rejections["band"] == 2
+        assert out.lob_snapshots[2] == []
 
     def test_bad_reference(self):
         with pytest.raises(ValueError):
