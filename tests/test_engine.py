@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from market_abm.book import OrderBook, OrderIntent, Side, Trade
 from market_abm import engine
+from market_abm.book import OrderBook, OrderIntent, Side, Trade
 from market_abm.config import SimConfig
 from market_abm.engine import (
     check_escrow,
