@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import market_abm
-from market_abm import cli
+from market_abm import cli, engine
 from market_abm.cli import main
 from market_abm.config import SimConfig, dump_config, load_config, parse_overrides
 
@@ -108,6 +108,19 @@ def _fixed_time_run(job):
     return run, 1000.0 + job[1]
 
 
+def _failing_run(bad_seeds):
+    """`engine.run_simulation`, raising for the given seeds. Pool workers are
+    forked, so they inherit the patched module attribute."""
+    real = engine.run_simulation
+
+    def run(config, lob_snapshot_steps=()):
+        if config.seed in bad_seeds:
+            raise RuntimeError(f"seed {config.seed} broke")
+        return real(config, lob_snapshot_steps=lob_snapshot_steps)
+
+    return run
+
+
 class TestEnsembleCommand:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_wall_clock_is_measured_per_run(self, tmp_path, config_file, monkeypatch, workers):
@@ -125,6 +138,33 @@ class TestEnsembleCommand:
         run, seconds = cli._timed_run((SimConfig(steps=50, n_agents=20), 4, ()))
         assert run.seed == 4 and len(run.records) == 50
         assert seconds > 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_seed_is_reported_and_the_rest_written(
+        self, tmp_path, config_file, monkeypatch, capsys, workers
+    ):
+        monkeypatch.setattr(engine, "run_simulation", _failing_run({8}))
+        out = tmp_path / "ens"
+        assert main(["ensemble", "--config", str(config_file), "--seeds", "3",
+                     "--out", str(out), "--workers", str(workers)]) == 1
+        assert "seed 8 FAILED: seed 8 broke" in capsys.readouterr().err
+        assert sorted(p.name for p in (out / "runs").iterdir()) == ["seed_7", "seed_9"]
+        for seed in (7, 9):
+            assert (out / "runs" / f"seed_{seed}" / "manifest.json").exists()
+        manifest = json.loads((out / "experiment.json").read_text())
+        assert manifest["seeds"] == [7, 8, 9]
+        assert [e["seed"] for e in manifest["runs"]] == [7, 9]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_seed_failing_exits_1(self, tmp_path, config_file, monkeypatch, capsys, workers):
+        monkeypatch.setattr(engine, "run_simulation", _failing_run({7, 8}))
+        out = tmp_path / "ens"
+        assert main(["ensemble", "--config", str(config_file), "--seeds", "2",
+                     "--out", str(out), "--workers", str(workers)]) == 1
+        err = capsys.readouterr().err
+        assert "seed 7 FAILED" in err and "seed 8 FAILED" in err
+        assert "every run failed" in err
+        assert not (out / "experiment.json").exists()
 
     def test_runs_and_manifest(self, tmp_path, config_file):
         out = tmp_path / "ens"
