@@ -4,12 +4,10 @@ __version__ = "0.1.0"
 
 from .book import OrderBook, OrderIntent, Side, Trade, current_price
 from .config import SimConfig, load_config
-from .engine import RunOutput, run_ensemble, run_simulation
-from .population import Agent, AgentType, Population
+from .engine import RunOutput, run_seeds, run_simulation
+from .population import Population
 
 __all__ = [
-    "Agent",
-    "AgentType",
     "OrderBook",
     "OrderIntent",
     "Population",
@@ -19,7 +17,7 @@ __all__ = [
     "Trade",
     "current_price",
     "load_config",
-    "run_ensemble",
+    "run_seeds",
     "run_simulation",
     "__version__",
 ]

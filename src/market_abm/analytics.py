@@ -533,32 +533,6 @@ class AnalysisReport:
         }
 
 
-def analyze_runs(
-    records_list,
-    steps_per_period: int,
-    bin_width: float = 0.01,
-    xmin_quantile: float = 0.95,
-    lags=(1, 4, 16, 64),
-    min_obs: int = 100,
-    ne_threshold: float = NE_THRESHOLD,
-    depth_floor: float = DEPTH_FLOOR,
-    burn_periods: int = 0,
-) -> AnalysisReport:
-    """Full statistics pass over one or more runs' step records."""
-    bundles = [reduce_run(r, steps_per_period) for r in records_list]
-    return analyze_bundles(
-        bundles,
-        steps_per_period,
-        bin_width=bin_width,
-        xmin_quantile=xmin_quantile,
-        lags=lags,
-        min_obs=min_obs,
-        ne_threshold=ne_threshold,
-        depth_floor=depth_floor,
-        burn_periods=burn_periods,
-    )
-
-
 def _pooled_kurtosis(parts: list[np.ndarray]) -> float | None:
     """Excess kurtosis of the runs' pooled differences at one lag; None when
     there is none to report: no differences, fewer than four, or a flat

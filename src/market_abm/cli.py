@@ -9,7 +9,6 @@ per-run wall clock, so re-running a manifest reproduces identical outputs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import SimConfig, dump_config, load_config, parse_overrides
-from .engine import _run_with_seed, run_simulation
+from .engine import run_seeds, run_simulation
 from .runio import (
     find_run_dirs,
     load_run_dir,
@@ -89,57 +88,33 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _timed_run(job) -> tuple:
-    """One seed's run and its wall-clock seconds, measured where it runs, so
-    a pooled run's time excludes its wait in the pool's queue."""
-    started = time.perf_counter()
-    run = _run_with_seed(job)
-    return run, time.perf_counter() - started
-
-
 def _run_seeds_to_dirs(
-    cfg: SimConfig, seeds, out_root: Path, workers: int, snapshots=(), reducer=None
+    cfg: SimConfig, seeds, out_root: Path, workers: int, reducer=None
 ) -> tuple[list[dict], dict]:
-    """Execute seeds (possibly in parallel), writing each run as it finishes.
+    """Run the seeds on up to `workers` processes, writing each run as it
+    arrives.
 
-    `reducer(run)` is applied before the full run is discarded, so large
-    ensembles never hold more than one run's step records at a time. Returns
-    (manifest entries in seed order, reduced results keyed by seed).
+    `reducer(run)` is applied before the run is let go, so an ensemble holds
+    one run's step records at a time, besides any a pool has finished and not
+    yet handed over. Returns (manifest entries in seed order, reduced results
+    keyed by seed).
     """
-    jobs = {s: (cfg, s, tuple(snapshots)) for s in seeds}
     entries: dict[int, dict] = {}
     reduced: dict[int, object] = {}
-    failures: list[tuple[int, str]] = []
-
-    def _write(seed: int, run, elapsed: float) -> None:
-        run_dir = out_root / "runs" / f"seed_{seed}"
-        write_run(run_dir, run)
-        if reducer is not None:
-            reduced[seed] = reducer(run)
-        entries[seed] = {"seed": seed, "path": str(run_dir), "wall_clock_s": round(elapsed, 3)}
-        print(f"  seed {seed}: {len(run.trades)} trades in {elapsed:.1f}s")
-
-    if workers <= 1:
-        for seed, job in jobs.items():
-            try:
-                run, elapsed = _timed_run(job)
-            except Exception as exc:  # noqa: BLE001 - reported per seed
-                failures.append((seed, str(exc)))
-                continue
-            _write(seed, run, elapsed)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_timed_run, job): seed for seed, job in jobs.items()}
-            for fut in concurrent.futures.as_completed(futures):
-                seed = futures[fut]
-                try:
-                    run, elapsed = fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    failures.append((seed, str(exc)))
-                    continue
-                _write(seed, run, elapsed)
-    for seed, message in failures:
-        print(f"  seed {seed} FAILED: {message}", file=sys.stderr)
+    failures: list[str] = []
+    for seed, run, elapsed in run_seeds(cfg, seeds, workers):
+        if isinstance(run, Exception):
+            failures.append(f"  seed {seed} FAILED: {run}")
+        else:
+            run_dir = out_root / "runs" / f"seed_{seed}"
+            write_run(run_dir, run)
+            if reducer is not None:
+                reduced[seed] = reducer(run)
+            entries[seed] = {"seed": seed, "path": str(run_dir), "wall_clock_s": round(elapsed, 3)}
+            print(f"  seed {seed}: {len(run.trades)} trades in {elapsed:.1f}s")
+        del run  # not held while the next run is made
+    for line in failures:
+        print(line, file=sys.stderr)
     ordered = [entries[s] for s in seeds if s in entries]
     if not ordered:
         raise RuntimeError("every run failed")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import time
 from array import array
 from dataclasses import dataclass, field
 
@@ -28,7 +29,6 @@ from .expectations import ExpectationParams, decide_order, draw_k, expected_pric
 from .fundamental import fundamental_path
 from .population import (
     FUNDAMENTALIST,
-    Agent,
     MarketView,
     Population,
     SwitchParams,
@@ -120,7 +120,7 @@ class RunOutput:
     seed: int
     records: StepRecords
     trades: TradeRecords
-    final_agents: list[Agent]
+    final_population: Population  # opinions and holdings at the end of the run
     rejections: dict[str, int]
     clamp_events: int
     switch_count: int
@@ -204,8 +204,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
     pop = Population.initial(
         n_agents=n_agents, frac_f=config.init_frac_f, frac_opt=config.init_frac_opt,
-        cash=config.init_cash, shares=config.init_shares,
-        horizon_f=horizon_f, horizon_c=horizon_c, tick_size=tick,
+        cash=config.init_cash, shares=config.init_shares, tick_size=tick,
     )
     # The holdings ledger is plain ints during the run and goes back into
     # `pop` at its end; committed amounts are escrowed by resting orders.
@@ -393,7 +392,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         seed=config.seed,
         records=rec,
         trades=trades,
-        final_agents=pop.snapshot(),
+        final_population=pop,
         rejections=rejections,
         clamp_events=clamp_events,
         switch_count=switch_count,
@@ -401,49 +400,49 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     )
 
 
-class EnsembleError(RuntimeError):
-    def __init__(self, failures: list[tuple[int, Exception]]):
-        self.failures = failures
-        detail = "; ".join(f"seed {s}: {e}" for s, e in failures)
-        super().__init__(f"{len(failures)} run(s) failed: {detail}")
+def _run_seed(config: SimConfig, seed: int) -> tuple[int, RunOutput | Exception, float]:
+    """One seed's run, or the exception it raised, and the seconds it took,
+    measured where it runs so that a pooled run's time excludes its wait in
+    the pool's queue."""
+    started = time.perf_counter()
+    try:
+        result = run_simulation(dataclasses.replace(config, seed=seed))
+    except Exception as exc:  # noqa: BLE001 - reported per seed
+        result = exc
+    return seed, result, time.perf_counter() - started
 
 
-def _run_with_seed(args) -> RunOutput:
-    config, seed, snapshot_steps = args
-    cfg = dataclasses.replace(config, seed=seed)
-    return run_simulation(cfg, lob_snapshot_steps=snapshot_steps)
+def _take(pending: dict, future) -> tuple[int, RunOutput | Exception, float | None]:
+    """A finished future's outcome, removed from `pending`; a failure of the
+    pool itself (a worker that died, a result that could not be sent back)
+    is its seed's exception."""
+    seed = pending.pop(future)
+    try:
+        return future.result()
+    except Exception as exc:  # noqa: BLE001 - reported per seed
+        return seed, exc, None
 
 
-def run_ensemble(
-    config: SimConfig, seeds, workers: int = 1, lob_snapshot_steps=()
-) -> list[RunOutput]:
-    """Independent runs, one per seed, in seed order.
+def run_seeds(config: SimConfig, seeds, workers: int = 1):
+    """Independent runs of `config`, one per seed.
 
-    Failures are collected per seed and raised together after every other
-    run has finished.
+    Yields (seed, RunOutput or the exception the run raised, seconds the run
+    took) as each run finishes: in seed order when `workers` <= 1, else in
+    completion order on a pool of `workers` processes. Nothing here refers to
+    a run once it is yielded, so a caller that lets each run go holds only
+    the runs the pool has finished and not yet handed over.
     """
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    jobs = [(config, s, tuple(lob_snapshot_steps)) for s in seeds]
-    results: list[RunOutput | None] = [None] * len(seeds)
-    failures: list[tuple[int, Exception]] = []
     if workers <= 1:
-        for i, job in enumerate(jobs):
-            try:
-                results[i] = _run_with_seed(job)
-            except Exception as exc:  # noqa: BLE001 - reported per seed
-                failures.append((seeds[i], exc))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_with_seed, job): i for i, job in enumerate(jobs)}
-            for fut in concurrent.futures.as_completed(futures):
-                i = futures[fut]
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    failures.append((seeds[i], exc))
-    if failures:
-        failures.sort(key=lambda f: seeds.index(f[0]))
-        raise EnsembleError(failures)
-    return results  # type: ignore[return-value]
+        for seed in seeds:
+            yield _run_seed(config, seed)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = {pool.submit(_run_seed, config, seed): seed for seed in seeds}
+        while pending:
+            done = concurrent.futures.wait(
+                pending, return_when=concurrent.futures.FIRST_COMPLETED).done
+            while done:
+                yield _take(pending, done.pop())

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
@@ -22,12 +21,6 @@ PESSIMIST = 2
 # Groups holding less than this fraction of the population cannot be left,
 # which keeps every opinion alive (no absorbing state).
 MIN_GROUP_FRACTION = 0.008
-
-
-class AgentType(IntEnum):
-    FUNDAMENTALIST = FUNDAMENTALIST
-    OPTIMIST = OPTIMIST
-    PESSIMIST = PESSIMIST
 
 
 @dataclass(frozen=True)
@@ -68,17 +61,6 @@ class PopulationCounts:
         if n_c == 0:
             return 0.0
         return (self.n_plus - self.n_minus) / n_c
-
-
-@dataclass
-class Agent:
-    """Snapshot view of one trader; cash is reported in currency units."""
-
-    id: int
-    type: AgentType
-    horizon: int
-    cash: float
-    shares: int
 
 
 class MarketView(NamedTuple):
@@ -137,24 +119,13 @@ def compute_U2(direction: int, trend: float, p: float, p_f: float, params: Switc
 
 
 class Population:
-    """Array-backed population; cash is accounted in integer tick units so
-    conservation checks are exact."""
+    """Array-backed population: opinion codes and holdings, with cash in
+    integer tick units so conservation checks are exact."""
 
-    def __init__(
-        self,
-        types: np.ndarray,
-        cash_ticks: np.ndarray,
-        shares: np.ndarray,
-        horizon_f: int,
-        horizon_c: int,
-        tick_size: float,
-    ):
+    def __init__(self, types: np.ndarray, cash_ticks: np.ndarray, shares: np.ndarray):
         self.types = np.asarray(types, dtype=np.int8)
         self.cash_ticks = np.asarray(cash_ticks, dtype=np.int64)
         self.shares = np.asarray(shares, dtype=np.int64)
-        self.horizon_f = int(horizon_f)
-        self.horizon_c = int(horizon_c)
-        self.tick_size = float(tick_size)
         if not (len(self.types) == len(self.cash_ticks) == len(self.shares)):
             raise ValueError("population arrays must have equal length")
 
@@ -166,8 +137,6 @@ class Population:
         frac_opt: float,
         cash: float,
         shares: int,
-        horizon_f: int,
-        horizon_c: int,
         tick_size: float,
     ) -> "Population":
         n_f = round(frac_f * n_agents)
@@ -184,7 +153,7 @@ class Population:
         )
         cash_ticks = np.full(n_agents, round(cash / tick_size), dtype=np.int64)
         holdings = np.full(n_agents, int(shares), dtype=np.int64)
-        return cls(types, cash_ticks, holdings, horizon_f, horizon_c, tick_size)
+        return cls(types, cash_ticks, holdings)
 
     @property
     def size(self) -> int:
@@ -194,24 +163,6 @@ class Population:
         n_plus = int(np.count_nonzero(self.types == OPTIMIST))
         n_minus = int(np.count_nonzero(self.types == PESSIMIST))
         return PopulationCounts(self.size - n_plus - n_minus, n_plus, n_minus)
-
-    def horizon_of(self, agent_id: int) -> int:
-        return self.horizon_f if self.types[agent_id] == FUNDAMENTALIST else self.horizon_c
-
-    def cash_of(self, agent_id: int) -> float:
-        return float(self.cash_ticks[agent_id]) * self.tick_size
-
-    def snapshot(self) -> list[Agent]:
-        return [
-            Agent(
-                id=i,
-                type=AgentType(int(self.types[i])),
-                horizon=self.horizon_of(i),
-                cash=self.cash_of(i),
-                shares=int(self.shares[i]),
-            )
-            for i in range(self.size)
-        ]
 
 
 def apply_switching(

@@ -86,6 +86,7 @@ def write_fundamental_trace(path: Path, records: StepRecords) -> None:
 
 
 def run_manifest(run: RunOutput) -> dict:
+    pop, tick = run.final_population, float(run.config.tick)
     return {
         "seed": run.seed,
         "config": run.config.as_dict(),
@@ -95,8 +96,8 @@ def run_manifest(run: RunOutput) -> dict:
         "clamp_events": run.clamp_events,
         "switches": run.switch_count,
         "totals": {
-            "cash": float(sum(a.cash for a in run.final_agents)),
-            "shares": int(sum(a.shares for a in run.final_agents)),
+            "cash": float(sum(float(c) * tick for c in pop.cash_ticks.tolist())),
+            "shares": int(pop.shares.sum()),
         },
     }
 

@@ -15,15 +15,16 @@ import pytest
 from market_abm.analytics import (
     MEMH,
     MRFM,
-    analyze_runs,
+    analyze_bundles,
     dfa,
     extreme_event_rate,
     fit_power_law,
+    reduce_run,
 )
 from market_abm.book import OrderBook, OrderIntent, Side
 from market_abm.cli import experiment_config, experiment_seeds
 from market_abm.config import SimConfig
-from market_abm.engine import run_ensemble, run_simulation
+from market_abm.engine import run_seeds, run_simulation
 from market_abm.runio import write_steps_csv
 
 DESK_SCALE = 0.1
@@ -38,28 +39,37 @@ def check(label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{label}: {detail}"
 
 
+def desk_runs(cfg):
+    """The recipe's runs in seed order; a failed run fails the fixture."""
+    runs = {}
+    for seed, run, _ in run_seeds(cfg, experiment_seeds(DESK_SCALE), workers=WORKERS):
+        if isinstance(run, Exception):
+            raise run
+        runs[seed] = run
+    return [runs[seed] for seed in sorted(runs)]
+
+
+def desk_report(cfg, runs):
+    return analyze_bundles(
+        [reduce_run(r.records, cfg.steps_per_period) for r in runs], cfg.steps_per_period,
+        bin_width=BIN_WIDTH, min_obs=MIN_OBS, burn_periods=BURN_PERIODS,
+    )
+
+
 @pytest.fixture(scope="session")
 def hetero():
     cfg = experiment_config(DESK_SCALE, homogeneous=False)
-    runs = run_ensemble(cfg, experiment_seeds(DESK_SCALE), workers=WORKERS)
-    report = analyze_runs(
-        [r.records for r in runs], cfg.steps_per_period,
-        bin_width=BIN_WIDTH, min_obs=MIN_OBS, burn_periods=BURN_PERIODS,
-    )
-    return cfg, runs, report
+    runs = desk_runs(cfg)
+    return cfg, runs, desk_report(cfg, runs)
 
 
 @pytest.fixture(scope="session")
 def homog():
     started = time.perf_counter()
     cfg = experiment_config(DESK_SCALE, homogeneous=True)
-    runs = run_ensemble(cfg, experiment_seeds(DESK_SCALE), workers=WORKERS)
+    runs = desk_runs(cfg)
     elapsed = time.perf_counter() - started
-    report = analyze_runs(
-        [r.records for r in runs], cfg.steps_per_period,
-        bin_width=BIN_WIDTH, min_obs=MIN_OBS, burn_periods=BURN_PERIODS,
-    )
-    return cfg, runs, report, elapsed
+    return cfg, runs, desk_report(cfg, runs), elapsed
 
 
 def qualified_bins(report, quantity):
@@ -327,8 +337,8 @@ def test_c7_conservation_exact(hetero):
     cfg, runs, _ = hetero
     cash_ticks_target = cfg.n_agents * round(cfg.init_cash / cfg.tick)
     for run in runs:
-        cash_ticks = sum(round(a.cash / cfg.tick) for a in run.final_agents)
-        shares = sum(a.shares for a in run.final_agents)
+        cash_ticks = int(run.final_population.cash_ticks.sum())
+        shares = int(run.final_population.shares.sum())
         assert cash_ticks == cash_ticks_target, f"seed {run.seed}: cash drifted"
         assert shares == cfg.n_agents * cfg.init_shares, f"seed {run.seed}: shares drifted"
     check("C7 cash and share totals conserved exactly over every run", True,

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -99,13 +101,13 @@ class TestRunCommand:
         assert "bogus" in capsys.readouterr().err
 
 
-_measured_run = cli._timed_run
+_measured_run = engine._run_seed
 
 
-def _fixed_time_run(job):
+def _fixed_time_run(config, seed):
     """The real run, reporting a made-up time that names its seed."""
-    run, _ = _measured_run(job)
-    return run, 1000.0 + job[1]
+    seed, run, _ = _measured_run(config, seed)
+    return seed, run, 1000.0 + seed
 
 
 def _failing_run(bad_seeds):
@@ -126,7 +128,7 @@ class TestEnsembleCommand:
     def test_wall_clock_is_measured_per_run(self, tmp_path, config_file, monkeypatch, workers):
         # pooled runs used to record time since the pool started; each entry
         # must carry the seconds its own run took, measured in the worker
-        monkeypatch.setattr(cli, "_timed_run", _fixed_time_run)
+        monkeypatch.setattr(engine, "_run_seed", _fixed_time_run)
         out = tmp_path / "ens"
         assert main(["ensemble", "--config", str(config_file), "--seeds", "3",
                      "--out", str(out), "--workers", str(workers)]) == 0
@@ -135,8 +137,8 @@ class TestEnsembleCommand:
             (7, 1007.0), (8, 1008.0), (9, 1009.0)]
 
     def test_timed_run_reports_seconds(self):
-        run, seconds = cli._timed_run((SimConfig(steps=50, n_agents=20), 4, ()))
-        assert run.seed == 4 and len(run.records) == 50
+        seed, run, seconds = engine._run_seed(SimConfig(steps=50, n_agents=20), 4)
+        assert seed == run.seed == 4 and len(run.records) == 50
         assert seconds > 0.0
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -166,6 +168,22 @@ class TestEnsembleCommand:
         assert "every run failed" in err
         assert not (out / "experiment.json").exists()
 
+    def test_each_run_is_let_go_before_the_next(self, tmp_path, config_file, monkeypatch):
+        real = engine.run_simulation
+        made = []
+
+        def run(config, lob_snapshot_steps=()):
+            gc.collect()
+            assert all(ref() is None for ref in made), "an earlier run is still held"
+            out = real(config, lob_snapshot_steps=lob_snapshot_steps)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(engine, "run_simulation", run)
+        assert main(["ensemble", "--config", str(config_file), "--seeds", "3",
+                     "--out", str(tmp_path / "ens"), "--workers", "1"]) == 0
+        assert len(made) == 3
+
     def test_runs_and_manifest(self, tmp_path, config_file):
         out = tmp_path / "ens"
         assert main(["ensemble", "--config", str(config_file), "--seeds", "3",
@@ -192,6 +210,18 @@ class TestEnsembleCommand:
             write_run(redo, rerun)
             original = (out / "runs" / f"seed_{entry['seed']}" / "steps.csv").read_bytes()
             assert (redo / "steps.csv").read_bytes() == original
+
+
+@pytest.mark.parametrize("raw, workers", [("3", 3), ("0", 1), ("junk", 1), (None, 1)])
+def test_workers_default_from_environment(monkeypatch, raw, workers):
+    if raw is None:
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.WORKERS_ENV, raw)
+    assert cli._default_workers() == workers
+    for command in (["ensemble", "--seeds", "1"], ["reproduce-paper"]):
+        args = cli.build_parser().parse_args([*command, "--out", "x"])
+        assert args.workers == workers
 
 
 class TestAnalyzeCommand:

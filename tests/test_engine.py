@@ -1,6 +1,8 @@
 """Tests for the trading loop: filters, settlement, conservation, determinism."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from market_abm.engine import (
     check_escrow,
     circuit_breaker,
     enforce_budget,
-    run_ensemble,
+    run_seeds,
     run_simulation,
     settle_trade,
 )
@@ -34,7 +36,7 @@ def intent(agent, side, price, horizon=100):
     return OrderIntent(agent_id=agent, side=side, ticks=ticks, price=ticks * TICK, horizon=horizon)
 
 
-def run_scripted(monkeypatch, p0, orders):
+def run_scripted(monkeypatch, p0, orders, **config):
     """A short run whose trader at step t submits the t-th (side, price) of
     `orders` in place of its own decision; the band stays anchored at p0."""
     script = iter(orders)
@@ -44,7 +46,7 @@ def run_scripted(monkeypatch, p0, orders):
         return intent(agent, side, price, horizon)
 
     monkeypatch.setattr(engine, "decide_order", scripted)
-    cfg = small_config(steps=len(orders), p0=p0, switching_enabled=False)
+    cfg = small_config(steps=len(orders), p0=p0, switching_enabled=False, **config)
     assert cfg.steps < cfg.steps_per_period
     return run_simulation(cfg, lob_snapshot_steps=[cfg.steps])
 
@@ -76,6 +78,30 @@ class TestCircuitBreaker:
             circuit_breaker(0.0, 0.15)
 
 
+class TestSelfTrade:
+    # a lone agent's sell meets its own resting bid
+    ORDERS = [(Side.BUY, 100.0), (Side.SELL, 100.0)]
+
+    def test_rejected_unless_allowed(self, monkeypatch):
+        out = run_scripted(monkeypatch, 100.0, self.ORDERS, n_agents=1,
+                           allow_self_trades=False)
+        assert out.rejections["self_cross"] == 1
+        assert len(out.trades) == 0
+        assert out.lob_snapshots[2] == [(100.0, 1)]
+
+    def test_allowed_trade_settles_with_itself(self, monkeypatch):
+        # the run ends by checking the escrow, so returning means it balanced
+        out = run_scripted(monkeypatch, 100.0, self.ORDERS, n_agents=1,
+                           allow_self_trades=True)
+        assert out.rejections["self_cross"] == 0
+        assert len(out.trades) == 1
+        assert out.trades.buyer_id[0] == out.trades.seller_id[0] == 0
+        assert out.trades.price[0] == 100.0
+        assert out.lob_snapshots[2] == []
+        assert out.final_population.cash_ticks.tolist() == [round(10_000.0 / TICK)]
+        assert out.final_population.shares.tolist() == [10]
+
+
 class TestEnforceBudget:
     def test_no_cash_buy_rejected(self):
         book = OrderBook(TICK)
@@ -103,7 +129,7 @@ class TestEnforceBudget:
 class TestSettleTrade:
     def make_pop(self):
         return Population.initial(2, frac_f=1.0, frac_opt=0.0, cash=1000.0, shares=2,
-                                  horizon_f=300, horizon_c=100, tick_size=TICK)
+                                  tick_size=TICK)
 
     def trade(self, price=300.0):
         ticks = int(round(price / TICK))
@@ -113,8 +139,8 @@ class TestSettleTrade:
     def test_moves_cash_and_share(self):
         pop = self.make_pop()
         settle_trade(pop.cash_ticks, pop.shares, self.trade(300.0))
-        assert pop.cash_of(0) == pytest.approx(700.0)
-        assert pop.cash_of(1) == pytest.approx(1300.0)
+        assert pop.cash_ticks[0] == round(700.0 / TICK)
+        assert pop.cash_ticks[1] == round(1300.0 / TICK)
         assert pop.shares[0] == 3 and pop.shares[1] == 1
 
     def test_totals_conserved(self):
@@ -197,8 +223,8 @@ class TestRunSimulation:
         out = run_simulation(small_config(steps=0))
         assert len(out.records) == 0
         assert len(out.trades) == 0
-        assert all(a.cash == pytest.approx(10_000.0) for a in out.final_agents)
-        assert all(a.shares == 10 for a in out.final_agents)
+        assert (out.final_population.cash_ticks == round(10_000.0 / TICK)).all()
+        assert (out.final_population.shares == 10).all()
 
     def test_record_completeness(self):
         out = run_simulation(small_config(steps=1200))
@@ -216,17 +242,18 @@ class TestRunSimulation:
         np.testing.assert_array_equal(a.trades.price, b.trades.price)
         np.testing.assert_array_equal(a.trades.buyer_id, b.trades.buyer_id)
         assert a.rejections == b.rejections
-        assert [(x.cash, x.shares, x.type) for x in a.final_agents] == \
-               [(x.cash, x.shares, x.type) for x in b.final_agents]
+        for name in ("cash_ticks", "shares", "types"):
+            np.testing.assert_array_equal(getattr(a.final_population, name),
+                                          getattr(b.final_population, name))
 
     def test_conservation_exact(self):
         cfg = small_config(steps=20_000)
         out = run_simulation(cfg)
-        cash_ticks = sum(round(a.cash / cfg.tick) for a in out.final_agents)
-        assert cash_ticks == cfg.n_agents * round(cfg.init_cash / cfg.tick)
-        assert sum(a.shares for a in out.final_agents) == cfg.n_agents * cfg.init_shares
-        assert min(a.shares for a in out.final_agents) >= 0
-        assert min(a.cash for a in out.final_agents) >= 0
+        pop = out.final_population
+        assert pop.cash_ticks.sum() == cfg.n_agents * round(cfg.init_cash / cfg.tick)
+        assert pop.shares.sum() == cfg.n_agents * cfg.init_shares
+        assert pop.shares.min() >= 0
+        assert pop.cash_ticks.min() >= 0
 
     def test_trade_prices_respect_band(self):
         cfg = small_config(steps=30_000, seed=2)
@@ -278,29 +305,71 @@ class TestRunSimulation:
             run_simulation(small_config(gamma_c=2.0))  # gamma_f must exceed gamma_c
 
 
+def ensemble(cfg, seeds, workers=1):
+    """The runs of `run_seeds` in the order they arrive; none may fail."""
+    runs = []
+    for seed, run, seconds in run_seeds(cfg, seeds, workers):
+        assert not isinstance(run, Exception), f"seed {seed}: {run!r}"
+        assert run.seed == seed and seconds > 0.0
+        runs.append(run)
+    return runs
+
+
 class TestRunEnsemble:
     def test_matches_individual_runs(self):
         cfg = small_config(steps=2000)
-        ensemble = run_ensemble(cfg, [3, 4])
-        for seed, out in zip([3, 4], ensemble):
-            solo = run_simulation(dataclasses.replace(cfg, seed=seed))
+        runs = ensemble(cfg, [3, 4])
+        assert [out.seed for out in runs] == [3, 4]
+        for out in runs:
+            solo = run_simulation(dataclasses.replace(cfg, seed=out.seed))
             np.testing.assert_array_equal(out.records.price, solo.records.price)
-            assert out.seed == seed
 
     def test_seed_order_irrelevant(self):
         cfg = small_config(steps=1500)
-        forward = run_ensemble(cfg, [1, 2])
-        backward = run_ensemble(cfg, [2, 1])
+        forward = ensemble(cfg, [1, 2])
+        backward = ensemble(cfg, [2, 1])
+        assert [out.seed for out in backward] == [2, 1]
         np.testing.assert_array_equal(forward[0].records.price, backward[1].records.price)
         np.testing.assert_array_equal(forward[1].records.price, backward[0].records.price)
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
-            run_ensemble(small_config(), [1, 1])
+            next(run_seeds(small_config(), [1, 1]))
 
     def test_parallel_matches_serial(self):
         cfg = small_config(steps=1500)
-        serial = run_ensemble(cfg, [5, 6], workers=1)
-        parallel = run_ensemble(cfg, [5, 6], workers=2)
-        for a, b in zip(serial, parallel):
+        serial = ensemble(cfg, [5, 6], workers=1)
+        parallel = sorted(ensemble(cfg, [5, 6], workers=2), key=lambda out: out.seed)
+        for a, b in zip(serial, parallel, strict=True):
+            assert a.seed == b.seed
             np.testing.assert_array_equal(a.records.price, b.records.price)
+
+    def test_failed_run_is_yielded_in_its_place(self, monkeypatch):
+        real = engine.run_simulation
+
+        def flaky(config, lob_snapshot_steps=()):
+            if config.seed == 2:
+                raise FloatingPointError("seed 2 broke")
+            return real(config, lob_snapshot_steps)
+
+        monkeypatch.setattr(engine, "run_simulation", flaky)
+        for workers in (1, 2):
+            outcomes = {seed: run for seed, run, _ in
+                        run_seeds(small_config(steps=300), [1, 2, 3], workers)}
+            assert sorted(outcomes) == [1, 2, 3]
+            assert isinstance(outcomes[2], FloatingPointError)
+            assert str(outcomes[2]) == "seed 2 broke"
+            assert outcomes[1].seed == 1 and outcomes[3].seed == 3
+
+    def test_pool_holds_no_run_once_yielded(self):
+        # each run must be freed as soon as its caller lets it go, before the
+        # next one is handed over
+        cfg = small_config(steps=1500)
+        seen = []
+        for seed, run, _ in run_seeds(cfg, [1, 2, 3, 4], workers=2):
+            ref = weakref.ref(run)
+            del run
+            gc.collect()
+            assert ref() is None, f"seed {seed} is still referenced"
+            seen.append(seed)
+        assert sorted(seen) == [1, 2, 3, 4]

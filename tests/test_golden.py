@@ -108,9 +108,14 @@ ANALYSIS_FILES = {
 }
 
 
-def holdings_sha256(agents) -> str:
-    """sha256 of one `type,cash,shares` line per agent, in agent order."""
-    rows = "".join(f"{int(a.type)},{a.cash!r},{a.shares}\n" for a in agents)
+def holdings_sha256(pop, tick: float) -> str:
+    """sha256 of one `type,cash,shares` line per agent, in agent order, with
+    cash in currency units: its ticks as a float times the tick."""
+    rows = "".join(
+        f"{kind},{float(cash) * tick!r},{shares}\n"
+        for kind, cash, shares in zip(pop.types.tolist(), pop.cash_ticks.tolist(),
+                                      pop.shares.tolist())
+    )
     return hashlib.sha256(rows.encode()).hexdigest()
 
 
@@ -127,7 +132,7 @@ def golden_root(tmp_path_factory):
         run = run_simulation(cfg, lob_snapshot_steps=snapshots)
         dirs[name] = (root if name in ANALYZED else apart) / name
         manifests[name] = write_run(dirs[name], run)
-        holdings[name] = holdings_sha256(run.final_agents)
+        holdings[name] = holdings_sha256(run.final_population, run.config.tick)
         if name == EXTRA_RUN:
             write_fundamental_trace(dirs[name] / "fundamental.csv", run.records)
     return root, dirs, manifests, holdings

@@ -28,7 +28,7 @@ def make_population(n_f, n_plus, n_minus, cash=10_000.0, shares=10):
     n = n_f + n_plus + n_minus
     return Population.initial(
         n_agents=n, frac_f=n_f / n, frac_opt=n_plus / n, cash=cash, shares=shares,
-        horizon_f=300, horizon_c=100, tick_size=0.0005,
+        tick_size=0.0005,
     )
 
 
@@ -231,15 +231,13 @@ class TestApplySwitching:
         assert stats.clamped > 0
 
 
-def test_population_snapshot_roundtrip():
+def test_initial_population_layout():
     pop = make_population(2, 1, 1, cash=450.0, shares=3)
-    agents = pop.snapshot()
-    assert len(agents) == 4
-    assert agents[0].type == FUNDAMENTALIST
-    assert agents[0].horizon == 300
-    assert agents[2].horizon == 100
-    assert agents[0].cash == pytest.approx(450.0)
-    assert agents[0].shares == 3
+    assert pop.size == 4
+    assert pop.types.tolist() == [FUNDAMENTALIST, FUNDAMENTALIST, OPTIMIST, PESSIMIST]
+    assert pop.cash_ticks.tolist() == [900_000] * 4  # 450 / 0.0005
+    assert pop.shares.tolist() == [3] * 4
+    assert pop.counts() == PopulationCounts(2, 1, 1)
 
 
 def test_opinion_index_bounds():

@@ -97,8 +97,7 @@ def reference_sweep(pop, market, params, dt, rng, only=None) -> SwitchStats:
 
 def population(types) -> Population:
     n = len(types)
-    return Population(types, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
-                      horizon_f=300, horizon_c=100, tick_size=0.0005)
+    return Population(types, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
 
 @st.composite
