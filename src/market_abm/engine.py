@@ -247,8 +247,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             committed_shares[order.agent_id] -= 1
 
     types = pop.types  # apply_switching moves agents in place
-    counts = pop.counts()
-    n_f, n_plus, n_minus = counts.n_f, counts.n_plus, counts.n_minus
+    n_f, n_plus, n_minus = pop.counts()
     rec.n_plus[:] = n_plus
     rec.n_minus[:] = n_minus
     n_plus_at, n_minus_at = memoryview(rec.n_plus), memoryview(rec.n_minus)

@@ -39,30 +39,6 @@ class SwitchParams:
                 raise ValueError(f"switch parameter {name} must be > 0")
 
 
-@dataclass(frozen=True)
-class PopulationCounts:
-    n_f: int
-    n_plus: int
-    n_minus: int
-
-    @property
-    def total(self) -> int:
-        return self.n_f + self.n_plus + self.n_minus
-
-    @property
-    def n_c(self) -> int:
-        return self.n_plus + self.n_minus
-
-    @property
-    def x(self) -> float:
-        """Opinion index in [-1, 1]; defined as 0 when no chartists exist
-        (every rate that consumes it carries a zero prefactor then)."""
-        n_c = self.n_c
-        if n_c == 0:
-            return 0.0
-        return (self.n_plus - self.n_minus) / n_c
-
-
 class MarketView(NamedTuple):
     """Per-step market context consumed by the switching rules (a tuple,
     because the engine builds one every step)."""
@@ -155,14 +131,11 @@ class Population:
         holdings = np.full(n_agents, int(shares), dtype=np.int64)
         return cls(types, cash_ticks, holdings)
 
-    @property
-    def size(self) -> int:
-        return len(self.types)
-
-    def counts(self) -> PopulationCounts:
+    def counts(self) -> tuple[int, int, int]:
+        """(n_f, n_plus, n_minus)."""
         n_plus = int(np.count_nonzero(self.types == OPTIMIST))
         n_minus = int(np.count_nonzero(self.types == PESSIMIST))
-        return PopulationCounts(self.size - n_plus - n_minus, n_plus, n_minus)
+        return len(self.types) - n_plus - n_minus, n_plus, n_minus
 
 
 def apply_switching(
@@ -192,8 +165,7 @@ def apply_switching(
     after the sweep.
     """
     if counts is None:
-        entry = pop.counts()
-        counts = (entry.n_f, entry.n_plus, entry.n_minus)
+        counts = pop.counts()
     n_f, n_plus, n_minus = counts
     types = pop.types
     n = len(types)

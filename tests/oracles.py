@@ -4,7 +4,8 @@ None of this is used by the library itself:
 
 - the original row-wise CSV writers and the `np.genfromtxt` loader, which
   define the on-disk run format byte for byte;
-- the per-pair switching rates, which the switching sweep computes inline;
+- the per-pair switching rates over a population's group counts, which the
+  switching sweep computes inline;
 - a listing of a book's resting orders and an order's price in currency;
 - the step-by-step fundamental value process, which `fundamental_path`
   computes in one vectorised pass.
@@ -17,7 +18,7 @@ import numpy as np
 
 from market_abm.book import OrderBook, Side
 from market_abm.engine import STEP_COLUMNS, TRADE_COLUMNS, StepRecords, TradeRecords
-from market_abm.population import FUNDAMENTALIST, OPTIMIST, PESSIMIST, PopulationCounts, SwitchParams
+from market_abm.population import FUNDAMENTALIST, OPTIMIST, PESSIMIST, SwitchParams
 
 # ---------------------------------------------------------------------------
 # run I/O
@@ -90,6 +91,30 @@ def write_lob_snapshot(path, rows: list[tuple[float, int]]) -> None:
 # ---------------------------------------------------------------------------
 # switching rates
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PopulationCounts:
+    n_f: int
+    n_plus: int
+    n_minus: int
+
+    @property
+    def total(self) -> int:
+        return self.n_f + self.n_plus + self.n_minus
+
+    @property
+    def n_c(self) -> int:
+        return self.n_plus + self.n_minus
+
+    @property
+    def x(self) -> float:
+        """Opinion index in [-1, 1]; defined as 0 when no chartists exist
+        (every rate that consumes it carries a zero prefactor then)."""
+        n_c = self.n_c
+        if n_c == 0:
+            return 0.0
+        return (self.n_plus - self.n_minus) / n_c
 
 
 def transition_rate(

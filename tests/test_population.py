@@ -11,7 +11,6 @@ from market_abm.population import (
     PESSIMIST,
     MarketView,
     Population,
-    PopulationCounts,
     SwitchParams,
     apply_switching,
     average_price_trend,
@@ -19,7 +18,7 @@ from market_abm.population import (
     compute_U2,
 )
 
-from oracles import transition_probability, transition_rate
+from oracles import PopulationCounts, transition_probability, transition_rate
 
 PARAMS = SwitchParams()
 
@@ -151,8 +150,7 @@ class TestApplySwitching:
         rng = np.random.default_rng(1)
         for _ in range(500):
             apply_switching(pop, FLAT_MARKET, PARAMS, 0.01, rng)
-            counts = pop.counts()
-            assert counts.n_f + counts.n_plus + counts.n_minus == 500
+            assert sum(pop.counts()) == 500
 
     def test_floor_rule_blocks_exits_from_tiny_group(self):
         # 3 fundamentalists of 500 is 0.6% < 0.8%: none of them may leave
@@ -233,11 +231,11 @@ class TestApplySwitching:
 
 def test_initial_population_layout():
     pop = make_population(2, 1, 1, cash=450.0, shares=3)
-    assert pop.size == 4
+    assert len(pop.types) == 4
     assert pop.types.tolist() == [FUNDAMENTALIST, FUNDAMENTALIST, OPTIMIST, PESSIMIST]
     assert pop.cash_ticks.tolist() == [900_000] * 4  # 450 / 0.0005
     assert pop.shares.tolist() == [3] * 4
-    assert pop.counts() == PopulationCounts(2, 1, 1)
+    assert pop.counts() == (2, 1, 1)
 
 
 def test_opinion_index_bounds():

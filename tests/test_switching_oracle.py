@@ -25,13 +25,13 @@ from market_abm.population import (
     compute_U2,
 )
 
-from oracles import transition_rate
+from oracles import PopulationCounts, transition_rate
 
 
 def reference_probabilities(pop, market, params, dt):
     """Counts at entry, raw per-step rates and clamped probabilities of the
     six flows, keyed (from, to)."""
-    counts = pop.counts()
+    counts = PopulationCounts(*pop.counts())
     u1 = compute_U1(counts.x, market.trend_c, market.p, params)
     u21_c = compute_U2(OPTIMIST, market.trend_c, market.p, market.p_f, params)
     u21_f = compute_U2(OPTIMIST, market.trend_f, market.p, market.p_f, params)
@@ -52,7 +52,7 @@ def reference_probabilities(pop, market, params, dt):
 def reference_sweep(pop, market, params, dt, rng, only=None) -> SwitchStats:
     """One synchronous sweep, mask by mask; replaces `pop.types` by a new array."""
     stats = SwitchStats()
-    if pop.size == 0:
+    if len(pop.types) == 0:
         return stats
     counts, raw, prob = reference_probabilities(pop, market, params, dt)
     n = counts.total
@@ -143,7 +143,7 @@ def edge_draws(pop, market, params, dt, rng) -> np.ndarray:
     _, _, prob = reference_probabilities(pop, market, params, dt)
     targets = {FUNDAMENTALIST: (OPTIMIST, PESSIMIST), OPTIMIST: (PESSIMIST, FUNDAMENTALIST),
                PESSIMIST: (OPTIMIST, FUNDAMENTALIST)}
-    u = np.empty(pop.size)
+    u = np.empty(len(pop.types))
     for i, kind in enumerate(pop.types.tolist()):
         p1 = prob[(kind, targets[kind][0])]
         reach = p1 + prob[(kind, targets[kind][1])]
@@ -170,14 +170,12 @@ def test_sweep_matches_reference(types, market, sparams, seed, only, draws):
     if draws == "rng":
         stats = apply_switching(pop, market, sparams, 0.01, np.random.default_rng(seed), only=only)
     else:
-        entry = pop.counts()
         stats = apply_switching(pop, market, sparams, 0.01, np.random.default_rng(0), only=only,
-                                counts=(entry.n_f, entry.n_plus, entry.n_minus), uniforms=u)
+                                counts=pop.counts(), uniforms=u)
 
     np.testing.assert_array_equal(pop.types, expected_pop.types)
     assert (stats.switches, stats.clamped) == (expected.switches, expected.clamped)
-    after = expected_pop.counts()
-    assert stats.counts == (after.n_f, after.n_plus, after.n_minus)
+    assert stats.counts == expected_pop.counts()
 
 
 def test_rate_of_exactly_one_is_not_clamped():
