@@ -426,10 +426,11 @@ def run_seeds(config: SimConfig, seeds, workers: int = 1):
     """Independent runs of `config`, one per seed.
 
     Yields (seed, RunOutput or the exception the run raised, seconds the run
-    took) as each run finishes: in seed order when `workers` <= 1, else in
-    completion order on a pool of `workers` processes. Nothing here refers to
-    a run once it is yielded, so a caller that lets each run go holds only
-    the runs the pool has finished and not yet handed over.
+    took, None if the pool itself failed) as each run finishes: in seed order
+    when `workers` <= 1, else in completion order on a pool of `workers`
+    processes. Nothing here refers to a run once it is yielded, so a caller
+    that lets each run go holds only the runs the pool has finished and not
+    yet handed over.
     """
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
