@@ -231,7 +231,6 @@ class TestApplySwitching:
 
 def test_initial_population_layout():
     pop = make_population(2, 1, 1, cash=450.0, shares=3)
-    assert len(pop.types) == 4
     assert pop.types.tolist() == [FUNDAMENTALIST, FUNDAMENTALIST, OPTIMIST, PESSIMIST]
     assert pop.cash_ticks.tolist() == [900_000] * 4  # 450 / 0.0005
     assert pop.shares.tolist() == [3] * 4
