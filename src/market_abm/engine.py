@@ -259,26 +259,26 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     block_steps = max(1, _DRAW_BLOCK_DOUBLES // n_agents)
     draws = None
 
-    lo, hi = circuit_breaker(config.p0, config.band)
+    switching = config.switching_enabled
+    chartist_u2 = config.u2_trend_horizon == "chartist"
+    band = config.band
+    lo, hi = circuit_breaker(config.p0, band)
     p_prev = float(price[0])  # price[t - 1]; a Python float computes the same values faster
     for t in range(1, n_steps + 1):
         # new trading period: the band anchor moved, purge stale out-of-band orders
         if t > 1 and (t - 1) % spp == 0:
-            lo, hi = circuit_breaker(p_prev, config.band)
+            lo, hi = circuit_breaker(p_prev, band)
             for order in book.purge_outside(lo, hi):
                 release(order)
 
         for order in book.expire(t):
             release(order)
 
-        if config.switching_enabled:
-            history = price[:t]
+        if switching:
+            history = price_at[:t]  # a memoryview: the trends read Python floats
             trend_c = average_price_trend(history, horizon_c, dt)
-            if config.u2_trend_horizon == "chartist":
-                trend_f = trend_c
-            else:
-                trend_f = average_price_trend(history, horizon_f, dt)
-            market = MarketView(p=p_prev, p_f=fv_at[t - 1], trend_f=trend_f, trend_c=trend_c)
+            trend_f = trend_c if chartist_u2 else average_price_trend(history, horizon_f, dt)
+            market = MarketView(p_prev, fv_at[t - 1], trend_f, trend_c)
             if per_trade:
                 only = [int(rng_switch.integers(n_agents))]
                 uniforms = None

@@ -69,31 +69,6 @@ def average_price_trend(price_history, horizon: int, dt: float) -> float:
     return (price_history[-1] - price_history[-1 - h]) / (h * dt)
 
 
-def compute_U1(x: float, trend: float, p: float, params: SwitchParams) -> float:
-    """Herding-plus-trend signal steering flows between optimists and pessimists."""
-    if p <= 0.0:
-        raise ValueError("price must be > 0")
-    return params.alpha1 * x + (params.alpha2 / params.v1) * (trend / p)
-
-
-def compute_U2(direction: int, trend: float, p: float, p_f: float, params: SwitchParams) -> float:
-    """Profit-differential signal between one chartist camp and fundamentalism.
-
-    The chartist side earns the nominal rate plus the trend; fundamentalists
-    forgo it but profit from any gap between price and fundamental value.
-    """
-    if p <= 0.0 or p_f <= 0.0:
-        raise ValueError("prices must be > 0")
-    r = params.big_r * p_f
-    excess = (r + trend / params.v2) / p - params.big_r
-    gap = params.s * abs((p_f - p) / p)
-    if direction == OPTIMIST:
-        return params.alpha3 * (excess - gap)
-    if direction == PESSIMIST:
-        return params.alpha3 * (-excess - gap)
-    raise ValueError("direction must be OPTIMIST or PESSIMIST")
-
-
 class Population:
     """Array-backed population: opinion codes and holdings, with cash in
     integer tick units so conservation checks are exact."""
@@ -169,72 +144,91 @@ def apply_switching(
     n_f, n_plus, n_minus = counts
     types = pop.types
     n = len(types)
-    stats = SwitchStats(counts=tuple(counts))
     if n == 0:
-        return stats
+        return SwitchStats(counts=tuple(counts))
 
     n_c = n_plus + n_minus
     x = (n_plus - n_minus) / n_c if n_c else 0.0
-    p, p_f, trend_c, trend_f = market.p, market.p_f, market.trend_c, market.trend_f
-    u1 = compute_U1(x, trend_c, p, params)
-    u21_c = compute_U2(OPTIMIST, trend_c, p, p_f, params)
-    u21_f = compute_U2(OPTIMIST, trend_f, p, p_f, params)
-    u22_c = compute_U2(PESSIMIST, trend_c, p, p_f, params)
-    u22_f = compute_U2(PESSIMIST, trend_f, p, p_f, params)
+    p, p_f, trend_f, trend_c = market
+    if p <= 0.0 or p_f <= 0.0:
+        raise ValueError("prices must be > 0")
+    v1, v2, big_r, alpha3 = params.v1, params.v2, params.big_r, params.alpha3
+
+    # The signals. U1, herding plus the chartist trend, steers flows between
+    # optimists and pessimists. Each U2 is the profit differential between a
+    # chartist camp and fundamentalism: the chartist side earns the nominal
+    # rate r = big_r * p_f plus the trend (the excess), fundamentalists forgo
+    # it but profit from any gap between price and fundamental value.
+    u1 = params.alpha1 * x + (params.alpha2 / v1) * (trend_c / p)
+    r = big_r * p_f
+    gap = params.s * abs((p_f - p) / p)
+    excess_c = (r + trend_c / v2) / p - big_r
+    excess_f = (r + trend_f / v2) / p - big_r
+    u21_c = alpha3 * (excess_c - gap)
+    u21_f = alpha3 * (excess_f - gap)
+    u22_c = alpha3 * (-excess_c - gap)
+    u22_f = alpha3 * (-excess_f - gap)
 
     # Per-step probabilities rate * dt: a herding prefactor times exp(+-u),
     # where flows toward the optimist camp or away from fundamentalism take
     # exp(+u) and the reverse flows exp(-u). Each agent evaluates the trend
     # over its own current horizon, so paired flows use differently-horizoned
     # signals.
-    v1, v2 = params.v1, params.v2
     o_to_p = v1 * (n_c / n) * math.exp(-u1) * dt
     p_to_o = v1 * (n_c / n) * math.exp(u1) * dt
     o_to_f = v2 * (n_f / n) * math.exp(-u21_c) * dt
     f_to_o = v2 * (n_plus / n) * math.exp(u21_f) * dt
     p_to_f = v2 * (n_f / n) * math.exp(-u22_c) * dt
     f_to_p = v2 * (n_minus / n) * math.exp(u22_f) * dt
-    stats.clamped = (
+    clamped = (
         (o_to_p > 1.0) + (p_to_o > 1.0) + (o_to_f > 1.0)
         + (f_to_o > 1.0) + (p_to_f > 1.0) + (f_to_p > 1.0)
     )
+
+    # Clamped into [0, 1] as min(max(v, 0.0), 1.0) would: NaN passes through.
+    o_to_p = 0.0 if o_to_p < 0.0 else 1.0 if o_to_p > 1.0 else o_to_p
+    p_to_o = 0.0 if p_to_o < 0.0 else 1.0 if p_to_o > 1.0 else p_to_o
+    o_to_f = 0.0 if o_to_f < 0.0 else 1.0 if o_to_f > 1.0 else o_to_f
+    f_to_o = 0.0 if f_to_o < 0.0 else 1.0 if f_to_o > 1.0 else f_to_o
+    p_to_f = 0.0 if p_to_f < 0.0 else 1.0 if p_to_f > 1.0 else p_to_f
+    f_to_p = 0.0 if f_to_p < 0.0 else 1.0 if f_to_p > 1.0 else f_to_p
 
     # Indexed by type code (fundamentalist, optimist, pessimist): first
     # target, second target, p1 and the reach p1 + p2. A draw below p1 moves
     # to the first target, one in [p1, p1 + p2) to the second; a frozen
     # group's reach is -1, below every draw.
-    rules = []
-    for first, second, raw1, raw2, size in (
-        (OPTIMIST, PESSIMIST, f_to_o, f_to_p, n_f),
-        (PESSIMIST, FUNDAMENTALIST, o_to_p, o_to_f, n_plus),
-        (OPTIMIST, FUNDAMENTALIST, p_to_o, p_to_f, n_minus),
-    ):
-        p1 = min(max(raw1, 0.0), 1.0)
-        p2 = min(max(raw2, 0.0), 1.0)
-        reach = -1.0 if size / n < MIN_GROUP_FRACTION else p1 + p2
-        rules.append((first, second, p1, reach))
+    reach_f = -1.0 if n_f / n < MIN_GROUP_FRACTION else f_to_o + f_to_p
+    reach_plus = -1.0 if n_plus / n < MIN_GROUP_FRACTION else o_to_p + o_to_f
+    reach_minus = -1.0 if n_minus / n < MIN_GROUP_FRACTION else p_to_o + p_to_f
+    rules = (
+        (OPTIMIST, PESSIMIST, f_to_o, reach_f),
+        (PESSIMIST, FUNDAMENTALIST, o_to_p, reach_plus),
+        (OPTIMIST, FUNDAMENTALIST, p_to_o, reach_minus),
+    )
 
     u = rng.random(n) if uniforms is None else uniforms
-    hit = u < max(rules[0][3], rules[1][3], rules[2][3])
+    hit = u < max(reach_f, reach_plus, reach_minus)
     if only is not None:
         allowed = np.zeros(n, dtype=bool)
         allowed[np.asarray(only, dtype=int)] = True
         hit &= allowed
-    candidates = hit.nonzero()[0]
-    if not len(candidates):
-        return stats
+    candidates = hit.nonzero()[0].tolist()
+    if not candidates:
+        return SwitchStats(0, clamped, tuple(counts))
 
-    # every kind is read before any move is written: decisions use entry types
+    # each candidate's kind is read before its own move is written and no
+    # agent moves twice, so decisions use entry types
+    kind_at, draw_at = memoryview(types), memoryview(u)
     sizes = [n_f, n_plus, n_minus]
     switches = 0
-    for i, kind, draw in zip(candidates.tolist(), types[candidates].tolist(), u[candidates].tolist()):
+    for i in candidates:
+        kind = kind_at[i]
         first, second, p1, reach = rules[kind]
+        draw = draw_at[i]
         if draw < reach:
             target = first if draw < p1 else second
-            types[i] = target
+            kind_at[i] = target
             sizes[kind] -= 1
             sizes[target] += 1
             switches += 1
-    stats.switches = switches
-    stats.counts = tuple(sizes)
-    return stats
+    return SwitchStats(switches, clamped, tuple(sizes))

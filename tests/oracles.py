@@ -4,8 +4,8 @@ None of this is used by the library itself:
 
 - the original row-wise CSV writers and the `np.genfromtxt` loader, which
   define the on-disk run format byte for byte;
-- the per-pair switching rates over a population's group counts, which the
-  switching sweep computes inline;
+- the switching signals U1 and U2 and the per-pair switching rates over a
+  population's group counts, which the switching sweep computes inline;
 - a listing of a book's resting orders and an order's price in currency;
 - the step-by-step fundamental value process, which `fundamental_path`
   computes in one vectorised pass.
@@ -115,6 +115,31 @@ class PopulationCounts:
         if n_c == 0:
             return 0.0
         return (self.n_plus - self.n_minus) / n_c
+
+
+def compute_U1(x: float, trend: float, p: float, params: SwitchParams) -> float:
+    """Herding-plus-trend signal steering flows between optimists and pessimists."""
+    if p <= 0.0:
+        raise ValueError("price must be > 0")
+    return params.alpha1 * x + (params.alpha2 / params.v1) * (trend / p)
+
+
+def compute_U2(direction: int, trend: float, p: float, p_f: float, params: SwitchParams) -> float:
+    """Profit-differential signal between one chartist camp and fundamentalism.
+
+    The chartist side earns the nominal rate plus the trend; fundamentalists
+    forgo it but profit from any gap between price and fundamental value.
+    """
+    if p <= 0.0 or p_f <= 0.0:
+        raise ValueError("prices must be > 0")
+    r = params.big_r * p_f
+    excess = (r + trend / params.v2) / p - params.big_r
+    gap = params.s * abs((p_f - p) / p)
+    if direction == OPTIMIST:
+        return params.alpha3 * (excess - gap)
+    if direction == PESSIMIST:
+        return params.alpha3 * (-excess - gap)
+    raise ValueError("direction must be OPTIMIST or PESSIMIST")
 
 
 def transition_rate(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from market_abm.config import SimConfig
 from market_abm.population import (
     FUNDAMENTALIST,
     OPTIMIST,
@@ -14,11 +15,15 @@ from market_abm.population import (
     SwitchParams,
     apply_switching,
     average_price_trend,
-    compute_U1,
-    compute_U2,
 )
 
-from oracles import PopulationCounts, transition_probability, transition_rate
+from oracles import (
+    PopulationCounts,
+    compute_U1,
+    compute_U2,
+    transition_probability,
+    transition_rate,
+)
 
 PARAMS = SwitchParams()
 
@@ -60,6 +65,19 @@ class TestAveragePriceTrend:
     def test_empty_history_cold_start(self):
         assert average_price_trend([], 100, 0.01) == 0.0
         assert average_price_trend([300.0], 100, 0.01) == 0.0
+
+    def test_memoryview_window_equals_numpy_window(self):
+        # the engine passes memoryview slices of its price array, which read
+        # Python floats; every trend must equal the numpy slice's bit for bit,
+        # from the cold start through the shrinking window to the full one
+        cfg = SimConfig()
+        for horizon in (cfg.horizon_c, cfg.horizon_f):
+            prices = 300.0 + np.cumsum(np.random.default_rng(horizon).normal(0, 0.3, horizon + 4))
+            view = memoryview(prices)
+            for t in range(1, horizon + 4):
+                trend = average_price_trend(view[:t], horizon, cfg.dt)
+                assert type(trend) is float
+                assert trend == average_price_trend(prices[:t], horizon, cfg.dt)
 
 
 class TestSignals:

@@ -21,11 +21,9 @@ from market_abm.population import (
     SwitchParams,
     SwitchStats,
     apply_switching,
-    compute_U1,
-    compute_U2,
 )
 
-from oracles import PopulationCounts, transition_rate
+from oracles import PopulationCounts, compute_U1, compute_U2, transition_rate
 
 
 def reference_probabilities(pop, market, params, dt):
