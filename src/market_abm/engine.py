@@ -187,6 +187,10 @@ def check_escrow(book: OrderBook, committed_cash: list[int], committed_shares: l
 def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     config.validate()
     n_steps = config.steps
+    snapshot_at = set(int(s) for s in lob_snapshot_steps)
+    outside = sorted(s for s in snapshot_at if not 1 <= s <= n_steps)
+    if outside:
+        raise ValueError(f"lob snapshot steps outside 1..{n_steps}: {outside}")
     n_agents = config.n_agents
     spp = config.steps_per_period
     tick = config.tick
@@ -238,7 +242,6 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     clamp_events = 0
     switch_count = 0
     snapshots = {}
-    snapshot_at = set(int(s) for s in lob_snapshot_steps)
 
     def release(order) -> None:
         if order.side == Side.BUY:

@@ -94,6 +94,14 @@ class TestRunCommand:
         assert lines[0] == "step,value"
         assert len(lines) == 1001
 
+    def test_lob_snapshot_outside_the_run_is_an_error(self, tmp_path, config_file, capsys):
+        out = tmp_path / "out"
+        status = main(["run", "--config", str(config_file), "-O", "steps=200", "--out", str(out),
+                       "--lob-snapshot", "500", "--lob-snapshot", "0", "--lob-snapshot", "100"])
+        assert status == 1
+        assert "error: lob snapshot steps outside 1..200: [0, 500]" in capsys.readouterr().err
+        assert not list(out.glob("lob_*.csv"))
+
     def test_bad_override_key_diagnostic(self, tmp_path, config_file, capsys):
         status = main(["run", "--config", str(config_file), "-O", "bogus=1",
                        "--out", str(tmp_path / "o")])

@@ -298,6 +298,11 @@ class TestRunSimulation:
             prices = [p for p, _ in rows]
             assert prices == sorted(prices)
 
+    def test_lob_snapshot_steps_outside_the_run_are_rejected(self):
+        for bad in ([0], [501], [-3, 250, 501]):
+            with pytest.raises(ValueError, match=r"outside 1\.\.500"):
+                run_simulation(small_config(steps=500), lob_snapshot_steps=bad)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             run_simulation(small_config(dt=0.02))  # breaks steps_per_period * dt = 1
