@@ -1,4 +1,5 @@
-"""`tools/bench_pairs.py summarize` on a tiny synthetic archive of reports."""
+"""`tools/bench_pairs.py`: `summarize` on a tiny synthetic archive of
+reports, and `run` on stub checkouts."""
 
 import importlib.util
 import json
@@ -86,3 +87,41 @@ def test_lower_is_better_metric(summary):
     assert m["pair_ratios"] == pytest.approx([0.8, 13 / 12])
     assert m["median_ratio"] == pytest.approx((0.8 + 13 / 12) / 2)
     assert m["change_wins"] == 1
+
+
+STUB_RUN = """
+import json, sys
+from pathlib import Path
+
+correct = {correct}
+out = Path(".perfbench_out")
+out.mkdir(exist_ok=True)
+(out / "hetero-seed1-trace0.json").write_text(json.dumps({{"correct": correct}}))
+if not correct:
+    print("FAILED seed_100: digest mismatch", file=sys.stderr)
+print(json.dumps({{"correct": correct, "attempted": 5, "failed": 0 if correct else 2,
+                  "metrics": {{}}}}))
+"""
+
+
+def stub_checkout(root: Path, correct: bool) -> Path:
+    """A checkout whose `perfbench/run.py` writes a report and prints its result line."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(correct=correct))
+    return root
+
+
+def test_run_stops_on_an_incorrect_result(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent", correct=True)
+    change = stub_checkout(tmp_path / "change", correct=False)
+    archive = tmp_path / "archive"
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["run", "--parent", str(parent), "--change", str(change),
+                          "--workload", "hetero", "--pairs", "3", "--seconds", "1",
+                          "--archive", str(archive)])
+    message = str(stop.value.code)
+    assert message.startswith("change pair 0 is not correct: 2 of 5 units failed")
+    assert "digest mismatch" in message
+    # the parent's run of pair 0 went first and is archived; nothing after it
+    assert sorted(p.name for p in archive.iterdir()) == ["parent-hetero-seed1-trace0-pair0.json"]
+    assert "pair 0 parent: correct=True" in capsys.readouterr().out

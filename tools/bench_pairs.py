@@ -10,7 +10,9 @@ the other, for each pair. The checkout that goes first alternates from pair
 to pair, so a slow phase of the machine lands on both sides alike. After
 each run it copies the report that `perfbench/run.py` wrote to the
 checkout's `.perfbench_out/` into the archive directory, as
-`<side>-<workload>-seed<seed>-trace<trace>-pair<k>.json`.
+`<side>-<workload>-seed<seed>-trace<trace>-pair<k>.json`. A run that exits
+non-zero, or whose result says `correct: false`, stops the pairs with an
+error that names its side and pair; its report is not archived.
 
 `summarize` reads every archived report. For each workload, seed and trace
 mode, and for each metric, it writes the per-side median and quartiles,
@@ -47,10 +49,13 @@ def run_pairs(args) -> None:
             proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
             if proc.returncode != 0:
                 raise SystemExit(f"{side} pair {k} failed:\n{proc.stderr[-2000:]}")
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            if not result["correct"]:
+                raise SystemExit(f"{side} pair {k} is not correct: {result['failed']} of "
+                                 f"{result['attempted']} units failed\n{proc.stderr[-2000:]}")
             stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
             target = archive / f"{side}-{stem}-pair{k}.json"
             shutil.copy(root / ".perfbench_out" / f"{stem}.json", target)
-            result = json.loads(proc.stdout.strip().splitlines()[-1])
             print(f"pair {k} {side}: correct={result['correct']} failed={result['failed']} "
                   f"-> {target.name}", flush=True)
 
