@@ -291,10 +291,8 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                 if row == 0:
                     draws = rng_switch.random(n_agents * block_steps).reshape(block_steps, n_agents)
                 uniforms = draws[row]
-            stats = apply_switching(
-                pop, market, sparams, dt, rng_switch, only=only,
-                counts=(n_f, n_plus, n_minus), uniforms=uniforms,
-            )
+            stats = apply_switching(pop, market, sparams, dt, rng_switch, only,
+                                    (n_f, n_plus, n_minus), uniforms)
             clamp_events += stats.clamped
             switch_count += stats.switches
             n_f, n_plus, n_minus = stats.counts

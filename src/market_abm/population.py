@@ -8,8 +8,8 @@ a herding term (group sizes) with the relative profitability of strategies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import exp
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +49,7 @@ class MarketView(NamedTuple):
     trend_c: float  # average price trend over the chartist horizon
 
 
-@dataclass
+@dataclass(slots=True)
 class SwitchStats:
     switches: int = 0
     clamped: int = 0
@@ -174,18 +174,20 @@ def apply_switching(
     # exp(+u) and the reverse flows exp(-u). Each agent evaluates the trend
     # over its own current horizon, so paired flows use differently-horizoned
     # signals.
-    o_to_p = v1 * (n_c / n) * math.exp(-u1) * dt
-    p_to_o = v1 * (n_c / n) * math.exp(u1) * dt
-    o_to_f = v2 * (n_f / n) * math.exp(-u21_c) * dt
-    f_to_o = v2 * (n_plus / n) * math.exp(u21_f) * dt
-    p_to_f = v2 * (n_f / n) * math.exp(-u22_c) * dt
-    f_to_p = v2 * (n_minus / n) * math.exp(u22_f) * dt
+    share_c, share_f, share_plus, share_minus = n_c / n, n_f / n, n_plus / n, n_minus / n
+    o_to_p = v1 * share_c * exp(-u1) * dt
+    p_to_o = v1 * share_c * exp(u1) * dt
+    o_to_f = v2 * share_f * exp(-u21_c) * dt
+    f_to_o = v2 * share_plus * exp(u21_f) * dt
+    p_to_f = v2 * share_f * exp(-u22_c) * dt
+    f_to_p = v2 * share_minus * exp(u22_f) * dt
     clamped = (
         (o_to_p > 1.0) + (p_to_o > 1.0) + (o_to_f > 1.0)
         + (f_to_o > 1.0) + (p_to_f > 1.0) + (f_to_p > 1.0)
     )
 
-    # Clamped into [0, 1] as min(max(v, 0.0), 1.0) would: NaN passes through.
+    # Clamped into [0, 1], returning what min(max(v, 0.0), 1.0) returns for
+    # every float: a NaN rate passes through.
     o_to_p = 0.0 if o_to_p < 0.0 else 1.0 if o_to_p > 1.0 else o_to_p
     p_to_o = 0.0 if p_to_o < 0.0 else 1.0 if p_to_o > 1.0 else p_to_o
     o_to_f = 0.0 if o_to_f < 0.0 else 1.0 if o_to_f > 1.0 else o_to_f
@@ -197,9 +199,9 @@ def apply_switching(
     # target, second target, p1 and the reach p1 + p2. A draw below p1 moves
     # to the first target, one in [p1, p1 + p2) to the second; a frozen
     # group's reach is -1, below every draw.
-    reach_f = -1.0 if n_f / n < MIN_GROUP_FRACTION else f_to_o + f_to_p
-    reach_plus = -1.0 if n_plus / n < MIN_GROUP_FRACTION else o_to_p + o_to_f
-    reach_minus = -1.0 if n_minus / n < MIN_GROUP_FRACTION else p_to_o + p_to_f
+    reach_f = -1.0 if share_f < MIN_GROUP_FRACTION else f_to_o + f_to_p
+    reach_plus = -1.0 if share_plus < MIN_GROUP_FRACTION else o_to_p + o_to_f
+    reach_minus = -1.0 if share_minus < MIN_GROUP_FRACTION else p_to_o + p_to_f
     rules = (
         (OPTIMIST, PESSIMIST, f_to_o, reach_f),
         (PESSIMIST, FUNDAMENTALIST, o_to_p, reach_plus),

@@ -191,6 +191,22 @@ def test_rate_of_exactly_one_is_not_clamped():
     assert stats.switches == 500
 
 
+def test_rate_overflowing_to_inf_clamps_like_the_reference():
+    # a rate past the largest double is inf, which the clamps must take to a
+    # probability of 1, as min(max(v, 0.0), 1.0) does
+    types = np.array([OPTIMIST] * 400 + [PESSIMIST] * 60 + [FUNDAMENTALIST] * 40, dtype=np.int8)
+    np.random.default_rng(3).shuffle(types)
+    market = MarketView(p=300.0, p_f=310.0, trend_f=5.0, trend_c=5.0)
+    huge = SwitchParams(v1=1.5e308, v2=1.5e308)
+    _, raw, _ = reference_probabilities(population(types), market, huge, 0.01)
+    assert raw[(PESSIMIST, OPTIMIST)] == np.inf
+    expected_pop, pop = population(types.copy()), population(types.copy())
+    expected = reference_sweep(expected_pop, market, huge, 0.01, np.random.default_rng(4))
+    stats = apply_switching(pop, market, huge, 0.01, np.random.default_rng(4))
+    np.testing.assert_array_equal(pop.types, expected_pop.types)
+    assert (stats.switches, stats.clamped) == (expected.switches, expected.clamped) == (500, 6)
+
+
 def test_sweep_covers_frozen_clamped_and_overfull_cases():
     # exactly 0.8% fundamentalists may leave; below it they may not; with
     # huge rates every unfrozen agent moves and both chartist pairs clamp
