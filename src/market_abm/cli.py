@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument(
         "--lob-snapshot", action="append", type=int, metavar="STEP",
-        help="write a book snapshot CSV at this step (repeatable)",
+        help="write a book snapshot CSV at this step, 1..steps (repeatable)",
     )
     p_run.add_argument("--trace-fundamental", action="store_true",
                        help="also dump the fundamental path as fundamental.csv")
