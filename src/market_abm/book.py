@@ -13,6 +13,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 
 class Side(IntEnum):
@@ -20,8 +21,14 @@ class Side(IntEnum):
     SELL = 1
 
 
-@dataclass(frozen=True)
-class OrderIntent:
+# Module-level aliases: reading a member off the enum class costs an
+# attribute lookup on every use, and the step loop uses them several times.
+BUY, SELL = Side.BUY, Side.SELL
+
+
+# The order records are named tuples: immutable, built positionally on the
+# hot path, and read by field name everywhere else.
+class OrderIntent(NamedTuple):
     agent_id: int
     side: Side
     ticks: int  # reservation price in tick units, > 0
@@ -29,8 +36,7 @@ class OrderIntent:
     horizon: int  # lifetime in steps once resting
 
 
-@dataclass
-class LimitOrder:
+class LimitOrder(NamedTuple):
     order_id: int
     agent_id: int
     side: Side
@@ -39,8 +45,7 @@ class LimitOrder:
     expires_at: int
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     step: int
     ticks: int
     price: float
@@ -67,8 +72,8 @@ class OrderBook:
         self.tick_size = float(tick_size)
         self.allow_self_trades = bool(allow_self_trades)
         self._orders: dict[int, LimitOrder] = {}
-        self._levels = {Side.BUY: {}, Side.SELL: {}}  # ticks -> deque of order ids
-        self._ticks = {Side.BUY: [], Side.SELL: []}  # sorted ascending distinct ticks
+        self._levels = {BUY: {}, SELL: {}}  # ticks -> deque of order ids
+        self._ticks = {BUY: [], SELL: []}  # sorted ascending distinct ticks
         self._expiry: list[tuple[int, int]] = []  # (expires_at, order_id) min-heap
         self._next_id = 0
         self.self_trade_rejections = 0
@@ -76,11 +81,11 @@ class OrderBook:
     # -- quotes ------------------------------------------------------------
 
     def best_bid_ticks(self) -> int | None:
-        ticks = self._ticks[Side.BUY]
+        ticks = self._ticks[BUY]
         return ticks[-1] if ticks else None
 
     def best_ask_ticks(self) -> int | None:
-        ticks = self._ticks[Side.SELL]
+        ticks = self._ticks[SELL]
         return ticks[0] if ticks else None
 
     def best_bid(self) -> float | None:
@@ -103,52 +108,39 @@ class OrderBook:
         (None, None) means the intent was dropped because the only match
         candidate was the submitter's own resting order.
         """
-        if intent.ticks <= 0:
+        agent_id, side, ticks, _, horizon = intent
+        if ticks <= 0:
             raise ValueError("reservation price must be positive")
-        if intent.side == Side.BUY:
+        if side == BUY:
             best = self.best_ask_ticks()
-            crossing = best is not None and intent.ticks >= best
+            crossing = best is not None and ticks >= best
         else:
             best = self.best_bid_ticks()
-            crossing = best is not None and intent.ticks <= best
+            crossing = best is not None and ticks <= best
 
         if crossing:
-            opposite = Side.SELL if intent.side == Side.BUY else Side.BUY
-            queue = self._levels[opposite][best]
+            queue = self._levels[SELL if side == BUY else BUY][best]
             resting = self._orders[queue[0]]
-            if resting.agent_id == intent.agent_id and not self.allow_self_trades:
+            if resting.agent_id == agent_id and not self.allow_self_trades:
                 self.self_trade_rejections += 1
                 return None, None
             self._remove(resting.order_id)
-            if intent.side == Side.BUY:
-                buyer, seller = intent.agent_id, resting.agent_id
+            if side == BUY:
+                buyer, seller = agent_id, resting.agent_id
             else:
-                buyer, seller = resting.agent_id, intent.agent_id
-            trade = Trade(
-                step=t,
-                ticks=resting.ticks,
-                price=resting.ticks * self.tick_size,
-                buyer_id=buyer,
-                seller_id=seller,
-                aggressor=intent.side,
-            )
-            return trade, None
+                buyer, seller = resting.agent_id, agent_id
+            return Trade(t, best, best * self.tick_size, buyer, seller, side), None
 
-        order = LimitOrder(
-            order_id=self._next_id,
-            agent_id=intent.agent_id,
-            side=intent.side,
-            ticks=intent.ticks,
-            submitted_at=t,
-            expires_at=t + intent.horizon,
-        )
-        self._next_id += 1
-        self._orders[order.order_id] = order
-        level = self._levels[intent.side].setdefault(intent.ticks, deque())
+        order_id = self._next_id
+        self._next_id = order_id + 1
+        expires_at = t + horizon
+        order = LimitOrder(order_id, agent_id, side, ticks, t, expires_at)
+        self._orders[order_id] = order
+        level = self._levels[side].setdefault(ticks, deque())
         if not level:
-            bisect.insort(self._ticks[intent.side], intent.ticks)
-        level.append(order.order_id)
-        heapq.heappush(self._expiry, (order.expires_at, order.order_id))
+            bisect.insort(self._ticks[side], ticks)
+        level.append(order_id)
+        heapq.heappush(self._expiry, (expires_at, order_id))
         return None, order
 
     def expire(self, t: int) -> list[LimitOrder]:
@@ -165,7 +157,7 @@ class OrderBook:
     def purge_outside(self, lo: float, hi: float) -> list[LimitOrder]:
         """Remove resting orders priced outside [lo, hi] (currency units)."""
         removed = []
-        for side in (Side.BUY, Side.SELL):
+        for side in (BUY, SELL):
             bad = [
                 ticks
                 for ticks in self._ticks[side]
@@ -194,8 +186,8 @@ class OrderBook:
 
         A gap is the distance from a side's best level to the next one.
         """
-        bids = self._ticks[Side.BUY]
-        asks = self._ticks[Side.SELL]
+        bids = self._ticks[BUY]
+        asks = self._ticks[SELL]
         return (
             bids[-1] if bids else NO_TICK,
             asks[0] if asks else NO_TICK,
@@ -220,7 +212,7 @@ class OrderBook:
         cash = [0] * n_agents
         shares = [0] * n_agents
         for order in self._orders.values():
-            if order.side == Side.BUY:
+            if order.side == BUY:
                 cash[order.agent_id] += order.ticks
             else:
                 shares[order.agent_id] += 1
@@ -229,12 +221,12 @@ class OrderBook:
     def snapshot_levels(self) -> list[tuple[float, int]]:
         """(price, signed volume) rows, ask volumes negative, ascending price."""
         rows = [
-            (ticks * self.tick_size, len(self._levels[Side.BUY][ticks]))
-            for ticks in self._ticks[Side.BUY]
+            (ticks * self.tick_size, len(self._levels[BUY][ticks]))
+            for ticks in self._ticks[BUY]
         ]
         rows.extend(
-            (ticks * self.tick_size, -len(self._levels[Side.SELL][ticks]))
-            for ticks in self._ticks[Side.SELL]
+            (ticks * self.tick_size, -len(self._levels[SELL][ticks]))
+            for ticks in self._ticks[SELL]
         )
         rows.sort(key=lambda r: r[0])
         return rows

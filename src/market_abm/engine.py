@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .book import NO_TICK, OrderBook, OrderIntent, Side, Trade, current_price
+from .book import BUY, NO_TICK, OrderBook, OrderIntent, Trade, current_price
 from .config import SimConfig
 from .expectations import ExpectationParams, decide_order, draw_k, expected_price, rolling_sigma
 from .fundamental import fundamental_path
@@ -150,7 +150,7 @@ def enforce_budget(
     otherwise its own reservation. A sell needs one unencumbered share
     (short sales are forbidden).
     """
-    if intent.side == Side.BUY:
+    if intent.side == BUY:
         best_ask = book.best_ask_ticks()
         required = best_ask if (best_ask is not None and intent.ticks >= best_ask) else intent.ticks
         if available_cash_ticks < required:
@@ -244,7 +244,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     snapshots = {}
 
     def release(order) -> None:
-        if order.side == Side.BUY:
+        if order.side == BUY:
             committed_cash[order.agent_id] -= order.ticks
         else:
             committed_shares[order.agent_id] -= 1
@@ -324,11 +324,11 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             checked = enforce_budget(intent, book, cash[agent] - committed_cash[agent],
                                      shares[agent] - committed_shares[agent])
             if checked is None:
-                rejections["budget_buy" if intent.side == Side.BUY else "budget_sell"] += 1
+                rejections["budget_buy" if intent.side == BUY else "budget_sell"] += 1
             else:
                 trade, rested = book.submit(checked, t)
                 if trade is not None:
-                    if trade.aggressor == Side.BUY:
+                    if trade.aggressor == BUY:
                         committed_shares[trade.seller_id] -= 1
                     else:
                         committed_cash[trade.buyer_id] -= trade.ticks
@@ -336,7 +336,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                     trade_rows.extend(
                         (t, trade.ticks, trade.buyer_id, trade.seller_id, trade.aggressor))
                 elif rested is not None:
-                    if rested.side == Side.BUY:
+                    if rested.side == BUY:
                         committed_cash[agent] += rested.ticks
                     else:
                         committed_shares[agent] += 1

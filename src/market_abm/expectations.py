@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import OrderIntent, Side
+from .book import BUY, SELL, OrderIntent
 from .population import FUNDAMENTALIST, OPTIMIST, PESSIMIST
 
 
@@ -62,25 +62,31 @@ def expected_price(
     params: ExpectationParams,
     rng: np.random.Generator,
 ) -> float:
-    """Draw one price expectation for the given agent type; floored at one tick."""
+    """Draw one price expectation for the given agent type; floored at one tick.
+
+    A normal draw of scale s is taken as s * z: numpy's normal(0.0, s) is
+    0.0 + s * z from the same stream, which differs only in the sign of a
+    zero, and `1.0 + x` and `abs(x)` erase that.
+    """
     if p <= 0.0 or p_f <= 0.0:
         raise ValueError("prices must be > 0")
     if agent_type == FUNDAMENTALIST:
-        value = p_f * (1.0 + rng.normal(0.0, sigma_eps / params.gamma_f))
+        value = p_f * (1.0 + sigma_eps / params.gamma_f * rng.standard_normal())
     elif agent_type == OPTIMIST:
-        value = p + abs(rng.normal(0.0, sigma_tau / params.gamma_c))
+        value = p + abs(sigma_tau / params.gamma_c * rng.standard_normal())
     elif agent_type == PESSIMIST:
-        value = p - abs(rng.normal(0.0, sigma_tau / params.gamma_c))
+        value = p - abs(sigma_tau / params.gamma_c * rng.standard_normal())
     else:
         raise ValueError(f"unknown agent type {agent_type}")
     return max(value, params.tick)
 
 
 def draw_k(rng: np.random.Generator, scale: float) -> float:
-    """Exponential reservation offset with mean `scale`."""
+    """Exponential reservation offset with mean `scale`: scale * E, which is
+    how numpy's exponential(scale) draws it from the same stream."""
     if scale <= 0.0:
         raise ValueError("scale must be > 0")
-    return float(rng.exponential(scale))
+    return scale * rng.standard_exponential()
 
 
 def _snap(price: float, tick: float, round_up: bool) -> int:
@@ -110,15 +116,13 @@ def decide_order(
     if k < 0.0:
         raise ValueError("k must be >= 0")
     if expectation > p:
-        side = Side.BUY
+        side = BUY
         ticks = _snap(expectation * (1.0 - k), tick, round_up=False)
     elif expectation < p:
-        side = Side.SELL
+        side = SELL
         ticks = _snap(expectation * (1.0 + k), tick, round_up=True)
     else:
         return None
     if ticks <= 0:
         return None
-    return OrderIntent(
-        agent_id=agent_id, side=side, ticks=ticks, price=ticks * tick, horizon=horizon
-    )
+    return OrderIntent(agent_id, side, ticks, ticks * tick, horizon)

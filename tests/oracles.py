@@ -6,7 +6,11 @@ None of this is used by the library itself:
   define the on-disk run format byte for byte;
 - the switching signals U1 and U2 and the per-pair switching rates over a
   population's group counts, which the switching sweep computes inline;
-- a listing of a book's resting orders and an order's price in currency;
+- a naive order book that rescans a flat list of resting orders on every
+  operation, and a listing of a book's resting orders and an order's price
+  in currency;
+- the expectation and reservation-offset draws as `rng.normal` and
+  `rng.exponential` calls, which the library takes as scaled standard draws;
 - the step-by-step fundamental value process, which `fundamental_path`
   computes in one vectorised pass.
 """
@@ -16,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from market_abm.book import OrderBook, Side
+from market_abm.book import NO_TICK, OrderBook, Side
 from market_abm.engine import STEP_COLUMNS, TRADE_COLUMNS, StepRecords, TradeRecords
+from market_abm.expectations import ExpectationParams
 from market_abm.population import FUNDAMENTALIST, OPTIMIST, PESSIMIST, SwitchParams
 
 # ---------------------------------------------------------------------------
@@ -190,8 +195,82 @@ def transition_probability(
 
 
 # ---------------------------------------------------------------------------
-# book inspection
+# book reference and inspection
 # ---------------------------------------------------------------------------
+
+
+class NaiveBook:
+    """Reference book: a flat list of resting orders rescanned on every operation.
+
+    Each order is a row (side, ticks, submit_step, order_id, agent_id,
+    expires_at); ids count resting orders from 0, as `OrderBook` numbers them.
+    """
+
+    def __init__(self, allow_self_trades: bool = False):
+        self.allow_self_trades = allow_self_trades
+        self.orders = []
+        self.next_id = 0
+        self.self_trade_rejections = 0
+
+    def best(self, side):
+        rows = [o for o in self.orders if o[0] == side]
+        if not rows:
+            return None
+        if side == Side.BUY:
+            return max(rows, key=lambda o: (o[1], -o[2], -o[3]))
+        return min(rows, key=lambda o: (o[1], o[2], o[3]))
+
+    def submit(self, it, t):
+        """(ticks, buyer, seller) of the trade `it` makes, else None."""
+        opposite = Side.SELL if it.side == Side.BUY else Side.BUY
+        best = self.best(opposite)
+        crossing = best is not None and (
+            it.ticks >= best[1] if it.side == Side.BUY else it.ticks <= best[1]
+        )
+        if crossing:
+            if best[4] == it.agent_id and not self.allow_self_trades:
+                self.self_trade_rejections += 1
+                return None  # dropped
+            self.orders.remove(best)
+            if it.side == Side.BUY:
+                return (best[1], it.agent_id, best[4])
+            return (best[1], best[4], it.agent_id)
+        self.orders.append((it.side, it.ticks, t, self.next_id, it.agent_id, t + it.horizon))
+        self.next_id += 1
+        return None
+
+    def _drop(self, gone) -> list[int]:
+        """Remove the rows `gone` selects; their order ids, ascending."""
+        removed = sorted(o[3] for o in self.orders if gone(o))
+        self.orders = [o for o in self.orders if not gone(o)]
+        return removed
+
+    def expire(self, t) -> list[int]:
+        return self._drop(lambda o: o[5] <= t)
+
+    def purge_outside(self, lo, hi, tick_size) -> list[int]:
+        return self._drop(lambda o: o[1] * tick_size < lo or o[1] * tick_size > hi)
+
+    def quote_ticks(self):
+        """(best bid, best ask, bid gap, ask gap, depth), NO_TICK where absent."""
+        bids = sorted({o[1] for o in self.orders if o[0] == Side.BUY}, reverse=True)
+        asks = sorted({o[1] for o in self.orders if o[0] == Side.SELL})
+        return (
+            bids[0] if bids else NO_TICK,
+            asks[0] if asks else NO_TICK,
+            bids[0] - bids[1] if len(bids) > 1 else NO_TICK,
+            asks[1] - asks[0] if len(asks) > 1 else NO_TICK,
+            len(self.orders),
+        )
+
+    def pledges(self, n_agents):
+        cash, shares = [0] * n_agents, [0] * n_agents
+        for side, ticks, _, _, agent, _ in self.orders:
+            if side == Side.BUY:
+                cash[agent] += ticks
+            else:
+                shares[agent] += 1
+        return cash, shares
 
 
 def resting_orders(book: OrderBook) -> list:
@@ -201,6 +280,37 @@ def resting_orders(book: OrderBook) -> list:
 
 def order_price(order, tick_size: float) -> float:
     return order.ticks * tick_size
+
+
+# ---------------------------------------------------------------------------
+# expectation draws
+# ---------------------------------------------------------------------------
+
+
+def expected_price_reference(
+    agent_type: int,
+    p: float,
+    p_f: float,
+    sigma_tau: float,
+    sigma_eps: float,
+    params: ExpectationParams,
+    rng: np.random.Generator,
+) -> float:
+    """`expected_price` with its normal draws taken as rng.normal(0.0, scale)."""
+    if agent_type == FUNDAMENTALIST:
+        value = p_f * (1.0 + rng.normal(0.0, sigma_eps / params.gamma_f))
+    elif agent_type == OPTIMIST:
+        value = p + abs(rng.normal(0.0, sigma_tau / params.gamma_c))
+    elif agent_type == PESSIMIST:
+        value = p - abs(rng.normal(0.0, sigma_tau / params.gamma_c))
+    else:
+        raise ValueError(f"unknown agent type {agent_type}")
+    return max(value, params.tick)
+
+
+def draw_k_reference(rng: np.random.Generator, scale: float) -> float:
+    """`draw_k` as rng.exponential(scale)."""
+    return float(rng.exponential(scale))
 
 
 # ---------------------------------------------------------------------------

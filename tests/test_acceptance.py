@@ -27,6 +27,8 @@ from market_abm.config import SimConfig
 from market_abm.engine import run_seeds, run_simulation
 from market_abm.runio import write_steps_csv
 
+from oracles import NaiveBook
+
 DESK_SCALE = 0.1
 BIN_WIDTH = 0.05
 MIN_OBS = 100
@@ -271,44 +273,11 @@ def test_c6_extreme_event_rate_gaussian():
 # -- criterion 7: engine properties -------------------------------------------
 
 
-class _NaiveBook:
-    def __init__(self):
-        self.orders = []
-        self.next_id = 0
-
-    def best(self, side):
-        rows = [o for o in self.orders if o[0] == side]
-        if not rows:
-            return None
-        if side == Side.BUY:
-            return max(rows, key=lambda o: (o[1], -o[2], -o[3]))
-        return min(rows, key=lambda o: (o[1], o[2], o[3]))
-
-    def submit(self, it, t):
-        opposite = Side.SELL if it.side == Side.BUY else Side.BUY
-        best = self.best(opposite)
-        crossing = best is not None and (
-            it.ticks >= best[1] if it.side == Side.BUY else it.ticks <= best[1]
-        )
-        if crossing:
-            if best[4] == it.agent_id:
-                return None
-            self.orders.remove(best)
-            return (best[1], it.agent_id, best[4]) if it.side == Side.BUY \
-                else (best[1], best[4], it.agent_id)
-        self.orders.append((it.side, it.ticks, t, self.next_id, it.agent_id, t + it.horizon))
-        self.next_id += 1
-        return None
-
-    def expire(self, t):
-        self.orders = [o for o in self.orders if o[5] > t]
-
-
 def test_c7_book_matches_naive_reference():
     tick = 0.0005
     rng = np.random.default_rng(777)
     fast = OrderBook(tick)
-    naive = _NaiveBook()
+    naive = NaiveBook()
     trades = 0
     for t in range(1, 100_001):
         fast.expire(t)

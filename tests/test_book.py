@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from market_abm.book import NO_TICK, BookStats, OrderBook, OrderIntent, Side, current_price
+from market_abm.engine import check_escrow
 
-from oracles import order_price, resting_orders
+from oracles import NaiveBook, order_price, resting_orders
 
 TICK = 0.0005
 
@@ -17,42 +21,6 @@ def intent(agent, side, price, horizon=100):
 
 def make_book(allow_self_trades=False):
     return OrderBook(tick_size=TICK, allow_self_trades=allow_self_trades)
-
-
-class NaiveBook:
-    """Reference implementation: a flat list rescanned on every operation."""
-
-    def __init__(self):
-        self.orders = []  # (side, ticks, submit_step, order_id, agent_id, expires_at)
-        self.next_id = 0
-
-    def best(self, side):
-        rows = [o for o in self.orders if o[0] == side]
-        if not rows:
-            return None
-        if side == Side.BUY:
-            return max(rows, key=lambda o: (o[1], -o[2], -o[3]))
-        return min(rows, key=lambda o: (o[1], o[2], o[3]))
-
-    def submit(self, it, t, allow_self=False):
-        opposite = Side.SELL if it.side == Side.BUY else Side.BUY
-        best = self.best(opposite)
-        crossing = best is not None and (
-            it.ticks >= best[1] if it.side == Side.BUY else it.ticks <= best[1]
-        )
-        if crossing:
-            if best[4] == it.agent_id and not allow_self:
-                return None  # dropped
-            self.orders.remove(best)
-            if it.side == Side.BUY:
-                return (t, best[1], it.agent_id, best[4])
-            return (t, best[1], best[4], it.agent_id)
-        self.orders.append((it.side, it.ticks, t, self.next_id, it.agent_id, t + it.horizon))
-        self.next_id += 1
-        return None
-
-    def expire(self, t):
-        self.orders = [o for o in self.orders if o[5] > t]
 
 
 class TestQuotes:
@@ -305,7 +273,7 @@ def test_differential_against_naive_reference():
             assert ref is None
         else:
             assert ref is not None
-            step, ticks, buyer, seller = ref
+            ticks, buyer, seller = ref
             assert trade.ticks == ticks
             assert trade.buyer_id == buyer
             assert trade.seller_id == seller
@@ -316,3 +284,79 @@ def test_differential_against_naive_reference():
             assert fast.best_bid_ticks() == (nb[1] if nb else None)
             assert fast.best_ask_ticks() == (na[1] if na else None)
     assert mismatches == 0
+
+
+class BookAgainstNaive(RuleBasedStateMachine):
+    """Random submit, expire and purge sequences on the book and the naive
+    reference, with an escrow ledger kept the way the engine keeps it.
+
+    Few agents and few price levels make self-crosses, shared levels and
+    empty sides common. After every rule the quotes, the pledges and the
+    ledger must agree.
+    """
+
+    N_AGENTS = 4
+
+    @initialize(allow_self=st.booleans())
+    def start(self, allow_self):
+        self.book = make_book(allow_self_trades=allow_self)
+        self.naive = NaiveBook(allow_self_trades=allow_self)
+        self.t = 1
+        self.committed_cash = [0] * self.N_AGENTS
+        self.committed_shares = [0] * self.N_AGENTS
+
+    def release(self, order):
+        if order.side == Side.BUY:
+            self.committed_cash[order.agent_id] -= order.ticks
+        else:
+            self.committed_shares[order.agent_id] -= 1
+
+    @rule(agent=st.integers(0, N_AGENTS - 1), side=st.sampled_from(Side),
+          ticks=st.integers(1, 12), horizon=st.integers(1, 8))
+    def submit(self, agent, side, ticks, horizon):
+        it = OrderIntent(agent_id=agent, side=side, ticks=ticks, price=ticks * TICK,
+                         horizon=horizon)
+        trade, rested = self.book.submit(it, self.t)
+        ref = self.naive.submit(it, self.t)
+        assert (None if trade is None else (trade.ticks, trade.buyer_id, trade.seller_id)) == ref
+        if trade is not None:
+            assert (trade.step, trade.aggressor, trade.price) == (self.t, side, trade.ticks * TICK)
+            if trade.aggressor == Side.BUY:
+                self.committed_shares[trade.seller_id] -= 1
+            else:
+                self.committed_cash[trade.buyer_id] -= trade.ticks
+        elif rested is not None:
+            assert (rested.order_id, rested.expires_at) == (self.naive.next_id - 1,
+                                                            self.t + horizon)
+            if rested.side == Side.BUY:
+                self.committed_cash[agent] += rested.ticks
+            else:
+                self.committed_shares[agent] += 1
+
+    @rule(steps=st.integers(0, 4))
+    def expire(self, steps):
+        self.t += steps
+        removed = self.book.expire(self.t)
+        assert sorted(o.order_id for o in removed) == self.naive.expire(self.t)
+        for order in removed:
+            self.release(order)
+
+    @rule(lo=st.integers(0, 13), width=st.integers(0, 13))
+    def purge_outside(self, lo, width):
+        bounds = (lo * TICK, (lo + width) * TICK)
+        removed = self.book.purge_outside(*bounds)
+        assert sorted(o.order_id for o in removed) == self.naive.purge_outside(*bounds, TICK)
+        for order in removed:
+            self.release(order)
+
+    @invariant()
+    def agrees_with_naive(self):
+        assert self.book.quote_ticks() == self.naive.quote_ticks()
+        assert self.book.pledges(self.N_AGENTS) == self.naive.pledges(self.N_AGENTS)
+        assert self.book.self_trade_rejections == self.naive.self_trade_rejections
+        check_escrow(self.book, self.committed_cash, self.committed_shares)
+
+
+BookAgainstNaive.TestCase.settings = settings(max_examples=150, stateful_step_count=60,
+                                              deadline=None)
+TestBookAgainstNaive = BookAgainstNaive.TestCase

@@ -1,9 +1,12 @@
 """Tests for expectations, reservation offsets and order pricing."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from market_abm.book import Side
 from market_abm.expectations import (
@@ -14,6 +17,8 @@ from market_abm.expectations import (
     rolling_sigma,
 )
 from market_abm.population import FUNDAMENTALIST, OPTIMIST, PESSIMIST
+
+from oracles import draw_k_reference, expected_price_reference
 
 PARAMS = ExpectationParams()
 
@@ -60,7 +65,7 @@ class TestRollingSigma:
 class _ZeroNormal:
     """Stub generator whose normal draws are exactly zero."""
 
-    def normal(self, loc, scale):
+    def standard_normal(self):
         return 0.0
 
 
@@ -125,6 +130,33 @@ class TestDrawK:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             draw_k(np.random.default_rng(0), 0.0)
+
+
+def bits(value: float) -> bytes:
+    """The IEEE-754 bytes of a float: equal bits, including a zero's sign."""
+    return struct.pack("<d", value)
+
+
+# scales from zero and the smallest subnormal to the edge of overflow
+scales = st.sampled_from([0.0, 5e-324, 0.005, 1e300]) | st.floats(0.0, 1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sigma=scales, k_scale=scales.filter(lambda s: s > 0.0),
+       p=st.floats(1e-3, 1e6), p_f=st.floats(1e-3, 1e6))
+@example(seed=0, sigma=0.0, k_scale=5e-324, p=300.0, p_f=300.0)
+@example(seed=1, sigma=1e300, k_scale=1e300, p=300.0, p_f=300.0)
+def test_draws_are_bit_identical_to_numpy_normal_and_exponential(seed, sigma, k_scale, p, p_f):
+    """Each agent type's expectation and the reservation offset equal the
+    rng.normal(0.0, s) and rng.exponential(s) forms bit for bit, and leave
+    the generator in the same state."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for agent_type in (FUNDAMENTALIST, OPTIMIST, PESSIMIST):
+        got = expected_price(agent_type, p, p_f, sigma, sigma, PARAMS, rng)
+        want = expected_price_reference(agent_type, p, p_f, sigma, sigma, PARAMS, ref)
+        assert bits(got) == bits(want), agent_type
+    assert bits(draw_k(rng, k_scale)) == bits(draw_k_reference(ref, k_scale))
+    assert rng.integers(500) == ref.integers(500)
 
 
 class TestDecideOrder:
