@@ -70,11 +70,12 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     run = run_simulation(cfg, lob_snapshot_steps=args.lob_snapshot or ())
     elapsed = time.perf_counter() - started
+    # created only now, so a rejected run leaves no empty directory behind
+    out_root = Path(args.out)
+    out_root.mkdir(parents=True, exist_ok=True)
     write_run(out_root, run)
     if args.trace_fundamental:
         write_fundamental_trace(out_root / "fundamental.csv", run.records)

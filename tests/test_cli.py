@@ -101,6 +101,7 @@ class TestRunCommand:
         assert status == 1
         assert "error: lob snapshot steps outside 1..200: [0, 500]" in capsys.readouterr().err
         assert not list(out.glob("lob_*.csv"))
+        assert not out.exists()
 
     def test_bad_override_key_diagnostic(self, tmp_path, config_file, capsys):
         status = main(["run", "--config", str(config_file), "-O", "bogus=1",
