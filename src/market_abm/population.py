@@ -9,7 +9,7 @@ a herding term (group sizes) with the relative profitability of strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -152,6 +152,8 @@ def apply_switching(
     p, p_f, trend_f, trend_c = market
     if p <= 0.0 or p_f <= 0.0:
         raise ValueError("prices must be > 0")
+    if not (isfinite(trend_f) and isfinite(trend_c)):
+        raise ValueError("trends must be finite")
     v1, v2, big_r, alpha3 = params.v1, params.v2, params.big_r, params.alpha3
 
     # The signals. U1, herding plus the chartist trend, steers flows between

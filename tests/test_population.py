@@ -159,6 +159,19 @@ class TestApplySwitching:
         assert stats.switches == 0
         np.testing.assert_array_equal(pop.types, before)
 
+    @pytest.mark.parametrize("trend_f, trend_c", [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+    ])
+    def test_non_finite_trend_is_an_error(self, trend_f, trend_c):
+        # a NaN trend would make every threshold NaN, below which no draw
+        # falls, and silently freeze the population
+        pop = make_population(200, 200, 100)
+        before = pop.types.copy()
+        market = MarketView(p=300.0, p_f=300.0, trend_f=trend_f, trend_c=trend_c)
+        with pytest.raises(ValueError, match="trends must be finite"):
+            apply_switching(pop, market, PARAMS, 0.01, np.random.default_rng(0))
+        np.testing.assert_array_equal(pop.types, before)
+
     def test_switch_params_must_be_positive(self):
         with pytest.raises(ValueError):
             SwitchParams(v1=0.0)
