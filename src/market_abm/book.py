@@ -21,13 +21,12 @@ class Side(IntEnum):
     SELL = 1
 
 
-# Module-level aliases: reading a member off the enum class costs an
-# attribute lookup on every use, and the step loop uses them several times.
+# Bound once: reading a member off the enum class costs a lookup on every use.
 BUY, SELL = Side.BUY, Side.SELL
 
 
 # The order records are named tuples: immutable, built positionally on the
-# hot path, and read by field name everywhere else.
+# hot path, read by field name elsewhere.
 class OrderIntent(NamedTuple):
     agent_id: int
     side: Side
