@@ -123,6 +123,9 @@ def _run_seeds_to_dirs(
 
 
 def cmd_ensemble(args) -> int:
+    if args.seeds < 1:
+        print("--seeds must be >= 1", file=sys.stderr)
+        return 2
     cfg = _load_config(args)
     seeds = list(range(cfg.seed, cfg.seed + args.seeds))
     out_root = Path(args.out)

@@ -5,11 +5,12 @@ order of `engine.STEP_SCHEMA`), `trades.csv`, `manifest.json` (config echo,
 seed, totals, rejection counters) and optional `lob_<step>.csv` book
 snapshots with ask volumes negative.
 
-Every CSV is written by one helper that formats whole columns and writes
-`_BLOCK_ROWS` rows at a time: floats as `%.12g` with non-finite values left
-blank, flags as 0/1, integers as themselves. The loader parses `steps.csv`
-with `np.loadtxt`, reads its columns by header name and casts each to its
-schema dtype; blank fields load as NaN.
+Every CSV is written by one helper, `_BLOCK_ROWS` rows at a time. Each
+column of a block formats each of its distinct values once, from a table
+of that block alone (memory does not grow with the run): floats as `%.12g`
+with non-finite values left blank, flags as 0/1, integers as themselves.
+The loader parses `steps.csv` with `np.loadtxt`, reads its columns by header
+name and casts each to its schema dtype; blank fields load as NaN.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import hashlib
 import io
 import json
 import re
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +32,19 @@ _BLANK_FIELD = re.compile(r",(?=[,\n])")  # an empty field that is not a line's 
 
 
 def _fields(column: np.ndarray) -> list[str]:
-    """CSV fields of one column."""
-    values = column.tolist()
+    """CSV fields of one column, each distinct value formatted once. Floats are
+    keyed by their bits: `-0.0` stays "-0", and every NaN and ±inf is blank."""
     kind = column.dtype.kind
+    keys = column.view(f"i{column.itemsize}") if kind == "f" else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = distinct.view(column.dtype).tolist()
     if kind == "f":
-        fields = ["%.12g" % v for v in values]
-        for i in np.flatnonzero(~np.isfinite(column)).tolist():
-            fields[i] = ""
-        return fields
-    if kind == "b":
-        return ["1" if v else "0" for v in values]
-    return [str(v) for v in values]
+        table = ["%.12g" % v if isfinite(v) else "" for v in values]
+    elif kind == "b":
+        table = ["1" if v else "0" for v in values]
+    else:
+        table = [str(v) for v in values]
+    return np.array(table, dtype=object)[inverse].tolist()
 
 
 def _write_csv(path: Path, names, columns) -> None:

@@ -193,6 +193,14 @@ class TestEnsembleCommand:
                      "--out", str(tmp_path / "ens"), "--workers", "1"]) == 0
         assert len(made) == 3
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_is_a_usage_error(self, tmp_path, config_file, capsys, seeds):
+        out = tmp_path / "ens"
+        assert main(["ensemble", "--config", str(config_file), "--seeds", seeds,
+                     "--out", str(out)]) == 2
+        assert "--seeds must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runs_and_manifest(self, tmp_path, config_file):
         out = tmp_path / "ens"
         assert main(["ensemble", "--config", str(config_file), "--seeds", "3",

@@ -2,11 +2,13 @@
 
 `oracles.py` keeps the original row-at-a-time writers (one f-string and a
 `format(v, ".12g")` per field) and the `np.genfromtxt` loader. The library
-formats whole columns in blocks of `_BLOCK_ROWS` rows and parses with
-`np.loadtxt`; it must write the same bytes and load the same arrays, with
-the same dtypes.
+formats each distinct value of a block of `_BLOCK_ROWS` rows once and parses
+with `np.loadtxt`; it must write the same bytes and load the same arrays,
+with the same dtypes. The pooled tests draw every column from a few values,
+so that values repeat within a block and across block boundaries.
 """
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -30,6 +32,17 @@ SIZES = [0, 1, 2, B - 1, B, B + 1, 2 * B + 3]
 sizes = st.sampled_from(SIZES) | st.integers(0, 40)
 seeds = st.integers(0, 2**32 - 1)
 pools = st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8)
+
+# quiet and signalling NaNs of either sign, some with payload bits
+PAYLOAD_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                         0xFFF0000000000001, 0x7FF00000DEADBEEF],
+                        dtype=np.uint64).view(np.float64).tolist()
+float_pools = st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                       | st.sampled_from(SPECIAL + PAYLOAD_NANS), min_size=1, max_size=4)
+int_pools = st.lists(st.integers(-(2**40), 2**40) | st.sampled_from([0, 2**40, -(2**40)]),
+                     min_size=1, max_size=4)
+flag_pools = st.sampled_from([[False], [True], [False, True]])
+pooled_sizes = st.sampled_from([B - 1, B, B + 1, 2 * B + 3]) | st.integers(1, 40)
 
 
 def float_column(rng, n, pool):
@@ -60,6 +73,19 @@ def make_records(n, seed, pool) -> StepRecords:
         else:
             columns[name] = int_column(rng, n).astype(dtype)
     return StepRecords(**columns)
+
+
+def pooled(rng, n, pool, dtype) -> np.ndarray:
+    """`n` values that cycle through `pool` in a shuffled order: each pool value
+    appears once `n >= len(pool)`, and most of them repeat."""
+    return rng.permutation(np.resize(np.array(pool, dtype=dtype), n))
+
+
+def make_pooled_records(n, seed, floats, ints, flags) -> StepRecords:
+    rng = np.random.default_rng(seed)
+    pools = {"f": floats, "i": ints, "b": flags}
+    return StepRecords(**{name: pooled(rng, n, pools[np.dtype(dtype).kind], dtype)
+                          for name, dtype in STEP_SCHEMA})
 
 
 def assert_same_records(got: StepRecords, want: StepRecords) -> None:
@@ -125,3 +151,55 @@ def test_lob_snapshot_matches_oracle(tmp_path_factory, rows):
     write_lob_snapshot(tmp / "new.csv", rows)
     oracles.write_lob_snapshot(tmp / "old.csv", rows)
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=pooled_sizes, seed=seeds, floats=float_pools, ints=int_pools, flags=flag_pools)
+@example(n=6, seed=0, floats=[0.0, -0.0], ints=[0, 1], flags=[False, True])
+@example(n=B + 1, seed=1, floats=PAYLOAD_NANS, ints=[1], flags=[False])
+@example(n=9, seed=2, floats=[np.inf, -np.inf, 299.9995], ints=[-3, 3], flags=[False, True])
+@example(n=B, seed=3, floats=[299.9995], ints=[7], flags=[False])
+@example(n=2 * B + 3, seed=4, floats=[1e17, -1e-300], ints=[2**40, -(2**40), 0], flags=[True])
+def test_pooled_columns_match_oracles(tmp_path_factory, n, seed, floats, ints, flags):
+    tmp = tmp_path_factory.mktemp("pooled")
+    records = make_pooled_records(n, seed, floats, ints, flags)
+    write_steps_csv(tmp / "steps_new.csv", records)
+    oracles.write_steps_csv(tmp / "steps_old.csv", records)
+    assert (tmp / "steps_new.csv").read_bytes() == (tmp / "steps_old.csv").read_bytes()
+    assert_same_records(load_steps_csv(tmp / "steps_new.csv"),
+                        oracles.load_steps_csv(tmp / "steps_old.csv"))
+
+    rng = np.random.default_rng(seed)
+    trades = TradeRecords(
+        step=pooled(rng, n, ints, np.int64),
+        price=pooled(rng, n, floats, np.float64),
+        buyer_id=pooled(rng, n, ints, np.int64),
+        seller_id=pooled(rng, n, ints, np.int64),
+        aggressor=pooled(rng, n, [0, 1], np.int8),
+    )
+    write_trades_csv(tmp / "trades_new.csv", trades)
+    oracles.write_trades_csv(tmp / "trades_old.csv", trades)
+    assert (tmp / "trades_new.csv").read_bytes() == (tmp / "trades_old.csv").read_bytes()
+
+    rows = list(zip(records.price.tolist(), records.depth.tolist()))
+    write_lob_snapshot(tmp / "lob_new.csv", rows)
+    oracles.write_lob_snapshot(tmp / "lob_old.csv", rows)
+    assert (tmp / "lob_new.csv").read_bytes() == (tmp / "lob_old.csv").read_bytes()
+
+
+def write_peak(path, records: StepRecords) -> int:
+    """tracemalloc's peak, in bytes, while `write_steps_csv` writes `records`."""
+    tracemalloc.start()
+    try:
+        write_steps_csv(path, records)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_peak_does_not_grow_with_the_row_count(tmp_path):
+    """The writer holds one block's fields at a time: mostly distinct values
+    over 3 blocks peak within 1.5x of 1 block."""
+    one = write_peak(tmp_path / "one.csv", make_records(B, 5, [1.0]))
+    three = write_peak(tmp_path / "three.csv", make_records(3 * B, 5, [1.0]))
+    assert three <= 1.5 * one
