@@ -76,8 +76,8 @@ def make_records(n, seed, pool) -> StepRecords:
 
 
 def pooled(rng, n, pool, dtype) -> np.ndarray:
-    """`n` values that cycle through `pool` in a shuffled order: each pool value
-    appears once `n >= len(pool)`, and most of them repeat."""
+    """`n` values that cycle through `pool` in a shuffled order: every pool
+    value appears when `n >= len(pool)`, and most values repeat."""
     return rng.permutation(np.resize(np.array(pool, dtype=dtype), n))
 
 
