@@ -28,6 +28,10 @@ NE_THRESHOLD = 0.005
 # functioning market keeps 25+; the floor sits between the two clusters.
 DEPTH_FLOOR = 20.0
 EXTREME_SIGMAS = 4.0
+MIN_BOX = 10  # smallest DFA box; the largest is a quarter of the series
+N_BOXES = 20  # log-spaced DFA box sizes
+MIN_TAIL = 50  # fewest tail samples a power-law fit accepts
+LOW_CONFIDENCE_BELOW = 1000  # bins with fewer observations are flagged
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +48,7 @@ class DfaResult:
     span_decades: float
 
 
-def log_box_sizes(lo: int, hi: int, num: int = 20) -> np.ndarray:
+def log_box_sizes(lo: int, hi: int, num: int = N_BOXES) -> np.ndarray:
     """Unique integer box sizes, log-spaced in [lo, hi]."""
     if hi < lo:
         raise ValueError("box size range is empty")
@@ -52,12 +56,12 @@ def log_box_sizes(lo: int, hi: int, num: int = 20) -> np.ndarray:
     return grid[(grid >= lo) & (grid <= hi)]
 
 
-def fluctuation_function(series, box_sizes, order: int = 1) -> np.ndarray:
+def fluctuation_function(series, box_sizes) -> np.ndarray:
     """RMS fluctuation F(n) of the integrated, per-box-detrended series.
 
     The series is demeaned and integrated once; every complete box of size n
-    is detrended with a least-squares polynomial of the given order, and
-    F(n) is the root mean square of the residuals over the covered portion.
+    is detrended with a least-squares line (DFA1), and F(n) is the root mean
+    square of the residuals over the covered portion.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < 4:
@@ -72,7 +76,7 @@ def fluctuation_function(series, box_sizes, order: int = 1) -> np.ndarray:
             raise ValueError(f"box size {n} exceeds series length {len(y)}")
         seg = y[: nb * n].reshape(nb, n).T  # one column per box
         t = np.arange(n, dtype=float)
-        design = np.vander(t, order + 1)
+        design = np.vander(t, 2)
         coef, *_ = np.linalg.lstsq(design, seg, rcond=None)
         resid = seg - design @ coef
         out[idx] = math.sqrt(float(np.mean(resid * resid)))
@@ -92,7 +96,7 @@ def _fit_loglog_slope(sizes: np.ndarray, fluct: np.ndarray) -> tuple[float, floa
     return float(slope), stderr
 
 
-def dfa(series, order: int = 1, box_sizes=None, n_boxes: int = 20) -> DfaResult:
+def dfa(series, box_sizes=None) -> DfaResult:
     """Scaling exponent of F(n) ~ n^H via least squares on log-log axes.
 
     Default box sizes run from 10 to length/4, 20 log-spaced values. A
@@ -103,11 +107,11 @@ def dfa(series, order: int = 1, box_sizes=None, n_boxes: int = 20) -> DfaResult:
     if len(x) and np.all(x == x[0]):
         raise ValueError("constant series: fluctuation function is identically zero")
     if box_sizes is None:
-        box_sizes = log_box_sizes(10, max(len(x) // 4, 11), n_boxes)
+        box_sizes = log_box_sizes(MIN_BOX, max(len(x) // 4, MIN_BOX + 1))
     sizes = np.asarray(box_sizes, dtype=int)
     if len(x) < 4 * sizes.max():
         raise ValueError("series shorter than 4x the largest box size")
-    fluct = fluctuation_function(x, sizes, order=order)
+    fluct = fluctuation_function(x, sizes)
     keep = fluct > 0.0
     sizes, fluct = sizes[keep], fluct[keep]
     if len(sizes) < 2:
@@ -117,7 +121,7 @@ def dfa(series, order: int = 1, box_sizes=None, n_boxes: int = 20) -> DfaResult:
     return DfaResult(h=h, stderr=stderr, box_sizes=sizes, fluctuations=fluct, span_decades=span)
 
 
-def ensemble_dfa(series_list, order: int = 1, min_box: int = 10, n_boxes: int = 20):
+def ensemble_dfa(series_list):
     """Pool several realisations: average F(n)^2 per box size, fit one slope.
 
     Returns (pooled DfaResult, list of per-run H). Box sizes are pinned by
@@ -127,13 +131,13 @@ def ensemble_dfa(series_list, order: int = 1, min_box: int = 10, n_boxes: int = 
     if not series_list:
         raise ValueError("no series given")
     shortest = min(len(s) for s in series_list)
-    sizes = log_box_sizes(min_box, max(shortest // 4, min_box + 1), n_boxes)
+    sizes = log_box_sizes(MIN_BOX, max(shortest // 4, MIN_BOX + 1))
     if shortest < 4 * sizes.max():
         raise ValueError("shortest series is under 4x the largest box size")
     sq = np.zeros(len(sizes))
     per_run_h = []
     for s in series_list:
-        f = fluctuation_function(s, sizes, order=order)
+        f = fluctuation_function(s, sizes)
         sq += f * f
         per_run_h.append(_fit_loglog_slope(sizes, f)[0] if np.all(f > 0) else float("nan"))
     pooled = np.sqrt(sq / len(series_list))
@@ -156,7 +160,7 @@ class TailFit:
     stderr: float
 
 
-def fit_power_law(samples, x_min: float, min_tail: int = 50) -> TailFit:
+def fit_power_law(samples, x_min: float) -> TailFit:
     """Continuous maximum-likelihood exponent for samples >= x_min.
 
     alpha = 1 + n / sum(ln(x / x_min)), stderr = (alpha - 1) / sqrt(n).
@@ -164,8 +168,8 @@ def fit_power_law(samples, x_min: float, min_tail: int = 50) -> TailFit:
     x = np.asarray(samples, dtype=float)
     if x_min <= 0.0:
         raise ValueError("x_min must be > 0")
-    if x.size < min_tail:
-        raise ValueError(f"need at least {min_tail} tail samples, got {x.size}")
+    if x.size < MIN_TAIL:
+        raise ValueError(f"need at least {MIN_TAIL} tail samples, got {x.size}")
     if np.any(x < x_min):
         raise ValueError("all samples must be >= x_min")
     log_sum = float(np.sum(np.log(x / x_min)))
@@ -176,7 +180,7 @@ def fit_power_law(samples, x_min: float, min_tail: int = 50) -> TailFit:
                    stderr=(alpha - 1.0) / math.sqrt(x.size))
 
 
-def tail_fit_quantile(samples, quantile: float = 0.95, min_tail: int = 50) -> TailFit:
+def tail_fit_quantile(samples, quantile: float = 0.95) -> TailFit:
     """Fit the power-law tail above a fixed sample quantile (default: top 5%)."""
     x = np.asarray(samples, dtype=float)
     x = x[np.isfinite(x) & (x > 0.0)]
@@ -185,7 +189,7 @@ def tail_fit_quantile(samples, quantile: float = 0.95, min_tail: int = 50) -> Ta
     x_min = float(np.quantile(x, quantile))
     if x_min <= 0.0:
         raise ValueError("tail threshold is not positive")
-    return fit_power_law(x[x >= x_min], x_min, min_tail=min_tail)
+    return fit_power_law(x[x >= x_min], x_min)
 
 
 def ccdf(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +371,6 @@ def bin_by_pc(
     values: np.ndarray,
     depth: np.ndarray,
     bin_width: float = 0.01,
-    low_confidence_below: int = 1000,
     threshold: float | None = None,
 ) -> list[RegimeBin]:
     """Per-bin extreme-event rate, dispersion and mean book depth for one quantity.
@@ -421,28 +424,24 @@ def bin_by_pc(
                 sigma=float(sigma[b]) if count[b] else float("nan"),
                 mean=float(mean[b]) if count[b] else float("nan"),
                 mean_depth=float(mean_depth[b]),
-                low_confidence=count[b] < low_confidence_below,
+                low_confidence=count[b] < LOW_CONFIDENCE_BELOW,
             )
         )
     return bins
 
 
-def classify_regimes(
-    bins: list[RegimeBin],
-    ne_threshold: float = NE_THRESHOLD,
-    depth_floor: float = DEPTH_FLOOR,
-) -> list[RegimeBin]:
+def classify_regimes(bins: list[RegimeBin]) -> list[RegimeBin]:
     """Label bins from (extreme-event rate, book depth) alone.
 
-    An empty book marks collapse; otherwise extreme events above the
-    threshold mark the real-market-like state, and the remainder is
-    efficient-like.
+    A mean depth below `DEPTH_FLOOR` marks collapse; otherwise an
+    extreme-event rate above `NE_THRESHOLD` marks the real-market-like
+    state, and the remainder is efficient-like.
     """
     out = []
     for b in bins:
-        if math.isfinite(b.mean_depth) and b.mean_depth < depth_floor:
+        if math.isfinite(b.mean_depth) and b.mean_depth < DEPTH_FLOOR:
             label = MMC
-        elif b.ne > ne_threshold:
+        elif b.ne > NE_THRESHOLD:
             label = MRFM
         else:
             label = MEMH
@@ -450,24 +449,17 @@ def classify_regimes(
     return out
 
 
-@dataclass
-class RegimeSummary:
-    memh_end: float | None
-    mrfm_start: float | None
-    mmc_start: float | None
-
-
-def regime_boundaries(bins: list[RegimeBin], min_obs: int = 100) -> RegimeSummary:
+def regime_boundaries(bins: list[RegimeBin], min_obs: int) -> dict:
     """Onset of each state scanning upward over sufficiently populated bins."""
     confident = [b for b in bins if b.n_obs >= min_obs]
     mrfm = [b.center for b in confident if b.label == MRFM]
     mmc = [b.center for b in confident if b.label == MMC]
     memh = [b.center for b in confident if b.label == MEMH]
-    return RegimeSummary(
-        memh_end=max(memh) if memh else None,
-        mrfm_start=min(mrfm) if mrfm else None,
-        mmc_start=min(mmc) if mmc else None,
-    )
+    return {
+        "memh_end": max(memh) if memh else None,
+        "mrfm_start": min(mrfm) if mrfm else None,
+        "mmc_start": min(mmc) if mmc else None,
+    }
 
 
 def sigma_vs_pc(bins: list[RegimeBin], min_obs: int = 10) -> dict:
@@ -552,8 +544,6 @@ def analyze_bundles(
     xmin_quantile: float = 0.95,
     lags=(1, 4, 16, 64),
     min_obs: int = 100,
-    ne_threshold: float = NE_THRESHOLD,
-    depth_floor: float = DEPTH_FLOOR,
     burn_periods: int = 0,
 ) -> AnalysisReport:
     """Statistics report over reduced runs.
@@ -561,7 +551,8 @@ def analyze_bundles(
     `burn_periods` drops each run's initial periods from the temporal
     statistics (scaling exponents, kurtosis decay) so an artificial starting
     composition does not masquerade as market memory; distributional
-    statistics (tail fits, regime bins) keep the full record.
+    statistics (tail fits, regime bins) keep the full record. Each plot
+    curve is a dict keyed by its CSV column names.
     """
     if not bundles:
         raise ValueError("no runs given")
@@ -588,7 +579,7 @@ def analyze_bundles(
             "per_run_sd": float(np.std(finite)) if finite else None,
             "n_runs": len(series_list),
         }
-        plots["fn"][kind] = {"box_sizes": pooled.box_sizes, "fluctuations": pooled.fluctuations}
+        plots["fn"][kind] = {"box_size": pooled.box_sizes, "fluctuation": pooled.fluctuations}
 
     returns = np.concatenate([p["return"] for p in per_run])
     tail_samples = {
@@ -600,19 +591,13 @@ def analyze_bundles(
     tails: dict = {}
     for name, samples in tail_samples.items():
         try:
-            fit = tail_fit_quantile(samples, xmin_quantile)
-            tails[name] = {
-                "alpha": fit.alpha,
-                "x_min": fit.x_min,
-                "n_tail": fit.n_tail,
-                "stderr": fit.stderr,
-            }
+            tails[name] = dataclasses.asdict(tail_fit_quantile(samples, xmin_quantile))
         except ValueError as exc:
             tails[name] = {"error": str(exc)}
         finite = samples[np.isfinite(samples) & (samples > 0)]
         if finite.size:
             values, probs = ccdf(finite)
-            plots["ccdf"][name] = {"values": values, "probs": probs}
+            plots["ccdf"][name] = {"value": values, "prob": probs}
 
     pc_all = np.concatenate([p["pc"] for p in per_run])
     depth_all = np.concatenate([p["depth"] for p in per_run])
@@ -639,38 +624,22 @@ def analyze_bundles(
     for quantity in BIN_QUANTITIES:
         pc_q, values_q, depth_q = quantity_inputs[quantity]
         bins = bin_by_pc(pc_q, values_q, depth_q, bin_width, threshold=thresholds[quantity])
-        bins = classify_regimes(bins, ne_threshold=ne_threshold, depth_floor=depth_floor)
-        summary = regime_boundaries(bins, min_obs=min_obs)
+        bins = classify_regimes(bins)
         regimes[quantity] = {
-            "bins": [
-                {
-                    "lo": b.lo,
-                    "hi": b.hi,
-                    "n_obs": b.n_obs,
-                    "ne": b.ne,
-                    "sigma": b.sigma,
-                    "mean": b.mean,
-                    "mean_depth": b.mean_depth,
-                    "label": b.label,
-                    "low_confidence": b.low_confidence,
-                }
-                for b in bins
-            ],
-            "memh_end": summary.memh_end,
-            "mrfm_start": summary.mrfm_start,
-            "mmc_start": summary.mmc_start,
+            "bins": [dataclasses.asdict(b) for b in bins],
+            **regime_boundaries(bins, min_obs),
         }
         plots["ne_vs_pc"][quantity] = {
-            "centers": np.array([b.center for b in bins]),
+            "pc": np.array([b.center for b in bins]),
             "ne": np.array([b.ne for b in bins]),
             "mean_depth": np.array([b.mean_depth for b in bins]),
         }
         try:
             curve = sigma_vs_pc(bins, min_obs=min_obs)
-            above = curve["curve"][np.array([b.center for b in bins]) > curve["argmax_pc"]]
+            above = curve["curve"][curve["centers"] > curve["argmax_pc"]]
             drop = float(1.0 - np.nanmin(above)) if np.isfinite(above).any() else None
             sigma_peaks[quantity] = {"argmax_pc": curve["argmax_pc"], "drop_above_peak": drop}
-            plots["sigma_vs_pc"][quantity] = curve
+            plots["sigma_vs_pc"][quantity] = {"pc": curve["centers"], "sigma_norm": curve["curve"]}
         except ValueError as exc:
             sigma_peaks[quantity] = {"error": str(exc)}
 
@@ -707,8 +676,8 @@ def analyze_bundles(
         "steps_per_period": int(steps_per_period),
         "bin_width": bin_width,
         "xmin_quantile": xmin_quantile,
-        "ne_threshold": ne_threshold,
-        "depth_floor": depth_floor,
+        "ne_threshold": NE_THRESHOLD,
+        "depth_floor": DEPTH_FLOOR,
         "min_obs": min_obs,
         "burn_periods": burn,
     }

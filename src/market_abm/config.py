@@ -55,6 +55,8 @@ class SimConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be > 0")
+        if self.band >= 1.0:
+            raise ValueError("band must be < 1: a band of 1 or more has no lower price limit")
         if self.steps < 0 or self.init_shares < 0 or self.sigma_eps < 0:
             raise ValueError("steps, init_shares and sigma_eps must be >= 0")
         if abs(self.steps_per_period * self.dt - 1.0) > 1e-9:

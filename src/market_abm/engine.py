@@ -223,7 +223,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         v1=config.v1, v2=config.v2, alpha1=config.alpha1, alpha2=config.alpha2,
         alpha3=config.alpha3, big_r=config.big_r, s=config.s,
     )
-    eparams = ExpectationParams(config.gamma_f, config.gamma_c, k_scale, tick)
+    eparams = ExpectationParams(config.gamma_f, config.gamma_c, tick)
 
     # Per-step values go through memoryviews, which read and store Python
     # numbers faster than numpy indexing. The quote and gap columns hold tick

@@ -21,14 +21,13 @@ from .population import FUNDAMENTALIST, OPTIMIST, PESSIMIST
 class ExpectationParams:
     gamma_f: float = 1.0
     gamma_c: float = 0.1
-    k_scale: float = 0.1  # mean of the exponential reservation offset
     tick: float = 0.0005
 
     def __post_init__(self):
         if not (self.gamma_f > self.gamma_c > 0.0):
             raise ValueError("risk aversion must satisfy gamma_f > gamma_c > 0")
-        if self.tick <= 0.0 or self.k_scale <= 0.0:
-            raise ValueError("tick and k_scale must be > 0")
+        if self.tick <= 0.0:
+            raise ValueError("tick must be > 0")
 
 
 def rolling_sigma(price_history, tau: int, aligned: bool = False) -> float:

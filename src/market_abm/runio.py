@@ -55,6 +55,7 @@ def _write_csv(path: Path, names, columns) -> None:
         for start in range(0, n_rows, _BLOCK_ROWS):
             block = [_fields(c[start:start + _BLOCK_ROWS]) for c in columns]
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+            del block  # free this block's fields before the next is formatted
 
 
 def write_steps_csv(path: Path, records: StepRecords) -> None:
@@ -170,23 +171,15 @@ def _jsonable(obj):
     return obj
 
 
-# plot kind -> (CSV header, keys of the plot's data); files are `<kind>_<name>.csv`
-_PLOT_COLUMNS = {
-    "fn": (["box_size", "fluctuation"], ["box_sizes", "fluctuations"]),
-    "ccdf": (["value", "prob"], ["values", "probs"]),
-    "sigma_vs_pc": (["pc", "sigma_norm"], ["centers", "curve"]),
-    "ne_vs_pc": (["pc", "ne", "mean_depth"], ["centers", "ne", "mean_depth"]),
-}
-
-
 def write_analysis(out_dir: Path, report) -> None:
-    """analysis.json plus plot-ready CSV files for every exported curve."""
+    """analysis.json plus one plot-ready CSV, `<kind>_<name>.csv`, per curve
+    in `report.plots[kind][name]`; the curve's keys are the column names."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "analysis.json", "w") as fh:
         json.dump(_jsonable(report.tables()), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for kind, (header, keys) in _PLOT_COLUMNS.items():
-        for name, data in report.plots.get(kind, {}).items():
-            _write_csv(out_dir / f"{kind}_{name}.csv", header,
-                       [np.asarray(data[key], dtype=float) for key in keys])
+    for kind, curves in report.plots.items():
+        for name, data in curves.items():
+            _write_csv(out_dir / f"{kind}_{name}.csv", list(data),
+                       [np.asarray(column, dtype=float) for column in data.values()])

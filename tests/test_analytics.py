@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from market_abm.analytics import (
+    DEPTH_FLOOR,
     MEMH,
     MMC,
     MRFM,
+    NE_THRESHOLD,
     RegimeBin,
     aggregational_gaussianity,
     analyze_bundles,
@@ -258,6 +260,27 @@ class TestClassifyRegimes:
         forward = [b.label for b in classify_regimes(raw)]
         backward = [b.label for b in classify_regimes(raw[::-1])]
         assert forward == backward[::-1]
+
+    def test_ne_at_the_threshold_is_memh(self):
+        at, above = classify_regimes([
+            make_bin(0.3, NE_THRESHOLD, 200.0),
+            make_bin(0.4, math.nextafter(NE_THRESHOLD, 1.0), 200.0),
+        ])
+        assert (at.label, above.label) == (MEMH, MRFM)
+
+    def test_depth_at_the_floor_is_not_mmc(self):
+        at, below = classify_regimes([
+            make_bin(0.8, 0.0, DEPTH_FLOOR),
+            make_bin(0.9, 0.0, math.nextafter(DEPTH_FLOOR, 0.0)),
+        ])
+        assert (at.label, below.label) == (MEMH, MMC)
+
+    def test_nan_depth_is_never_mmc(self):
+        quiet, eventful = classify_regimes([
+            make_bin(0.98, 0.0, float("nan")),
+            make_bin(0.99, 0.5, float("nan")),
+        ])
+        assert (quiet.label, eventful.label) == (MEMH, MRFM)
 
 
 class TestSigmaVsPc:

@@ -53,6 +53,13 @@ class TestConfigFormat:
         with pytest.raises(ValueError):
             load_config(path)
 
+    def test_band_of_one_rejected(self):
+        # a band of 1 puts the lower price limit at 0; prices then sink to a
+        # few ticks and the switching rates overflow mid-run
+        with pytest.raises(ValueError, match="band"):
+            SimConfig(band=1.0).validate()
+        SimConfig(band=0.9).validate()
+
 
 class TestRunCommand:
     def test_missing_config_names_path(self, tmp_path, capsys):
@@ -101,6 +108,19 @@ class TestRunCommand:
         assert status == 1
         assert "error: lob snapshot steps outside 1..200: [0, 500]" in capsys.readouterr().err
         assert not list(out.glob("lob_*.csv"))
+        assert not out.exists()
+
+    def test_arithmetic_error_is_reported_without_a_traceback(
+        self, tmp_path, config_file, monkeypatch, capsys
+    ):
+        def overflow(config, lob_snapshot_steps=()):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "run_simulation", overflow)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: math range error\n"
         assert not out.exists()
 
     def test_bad_override_key_diagnostic(self, tmp_path, config_file, capsys):
