@@ -358,9 +358,8 @@ class RegimeBin:
 def bin_indices(pc: np.ndarray, bin_width: float) -> tuple[np.ndarray, int]:
     """Map chartist fractions to bin ids; edges are right-exclusive and the
     top of the last bin is inclusive so pc = 1.0 lands in it. A small slack
-    keeps fractions that are decimal multiples of the width on their edge."""
-    if not 0.0 < bin_width <= 1.0:
-        raise ValueError("bin_width must be in (0, 1]")
+    keeps fractions that are decimal multiples of the width on their edge;
+    `check_analysis_options` bounds the width."""
     n_bins = int(math.ceil(round(1.0 / bin_width, 9)))
     idx = np.floor(pc / bin_width + 1e-9).astype(int)
     return np.clip(idx, 0, n_bins - 1), n_bins
@@ -537,6 +536,24 @@ def _pooled_kurtosis(parts: list[np.ndarray]) -> float | None:
         return None
 
 
+def check_analysis_options(n_periods: int, bin_width: float, xmin_quantile: float = 0.95,
+                           min_obs: int = 100, burn_periods: int = 0) -> None:
+    """Reject options no report can be built with, given the fewest trading
+    periods of any run, so that a caller can check them before any run exists."""
+    if not 0.0 < bin_width <= 1.0:
+        raise ValueError("bin_width must be in (0, 1]")
+    if not 0.0 < xmin_quantile < 1.0:
+        raise ValueError("xmin_quantile must be in (0, 1)")
+    if min_obs < 1:
+        raise ValueError("min_obs must be >= 1")
+    if burn_periods < 0:
+        raise ValueError("burn_periods must be >= 0")
+    if n_periods < 2:
+        raise ValueError("need at least two full trading periods")
+    if burn_periods and n_periods <= burn_periods + 16:
+        raise ValueError("burn_periods leaves too little data")
+
+
 def analyze_bundles(
     bundles: list[RunBundle],
     steps_per_period: int,
@@ -557,9 +574,9 @@ def analyze_bundles(
     if not bundles:
         raise ValueError("no runs given")
     per_run = [b.period for b in bundles]
-    burn = max(0, int(burn_periods))
-    if burn and any(len(p["close"]) <= burn + 16 for p in per_run):
-        raise ValueError("burn_periods leaves too little data")
+    burn = int(burn_periods)
+    check_analysis_options(min(len(p["close"]) for p in per_run), bin_width, xmin_quantile,
+                           min_obs, burn)
 
     hurst: dict = {}
     plots: dict = {"fn": {}, "ccdf": {}, "sigma_vs_pc": {}, "ne_vs_pc": {}}

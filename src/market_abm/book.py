@@ -231,18 +231,19 @@ class OrderBook:
         return rows
 
 
-def current_price(book: OrderBook, last_trade: Trade | None, previous_price: float) -> float:
+def current_price(last_trade: Trade | None, bid: int, ask: int, tick_size: float,
+                  previous_price: float) -> float:
     """Price proxy for one step: trade price, else mid-quote, else last price.
 
-    The mid-quote needs both sides; a one-sided or empty book keeps the
-    previously traded or quoted price.
+    `bid` and `ask` are the book's best quotes after the step, in ticks,
+    NO_TICK where absent (as `quote_ticks` reads them). The mid-quote needs
+    both sides; a one-sided or empty book keeps the previously traded or
+    quoted price.
     """
     if previous_price <= 0.0:
         raise ValueError("previous_price must be > 0")
     if last_trade is not None:
         return last_trade.price
-    bid = book.best_bid_ticks()
-    ask = book.best_ask_ticks()
-    if bid is not None and ask is not None:
-        return (bid + ask) * book.tick_size / 2.0
+    if bid and ask:
+        return (bid + ask) * tick_size / 2.0
     return previous_price

@@ -188,7 +188,7 @@ def experiment_seeds(scale: float, first_seed: int = 0) -> list[int]:
 
 
 def cmd_reproduce_paper(args) -> int:
-    from .analytics import analyze_bundles, reduce_run
+    from .analytics import analyze_bundles, check_analysis_options, reduce_run
 
     scale = args.scale
     if scale <= 0:
@@ -196,6 +196,8 @@ def cmd_reproduce_paper(args) -> int:
         return 2
     overrides = parse_overrides(args.override or [])
     cfg = experiment_config(scale, args.homogeneous, overrides)
+    check_analysis_options(cfg.steps // cfg.steps_per_period, bin_width=args.bin_width,
+                           burn_periods=args.burn_periods)
     seeds = experiment_seeds(scale, cfg.seed)
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)

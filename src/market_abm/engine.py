@@ -28,12 +28,7 @@ from .config import SimConfig
 from .expectations import ExpectationParams, decide_order, draw_k, expected_price, rolling_sigma
 from .fundamental import fundamental_path
 from .population import (
-    FUNDAMENTALIST,
-    MarketView,
-    Population,
-    SwitchParams,
-    apply_switching,
-    average_price_trend,
+    FUNDAMENTALIST, Population, SwitchParams, apply_switching, average_price_trend,
 )
 
 _BAND_EPS = 1e-12  # relative slack so exact boundary prices stay inside the band
@@ -249,21 +244,23 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         else:
             committed_shares[order.agent_id] -= 1
 
-    types = pop.types  # apply_switching moves agents in place
+    kinds = memoryview(pop.types)  # apply_switching moves agents in place
     n_f, n_plus, n_minus = pop.counts()
     rec.n_plus[:] = n_plus
     rec.n_minus[:] = n_minus
     n_plus_at, n_minus_at = memoryview(rec.n_plus), memoryview(rec.n_minus)
-    # All-agents sweeps take their uniforms from blocks of sweeps drawn at
-    # once; rng.random(n * k) yields the same stream as k calls of
-    # rng.random(n). Per-trade sweeps interleave an integer draw, so they
-    # draw their own.
+    # All-agents sweeps read their uniforms at a row offset in a flat block
+    # of sweeps drawn at once; rng.random(n * k) yields the same stream as k
+    # calls of rng.random(n). Per-trade sweeps interleave an integer draw, so
+    # they draw their own.
     per_trade = config.switch_mode == "per_trade"
-    block_steps = max(1, _DRAW_BLOCK_DOUBLES // n_agents)
-    draws = None
+    block_size = max(1, _DRAW_BLOCK_DOUBLES // n_agents) * n_agents
+    offset = block_size - n_agents  # so that the first all-agents sweep draws a block
+    draws = only = None
 
     switching = config.switching_enabled
     chartist_u2 = config.u2_trend_horizon == "chartist"
+    sigma_aligned = config.sigma_window_aligned
     band = config.band
     lo, hi = circuit_breaker(config.p0, band)
     p_prev = float(price[0])  # price[t - 1]; a Python float computes the same values faster
@@ -278,36 +275,32 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             release(order)
 
         if switching:
-            history = price_at[:t]  # a memoryview: the trends read Python floats
-            trend_c = average_price_trend(history, horizon_c, dt)
-            trend_f = trend_c if chartist_u2 else average_price_trend(history, horizon_f, dt)
-            market = MarketView(p_prev, fv_at[t - 1], trend_f, trend_c)
+            trend_c = average_price_trend(price_at, t, horizon_c, dt)
+            trend_f = trend_c if chartist_u2 else average_price_trend(price_at, t, horizon_f, dt)
             if per_trade:
-                only = [int(rng_switch.integers(n_agents))]
-                uniforms = None
+                only = int(rng_switch.integers(n_agents))
+                draws, offset = memoryview(rng_switch.random(n_agents)), 0
             else:
-                only = None
-                row = (t - 1) % block_steps
-                if row == 0:
-                    draws = rng_switch.random(n_agents * block_steps).reshape(block_steps, n_agents)
-                uniforms = draws[row]
-            stats = apply_switching(pop, market, sparams, dt, rng_switch, only,
-                                    (n_f, n_plus, n_minus), uniforms)
-            clamp_events += stats.clamped
-            switch_count += stats.switches
-            n_f, n_plus, n_minus = stats.counts
+                offset += n_agents
+                if offset == block_size:
+                    draws, offset = memoryview(rng_switch.random(block_size)), 0
+            switches, clamped, (n_f, n_plus, n_minus) = apply_switching(
+                kinds, n_f, n_plus, n_minus, p_prev, fv_at[t - 1], trend_f, trend_c,
+                sparams, dt, draws, offset, only)
+            clamp_events += clamped
+            switch_count += switches
             n_plus_at[t - 1] = n_plus
             n_minus_at[t - 1] = n_minus
 
         p_f_now = fv_at[t]
 
         agent = int(rng_trade.integers(n_agents))
-        agent_type = int(types[agent])
+        agent_type = kinds[agent]
         if agent_type == FUNDAMENTALIST:
             sigma_tau = 0.0
             horizon = horizon_f
         else:
-            sigma_tau = rolling_sigma(price[:t], horizon_c, config.sigma_window_aligned)
+            sigma_tau = rolling_sigma(price, t, horizon_c, sigma_aligned)
             horizon = horizon_c
         expectation = expected_price(
             agent_type, p_prev, p_f_now, sigma_tau, sigma_eps, eparams, rng_trade
@@ -342,12 +335,12 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                         committed_shares[agent] += 1
                 # both None: submit rejected a self-cross; counted by the book
 
-        p_now = current_price(book, trade, p_prev)
+        bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
+        p_now = current_price(trade, bid, ask, tick_size, p_prev)
         if not math.isfinite(p_now) or p_now <= 0.0:
             raise FloatingPointError(f"non-finite or non-positive price at step {t}: {p_now!r}")
         price_at[t] = p_now
 
-        bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
         i = t - 1
         bid_at[i] = bid
         ask_at[i] = ask

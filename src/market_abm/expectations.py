@@ -30,26 +30,26 @@ class ExpectationParams:
             raise ValueError("tick must be > 0")
 
 
-def rolling_sigma(price_history, tau: int, aligned: bool = False) -> float:
-    """Trailing price dispersion over a window of tau steps.
+def rolling_sigma(price, t: int, tau: int, aligned: bool = False) -> float:
+    """Trailing dispersion of the prices before step t, price[0..t-1], over
+    a window of tau steps.
 
     As specified, the deviation window ends one step after the window that
     sets the mean, and the squared deviations carry a sqrt(tau)/tau weight.
     `aligned=True` evaluates the variant with both windows coincident, kept
-    for sensitivity runs.
+    for sensitivity runs. A shorter history shrinks the window, and fewer
+    than two prices give 0.
     """
-    n = len(price_history)
-    if n < 2:
+    if t < 2:
         return 0.0
-    t = min(tau, n - 1)
-    prices = np.asarray(price_history, dtype=float)
-    window = prices[n - t : n]
+    w = tau if tau < t else t - 1
+    window = price[t - w : t]
     # np.add.reduce is the pairwise sum np.mean and np.sum use, so the
     # result is bit-identical to theirs without their wrapper cost
-    mean = np.add.reduce(window if aligned else prices[n - t - 1 : n - 1]) / t
+    mean = np.add.reduce(window if aligned else price[t - w - 1 : t - 1]) / w
     dev = window - mean
-    var = float(np.add.reduce(dev * dev)) * math.sqrt(t) / t
-    return math.sqrt(var)
+    dev *= dev
+    return math.sqrt(float(np.add.reduce(dev)) * math.sqrt(w) / w)
 
 
 def expected_price(

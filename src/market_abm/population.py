@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, isfinite
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,34 +38,17 @@ class SwitchParams:
                 raise ValueError(f"switch parameter {name} must be > 0")
 
 
-class MarketView(NamedTuple):
-    """Per-step market context consumed by the switching rules (a tuple,
-    because the engine builds one every step)."""
+def average_price_trend(price, t: int, horizon: int, dt: float) -> float:
+    """Mean one-step price change per unit time over the trailing window of
+    the prices before step t, price[0..t-1].
 
-    p: float
-    p_f: float
-    trend_f: float  # average price trend over the fundamentalist horizon
-    trend_c: float  # average price trend over the chartist horizon
-
-
-@dataclass(slots=True)
-class SwitchStats:
-    switches: int = 0
-    clamped: int = 0
-    counts: tuple[int, int, int] = (0, 0, 0)  # (n_f, n_plus, n_minus) after the sweep
-
-
-def average_price_trend(price_history, horizon: int, dt: float) -> float:
-    """Mean one-step price change per unit time over the trailing window.
-
-    Telescopes to (p_last - p_first) / (h * dt); a shorter history shrinks
-    the window, and fewer than two prices give 0 (cold start).
+    Telescopes to (price[t-1] - price[t-1-h]) / (h * dt); a shorter history
+    shrinks the window, and fewer than two prices give 0 (cold start).
     """
-    n = len(price_history)
-    if n < 2 or horizon < 1:
+    if t < 2 or horizon < 1:
         return 0.0
-    h = min(horizon, n - 1)
-    return (price_history[-1] - price_history[-1 - h]) / (h * dt)
+    h = horizon if horizon < t else t - 1
+    return (price[t - 1] - price[t - 1 - h]) / (h * dt)
 
 
 class Population:
@@ -114,15 +96,20 @@ class Population:
 
 
 def apply_switching(
-    pop: Population,
-    market: MarketView,
+    kinds: memoryview,
+    n_f: int,
+    n_plus: int,
+    n_minus: int,
+    p: float,
+    p_f: float,
+    trend_f: float,
+    trend_c: float,
     params: SwitchParams,
     dt: float,
-    rng: np.random.Generator,
-    only=None,
-    counts: tuple[int, int, int] | None = None,
-    uniforms: np.ndarray | None = None,
-) -> SwitchStats:
+    draws: memoryview,
+    offset: int,
+    only: int | None = None,
+) -> tuple[int, int, tuple[int, int, int]]:
     """One synchronous switching sweep over the whole population.
 
     Counts and signals are frozen at entry, one uniform draw decides each
@@ -130,26 +117,20 @@ def apply_switching(
     interval in a fixed order (chartists: other camp first, then
     fundamentalist; fundamentalists: optimist first, then pessimist).
     Opinion groups below MIN_GROUP_FRACTION of the population cannot be left.
-    `only` restricts the sweep to the given agent ids (the per-trade variant);
-    the draw stream is consumed identically either way.
 
-    `counts` is the caller's (n_f, n_plus, n_minus) of `pop.types`, counted
-    here when not given. `uniforms` holds this sweep's n draws, taken from
-    `rng` when not given, so a caller may draw several sweeps at once.
-    Moves are written into `pop.types` in place; the stats carry the counts
-    after the sweep.
+    `kinds` views the int8 type codes, (n_f, n_plus, n_minus) counts them,
+    and moves are written into it in place. `draws` views a flat float64
+    buffer of uniforms, of which agent i reads draws[offset + i], so that
+    one buffer serves several sweeps. `only` is the one agent that may move
+    (the per-trade variant); it reads its own draw of the sweep's n.
+    Returns (switches, clamp events, counts after the sweep).
     """
-    if counts is None:
-        counts = pop.counts()
-    n_f, n_plus, n_minus = counts
-    types = pop.types
-    n = len(types)
+    n = len(kinds)
     if n == 0:
-        return SwitchStats(counts=tuple(counts))
+        return 0, 0, (n_f, n_plus, n_minus)
 
     n_c = n_plus + n_minus
     x = (n_plus - n_minus) / n_c if n_c else 0.0
-    p, p_f, trend_f, trend_c = market
     if p <= 0.0 or p_f <= 0.0:
         raise ValueError("prices must be > 0")
     if not (isfinite(trend_f) and isfinite(trend_c)):
@@ -210,29 +191,31 @@ def apply_switching(
         (OPTIMIST, FUNDAMENTALIST, p_to_o, reach_minus),
     )
 
-    u = rng.random(n) if uniforms is None else uniforms
-    hit = u < max(reach_f, reach_plus, reach_minus)
-    if only is not None:
-        allowed = np.zeros(n, dtype=bool)
-        allowed[np.asarray(only, dtype=int)] = True
-        hit &= allowed
-    candidates = hit.nonzero()[0].tolist()
+    # Python's max(reach_f, reach_plus, reach_minus), NaN handling included:
+    # no draw at or above it can move an agent
+    reach_max = reach_plus if reach_plus > reach_f else reach_f
+    reach_max = reach_minus if reach_minus > reach_max else reach_max
+    if only is None:
+        # draws.obj is the array under the view: one vector test finds the
+        # few agents whose draw can move them
+        candidates = (draws.obj[offset : offset + n] < reach_max).nonzero()[0].tolist()
+    else:
+        candidates = (only,) if draws[offset + only] < reach_max else ()
     if not candidates:
-        return SwitchStats(0, clamped, tuple(counts))
+        return 0, clamped, (n_f, n_plus, n_minus)
 
     # each candidate's kind is read before its own move is written and no
     # agent moves twice, so decisions use entry types
-    kind_at, draw_at = memoryview(types), memoryview(u)
     sizes = [n_f, n_plus, n_minus]
     switches = 0
     for i in candidates:
-        kind = kind_at[i]
+        kind = kinds[i]
         first, second, p1, reach = rules[kind]
-        draw = draw_at[i]
+        draw = draws[offset + i]
         if draw < reach:
             target = first if draw < p1 else second
-            kind_at[i] = target
+            kinds[i] = target
             sizes[kind] -= 1
             sizes[target] += 1
             switches += 1
-    return SwitchStats(switches, clamped, tuple(sizes))
+    return switches, clamped, (sizes[0], sizes[1], sizes[2])

@@ -6,6 +6,11 @@ None of this is used by the library itself:
   define the on-disk run format byte for byte;
 - the switching signals U1 and U2 and the per-pair switching rates over a
   population's group counts, which the switching sweep computes inline;
+- the step helpers as they read a history slice and the book (the price
+  trend, the price dispersion and the price proxy), which the library now
+  reads from the price buffer at a step index and from the step's quotes;
+- `switch_sweep`, the switching sweep over a population and a market view,
+  which adapts tests to the flat `apply_switching` kernel;
 - a naive order book that rescans a flat list of resting orders on every
   operation, and a listing of a book's resting orders and an order's price
   in currency;
@@ -17,13 +22,21 @@ None of this is used by the library itself:
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from market_abm.book import NO_TICK, OrderBook, Side
 from market_abm.engine import STEP_COLUMNS, TRADE_COLUMNS, StepRecords, TradeRecords
 from market_abm.expectations import ExpectationParams
-from market_abm.population import FUNDAMENTALIST, OPTIMIST, PESSIMIST, SwitchParams
+from market_abm.population import (
+    FUNDAMENTALIST,
+    OPTIMIST,
+    PESSIMIST,
+    Population,
+    SwitchParams,
+    apply_switching,
+)
 
 # ---------------------------------------------------------------------------
 # run I/O
@@ -192,6 +205,96 @@ def transition_probability(
         raise ValueError("dt must be > 0")
     prob = transition_rate(from_type, to_type, counts, u, params) * dt
     return min(max(prob, 0.0), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# step helpers over a history slice, and the sweep over a market view
+# ---------------------------------------------------------------------------
+
+
+def average_price_trend_reference(price_history, horizon: int, dt: float) -> float:
+    """The price trend over the trailing window of a history slice."""
+    n = len(price_history)
+    if n < 2 or horizon < 1:
+        return 0.0
+    h = min(horizon, n - 1)
+    return (price_history[-1] - price_history[-1 - h]) / (h * dt)
+
+
+def rolling_sigma_reference(price_history, tau: int, aligned: bool = False) -> float:
+    """The price dispersion over the trailing windows of a history slice."""
+    n = len(price_history)
+    if n < 2:
+        return 0.0
+    t = min(tau, n - 1)
+    prices = np.asarray(price_history, dtype=float)
+    window = prices[n - t : n]
+    mean = np.add.reduce(window if aligned else prices[n - t - 1 : n - 1]) / t
+    dev = window - mean
+    var = float(np.add.reduce(dev * dev)) * math.sqrt(t) / t
+    return math.sqrt(var)
+
+
+def current_price_reference(book: OrderBook, last_trade, previous_price: float) -> float:
+    """The price proxy read from the book's best quotes."""
+    if previous_price <= 0.0:
+        raise ValueError("previous_price must be > 0")
+    if last_trade is not None:
+        return last_trade.price
+    bid = book.best_bid_ticks()
+    ask = book.best_ask_ticks()
+    if bid is not None and ask is not None:
+        return (bid + ask) * book.tick_size / 2.0
+    return previous_price
+
+
+class MarketView(NamedTuple):
+    """Per-step market context consumed by the switching rules."""
+
+    p: float
+    p_f: float
+    trend_f: float  # average price trend over the fundamentalist horizon
+    trend_c: float  # average price trend over the chartist horizon
+
+
+@dataclass
+class SwitchStats:
+    switches: int = 0
+    clamped: int = 0
+    counts: tuple[int, int, int] = (0, 0, 0)  # (n_f, n_plus, n_minus) after the sweep
+
+
+def switch_sweep(
+    pop: Population,
+    market: MarketView,
+    params: SwitchParams,
+    dt: float,
+    rng: np.random.Generator,
+    only=None,
+    counts: tuple[int, int, int] | None = None,
+    uniforms: np.ndarray | None = None,
+) -> SwitchStats:
+    """One sweep of `apply_switching` over `pop.types`, moved in place.
+
+    `counts` are counted and the n `uniforms` drawn from `rng` when not
+    given. `only` lists the agents that may move: one agent goes through
+    the kernel's per-trade variant; any other list hides every other
+    agent's draw behind +inf, above every reach, in an all-agents sweep.
+    """
+    n_f, n_plus, n_minus = pop.counts() if counts is None else counts
+    n = len(pop.types)
+    u = np.asarray(rng.random(n) if uniforms is None else uniforms, dtype=float)
+    agent = None
+    if only is not None:
+        allowed = sorted({int(i) for i in only})
+        if len(allowed) == 1:
+            agent = allowed[0]
+        else:
+            u = np.where(np.isin(np.arange(n), allowed), u, np.inf)
+    switches, clamped, after = apply_switching(
+        memoryview(pop.types), n_f, n_plus, n_minus, *market, params, dt,
+        memoryview(u), 0, agent)
+    return SwitchStats(switches, clamped, after)
 
 
 # ---------------------------------------------------------------------------

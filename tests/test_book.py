@@ -9,7 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from market_abm.book import NO_TICK, BookStats, OrderBook, OrderIntent, Side, current_price
 from market_abm.engine import check_escrow
 
-from oracles import NaiveBook, order_price, resting_orders
+from oracles import NaiveBook, current_price_reference, order_price, resting_orders
 
 TICK = 0.0005
 
@@ -157,28 +157,49 @@ class TestExpire:
             assert order.expires_at > cutoff
 
 
+def price_proxy(book, trade, previous_price):
+    """The price proxy over the book's best quotes, as the step loop reads them."""
+    bid, ask, _, _, _ = book.quote_ticks()
+    got = current_price(trade, bid, ask, book.tick_size, previous_price)
+    assert got == current_price_reference(book, trade, previous_price)
+    return got
+
+
 class TestCurrentPrice:
+    # each case also asserts the proxy equals the reference that reads the
+    # book itself, bit for bit
+
     def test_midpoint(self):
         book = make_book()
         book.submit(intent(1, Side.BUY, 299.0), 1)
         book.submit(intent(2, Side.SELL, 301.0), 1)
-        assert current_price(book, None, 310.0) == pytest.approx(300.0)
+        assert price_proxy(book, None, 310.0) == pytest.approx(300.0)
 
     def test_trade_price_wins(self):
         book = make_book()
         book.submit(intent(1, Side.BUY, 299.0), 1)
         book.submit(intent(2, Side.SELL, 301.0), 1)
         trade, _ = book.submit(intent(3, Side.BUY, 301.0), 2)
-        assert current_price(book, trade, 310.0) == pytest.approx(301.0)
+        assert price_proxy(book, trade, 310.0) == pytest.approx(301.0)
 
     def test_empty_book_keeps_previous(self):
         book = make_book()
-        assert current_price(book, None, 300.0) == pytest.approx(300.0)
+        assert price_proxy(book, None, 300.0) == pytest.approx(300.0)
 
     def test_one_sided_book_keeps_previous(self):
         book = make_book()
         book.submit(intent(1, Side.BUY, 299.0), 1)
-        assert current_price(book, None, 305.0) == pytest.approx(305.0)
+        assert price_proxy(book, None, 305.0) == pytest.approx(305.0)
+        other = make_book()
+        other.submit(intent(2, Side.SELL, 301.0), 1)
+        assert price_proxy(other, None, 305.0) == pytest.approx(305.0)
+
+    def test_odd_tick_midpoint_equals_reference(self):
+        # a mid-quote between ticks an odd count apart lands off the grid
+        book = make_book()
+        book.submit(intent(1, Side.BUY, 299.0005), 1)
+        book.submit(intent(2, Side.SELL, 301.0), 1)
+        assert price_proxy(book, None, 310.0) == pytest.approx(300.00025)
 
 
 class TestSpreadAndGaps:

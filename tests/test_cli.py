@@ -281,6 +281,21 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path / "a")]) == 1
         assert "steps.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, message", [
+        (["--xmin-quantile", "1.5"], "xmin_quantile must be in (0, 1)"),
+        (["--xmin-quantile", "0"], "xmin_quantile must be in (0, 1)"),
+        (["--burn-periods", "-5"], "burn_periods must be >= 0"),
+        (["--min-obs", "0"], "min_obs must be >= 1"),
+    ])
+    def test_bad_analysis_option_is_an_error(self, tmp_path, capsys, option, message):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--out", str(run_dir), "-O", "steps=500", "-O", "n_agents=50"]) == 0
+        out = tmp_path / "analysis"
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(run_dir), "--out", str(out), *option]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
 
 class TestReproduceCommand:
     def test_desk_scale_pipeline_completes(self, tmp_path):
@@ -302,6 +317,20 @@ class TestReproduceCommand:
 
     def test_bad_scale(self, tmp_path, capsys):
         assert main(["reproduce-paper", "--scale", "-1", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("option, message", [
+        (["--scale", "0.003", "--bin-width", "0"], "bin_width must be in (0, 1]"),
+        # 1e4 steps are 100 periods, too few for the default 200-period burn-in
+        (["--scale", "0.01"], "burn_periods leaves too little data"),
+        (["--scale", "0.003", "--burn-periods", "-1"], "burn_periods must be >= 0"),
+    ])
+    def test_bad_analysis_option_fails_before_any_run(self, tmp_path, capsys, option, message):
+        out = tmp_path / "exp"
+        assert main(["reproduce-paper", *option, "--out", str(out), "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"error: {message}"
+        assert "seed" not in captured.out
+        assert not (out / "runs").exists()
 
 
 def test_version_flag(capsys):

@@ -18,7 +18,7 @@ from market_abm.expectations import (
 )
 from market_abm.population import FUNDAMENTALIST, OPTIMIST, PESSIMIST
 
-from oracles import draw_k_reference, expected_price_reference
+from oracles import draw_k_reference, expected_price_reference, rolling_sigma_reference
 
 PARAMS = ExpectationParams()
 
@@ -32,34 +32,55 @@ def brute_force_sigma(history, tau):
     return math.sqrt(var)
 
 
+def sigma(history, tau, aligned=False):
+    """The dispersion over a whole history: the prices before step len(history)."""
+    return rolling_sigma(np.asarray(history, dtype=float), len(history), tau, aligned)
+
+
 class TestRollingSigma:
     def test_constant_history(self):
-        assert rolling_sigma([250.0] * 30, 10) == 0.0
+        assert sigma([250.0] * 30, 10) == 0.0
 
     def test_two_point_example(self):
         # window [102], mean from the step before: 100
-        assert rolling_sigma([100.0, 102.0], 1) == pytest.approx(2.0)
+        assert sigma([100.0, 102.0], 1) == pytest.approx(2.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         history = list(300.0 + np.cumsum(rng.normal(0, 1, 400)))
         for tau in (1, 2, 17, 100, 399):
-            got = rolling_sigma(history, tau)
+            got = sigma(history, tau)
             want = brute_force_sigma(history, tau)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_short_history_shrinks_window(self):
         history = [100.0, 101.0, 103.0]
-        assert rolling_sigma(history, 50) == pytest.approx(brute_force_sigma(history, 2), rel=1e-12)
+        assert sigma(history, 50) == pytest.approx(brute_force_sigma(history, 2), rel=1e-12)
 
     def test_degenerate_history(self):
-        assert rolling_sigma([300.0], 100) == 0.0
-        assert rolling_sigma([], 100) == 0.0
+        assert sigma([300.0], 100) == 0.0
+        assert sigma([], 100) == 0.0
 
     def test_aligned_variant_differs(self):
         rng = np.random.default_rng(1)
         history = list(300.0 + np.cumsum(rng.normal(0, 1, 50)))
-        assert rolling_sigma(history, 10, aligned=True) != rolling_sigma(history, 10)
+        assert sigma(history, 10, aligned=True) != sigma(history, 10)
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    @pytest.mark.parametrize("tau", [1, 2, 7, 100])
+    def test_buffer_at_step_equals_history_slice(self, tau, aligned):
+        # the engine passes its whole price buffer and the step index; for
+        # every step from the cold start through the shrinking window to the
+        # full one, sigma must equal the reference over the slice bit for
+        # bit, and must ignore the prices from step t on. Rounded prices
+        # repeat, so some deviations are exactly zero.
+        rng = np.random.default_rng(tau)
+        price = np.round(300.0 + np.cumsum(rng.normal(0, 0.3, tau + 8)), 1)
+        assert len(np.unique(price)) < len(price)
+        for t in range(1, tau + 4):
+            got = rolling_sigma(price, t, tau, aligned)
+            assert type(got) is float
+            assert got == rolling_sigma_reference(price[:t], tau, aligned)
 
 
 class _ZeroNormal:

@@ -10,17 +10,18 @@ from market_abm.population import (
     FUNDAMENTALIST,
     OPTIMIST,
     PESSIMIST,
-    MarketView,
     Population,
     SwitchParams,
-    apply_switching,
     average_price_trend,
 )
 
 from oracles import (
+    MarketView,
     PopulationCounts,
+    average_price_trend_reference,
     compute_U1,
     compute_U2,
+    switch_sweep,
     transition_probability,
     transition_rate,
 )
@@ -36,48 +37,55 @@ def make_population(n_f, n_plus, n_minus, cash=10_000.0, shares=10):
     )
 
 
+def trend(prices, horizon, dt):
+    """The trend over a whole history: the prices before step len(prices)."""
+    return average_price_trend(prices, len(prices), horizon, dt)
+
+
 class TestAveragePriceTrend:
     def test_constant_history_is_zero(self):
-        assert average_price_trend([100.0] * 50, 10, 0.01) == 0.0
+        assert trend([100.0] * 50, 10, 0.01) == 0.0
 
     def test_small_example(self):
         # two one-unit rises over dt=0.01 average to 100 per unit time
-        assert average_price_trend([100.0, 101.0, 102.0], 2, 0.01) == pytest.approx(100.0)
+        assert trend([100.0, 101.0, 102.0], 2, 0.01) == pytest.approx(100.0)
 
     def test_linear_ramp_any_horizon(self):
         # brute force over explicit ramps: slope m per step gives m/dt
         for m, horizon in ((0.5, 7), (-1.25, 30), (2.0, 100)):
             prices = [300.0 + m * i for i in range(150)]
             expected = m / 0.01
-            assert average_price_trend(prices, horizon, 0.01) == pytest.approx(expected)
+            assert trend(prices, horizon, 0.01) == pytest.approx(expected)
 
     def test_matches_mean_of_differences(self):
         rng = np.random.default_rng(5)
         prices = 300.0 + np.cumsum(rng.normal(0, 0.3, size=500))
         for horizon in (1, 13, 100, 499):
             brute = np.mean(np.diff(prices)[-horizon:]) / 0.01
-            assert average_price_trend(prices, horizon, 0.01) == pytest.approx(brute, rel=1e-9)
+            assert trend(prices, horizon, 0.01) == pytest.approx(brute, rel=1e-9)
 
     def test_short_history_uses_available_window(self):
         prices = [100.0, 103.0]
-        assert average_price_trend(prices, 50, 0.01) == pytest.approx(300.0)
+        assert trend(prices, 50, 0.01) == pytest.approx(300.0)
 
     def test_empty_history_cold_start(self):
-        assert average_price_trend([], 100, 0.01) == 0.0
-        assert average_price_trend([300.0], 100, 0.01) == 0.0
+        assert trend([], 100, 0.01) == 0.0
+        assert trend([300.0], 100, 0.01) == 0.0
 
     def test_memoryview_window_equals_numpy_window(self):
-        # the engine passes memoryview slices of its price array, which read
-        # Python floats; every trend must equal the numpy slice's bit for bit,
-        # from the cold start through the shrinking window to the full one
+        # the engine passes a memoryview of its whole price buffer and the
+        # step index, which reads Python floats; on both horizons every trend
+        # must equal the reference over the numpy slice bit for bit, from the
+        # cold start through the shrinking window to the full one, and must
+        # ignore the prices from step t on
         cfg = SimConfig()
         for horizon in (cfg.horizon_c, cfg.horizon_f):
             prices = 300.0 + np.cumsum(np.random.default_rng(horizon).normal(0, 0.3, horizon + 4))
             view = memoryview(prices)
-            for t in range(1, horizon + 4):
-                trend = average_price_trend(view[:t], horizon, cfg.dt)
-                assert type(trend) is float
-                assert trend == average_price_trend(prices[:t], horizon, cfg.dt)
+            for t in range(0, horizon + 4):
+                got = average_price_trend(view, t, horizon, cfg.dt)
+                assert type(got) is float
+                assert got == average_price_trend_reference(prices[:t], horizon, cfg.dt)
 
 
 class TestSignals:
@@ -155,7 +163,7 @@ class TestApplySwitching:
         # with no chartists, every transition rate carries a zero prefactor
         pop = make_population(500, 0, 0)
         before = pop.types.copy()
-        stats = apply_switching(pop, FLAT_MARKET, PARAMS, 0.01, np.random.default_rng(0))
+        stats = switch_sweep(pop, FLAT_MARKET, PARAMS, 0.01, np.random.default_rng(0))
         assert stats.switches == 0
         np.testing.assert_array_equal(pop.types, before)
 
@@ -169,7 +177,7 @@ class TestApplySwitching:
         before = pop.types.copy()
         market = MarketView(p=300.0, p_f=300.0, trend_f=trend_f, trend_c=trend_c)
         with pytest.raises(ValueError, match="trends must be finite"):
-            apply_switching(pop, market, PARAMS, 0.01, np.random.default_rng(0))
+            switch_sweep(pop, market, PARAMS, 0.01, np.random.default_rng(0))
         np.testing.assert_array_equal(pop.types, before)
 
     def test_switch_params_must_be_positive(self):
@@ -180,7 +188,7 @@ class TestApplySwitching:
         pop = make_population(250, 125, 125)
         rng = np.random.default_rng(1)
         for _ in range(500):
-            apply_switching(pop, FLAT_MARKET, PARAMS, 0.01, rng)
+            switch_sweep(pop, FLAT_MARKET, PARAMS, 0.01, rng)
             assert sum(pop.counts()) == 500
 
     def test_floor_rule_blocks_exits_from_tiny_group(self):
@@ -190,7 +198,7 @@ class TestApplySwitching:
         for _ in range(100):
             pop = make_population(3, 249, 248)
             fundamentalists = np.flatnonzero(pop.types == FUNDAMENTALIST)
-            apply_switching(pop, FLAT_MARKET, hot, 0.01, rng)
+            switch_sweep(pop, FLAT_MARKET, hot, 0.01, rng)
             assert (pop.types[fundamentalists] == FUNDAMENTALIST).all()
 
     def test_floor_rule_allows_exit_at_exactly_point_eight_percent(self):
@@ -201,7 +209,7 @@ class TestApplySwitching:
         for _ in range(50):
             pop = make_population(4, 248, 248)
             fundamentalists = np.flatnonzero(pop.types == FUNDAMENTALIST)
-            apply_switching(pop, FLAT_MARKET, hot, 0.01, rng)
+            switch_sweep(pop, FLAT_MARKET, hot, 0.01, rng)
             exits += int(np.count_nonzero(pop.types[fundamentalists] != FUNDAMENTALIST))
         assert exits > 0
 
@@ -221,7 +229,7 @@ class TestApplySwitching:
         for _ in range(steps):
             before = pop.types.copy()
             # rebuild population each step to keep group sizes pinned
-            apply_switching(pop, FLAT_MARKET, PARAMS, 0.01, rng)
+            switch_sweep(pop, FLAT_MARKET, PARAMS, 0.01, rng)
             after = pop.types
             for (src, dst), _ in expected.items():
                 src_mask = before == src
@@ -241,7 +249,7 @@ class TestApplySwitching:
         pop = make_population(250, 125, 125)
         for _ in range(steps):
             before = pop.types.copy()
-            apply_switching(pop, FLAT_MARKET, PARAMS, 0.01, rng)
+            switch_sweep(pop, FLAT_MARKET, PARAMS, 0.01, rng)
             after = pop.types
             net_fo += int(np.count_nonzero((before == FUNDAMENTALIST) & (after == OPTIMIST)))
             net_fo -= int(np.count_nonzero((before == OPTIMIST) & (after == FUNDAMENTALIST)))
@@ -256,7 +264,7 @@ class TestApplySwitching:
     def test_probabilities_clamped_and_counted(self):
         pop = make_population(250, 125, 125)
         crazy = SwitchParams(v1=1e4, v2=1e4)
-        stats = apply_switching(pop, FLAT_MARKET, crazy, 0.01, np.random.default_rng(6))
+        stats = switch_sweep(pop, FLAT_MARKET, crazy, 0.01, np.random.default_rng(6))
         assert stats.clamped > 0
 
 

@@ -4,7 +4,9 @@
 boolean mask per type and target over the whole population. The production
 `apply_switching` visits only the agents whose draw can move them, and must
 reproduce the oracle exactly: the same new types, switch count and clamp
-count, from the same draws.
+count, from the same draws. Most tests reach it through `switch_sweep`,
+which takes a population and a market view; the block test calls the kernel
+as the engine does, at row offsets of one flat buffer of draws.
 """
 
 import numpy as np
@@ -16,14 +18,20 @@ from market_abm.population import (
     MIN_GROUP_FRACTION,
     OPTIMIST,
     PESSIMIST,
-    MarketView,
     Population,
     SwitchParams,
-    SwitchStats,
     apply_switching,
 )
 
-from oracles import PopulationCounts, compute_U1, compute_U2, transition_rate
+from oracles import (
+    MarketView,
+    PopulationCounts,
+    SwitchStats,
+    compute_U1,
+    compute_U2,
+    switch_sweep,
+    transition_rate,
+)
 
 
 def reference_probabilities(pop, market, params, dt):
@@ -166,10 +174,10 @@ def test_sweep_matches_reference(types, market, sparams, seed, only, draws):
     expected = reference_sweep(expected_pop, market, sparams, 0.01, FixedDraws(u), only=only)
 
     if draws == "rng":
-        stats = apply_switching(pop, market, sparams, 0.01, np.random.default_rng(seed), only=only)
+        stats = switch_sweep(pop, market, sparams, 0.01, np.random.default_rng(seed), only=only)
     else:
-        stats = apply_switching(pop, market, sparams, 0.01, np.random.default_rng(0), only=only,
-                                counts=pop.counts(), uniforms=u)
+        stats = switch_sweep(pop, market, sparams, 0.01, np.random.default_rng(0), only=only,
+                             counts=pop.counts(), uniforms=u)
 
     np.testing.assert_array_equal(pop.types, expected_pop.types)
     assert (stats.switches, stats.clamped) == (expected.switches, expected.clamped)
@@ -185,8 +193,7 @@ def test_rate_of_exactly_one_is_not_clamped():
     exact = SwitchParams(v1=100.0)
     _, raw, _ = reference_probabilities(population(types), market, exact, 0.01)
     assert raw[(OPTIMIST, PESSIMIST)] == raw[(PESSIMIST, OPTIMIST)] == 1.0
-    stats = apply_switching(population(types.copy()), market, exact, 0.01,
-                            np.random.default_rng(2))
+    stats = switch_sweep(population(types.copy()), market, exact, 0.01, np.random.default_rng(2))
     assert stats.clamped == 0
     assert stats.switches == 500
 
@@ -202,7 +209,7 @@ def test_rate_overflowing_to_inf_clamps_like_the_reference():
     assert raw[(PESSIMIST, OPTIMIST)] == np.inf
     expected_pop, pop = population(types.copy()), population(types.copy())
     expected = reference_sweep(expected_pop, market, huge, 0.01, np.random.default_rng(4))
-    stats = apply_switching(pop, market, huge, 0.01, np.random.default_rng(4))
+    stats = switch_sweep(pop, market, huge, 0.01, np.random.default_rng(4))
     np.testing.assert_array_equal(pop.types, expected_pop.types)
     assert (stats.switches, stats.clamped) == (expected.switches, expected.clamped) == (500, 6)
 
@@ -217,7 +224,7 @@ def test_sweep_covers_frozen_clamped_and_overfull_cases():
                          dtype=np.int8)
         expected_pop, pop = population(types.copy()), population(types.copy())
         expected = reference_sweep(expected_pop, market, hot, 0.01, np.random.default_rng(1))
-        stats = apply_switching(pop, market, hot, 0.01, np.random.default_rng(1))
+        stats = switch_sweep(pop, market, hot, 0.01, np.random.default_rng(1))
         np.testing.assert_array_equal(pop.types, expected_pop.types)
         assert (stats.switches, stats.clamped) == (expected.switches, expected.clamped)
         assert stats.clamped >= 2
@@ -233,3 +240,30 @@ def test_block_draws_match_per_sweep_draws():
         rng = np.random.default_rng(42)
         separate = np.concatenate([rng.random(n) for _ in range(k)])
         np.testing.assert_array_equal(block, separate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(types=populations(), markets_=st.lists(markets, min_size=1, max_size=4), sparams=params,
+       seed=st.integers(0, 2**32 - 1), per_trade=st.booleans())
+def test_kernel_at_block_offsets_matches_row_sweeps(types, markets_, sparams, seed, per_trade):
+    # the engine draws k sweeps of n uniforms into one flat buffer and hands
+    # the kernel a view of it with each sweep's row offset; the per-trade
+    # variant names its one agent, which reads its own draw of the row
+    n, k = len(types), len(markets_)
+    rng = np.random.default_rng(seed)
+    block = rng.random(n * k)
+    agents = rng.integers(n, size=k).tolist()
+    expected_pop = population(types.copy())
+    kinds = types.copy()
+    counts = expected_pop.counts()
+    draws = memoryview(block)
+    for row, market in enumerate(markets_):
+        only = [agents[row]] if per_trade else None
+        expected = reference_sweep(expected_pop, market, sparams, 0.01,
+                                   FixedDraws(block[row * n : (row + 1) * n]), only=only)
+        switches, clamped, counts = apply_switching(
+            memoryview(kinds), *counts, *market, sparams, 0.01, draws, row * n,
+            agents[row] if per_trade else None)
+        np.testing.assert_array_equal(kinds, expected_pop.types)
+        assert (switches, clamped) == (expected.switches, expected.clamped)
+        assert counts == expected_pop.counts()
