@@ -178,19 +178,12 @@ def apply_switching(
     p_to_f = 0.0 if p_to_f < 0.0 else 1.0 if p_to_f > 1.0 else p_to_f
     f_to_p = 0.0 if f_to_p < 0.0 else 1.0 if f_to_p > 1.0 else f_to_p
 
-    # Indexed by type code (fundamentalist, optimist, pessimist): first
-    # target, second target, p1 and the reach p1 + p2. A draw below p1 moves
-    # to the first target, one in [p1, p1 + p2) to the second; a frozen
-    # group's reach is -1, below every draw.
+    # Each type's reach p1 + p2: a draw below p1 moves to its first target,
+    # one in [p1, p1 + p2) to its second; a frozen group's reach is -1,
+    # below every draw.
     reach_f = -1.0 if share_f < MIN_GROUP_FRACTION else f_to_o + f_to_p
     reach_plus = -1.0 if share_plus < MIN_GROUP_FRACTION else o_to_p + o_to_f
     reach_minus = -1.0 if share_minus < MIN_GROUP_FRACTION else p_to_o + p_to_f
-    rules = (
-        (OPTIMIST, PESSIMIST, f_to_o, reach_f),
-        (PESSIMIST, FUNDAMENTALIST, o_to_p, reach_plus),
-        (OPTIMIST, FUNDAMENTALIST, p_to_o, reach_minus),
-    )
-
     # Python's max(reach_f, reach_plus, reach_minus), NaN handling included:
     # no draw at or above it can move an agent
     reach_max = reach_plus if reach_plus > reach_f else reach_f
@@ -204,15 +197,20 @@ def apply_switching(
     if not candidates:
         return 0, clamped, (n_f, n_plus, n_minus)
 
-    # each candidate's kind is read before its own move is written and no
-    # agent moves twice, so decisions use entry types
+    # By type code (fundamentalist, optimist, pessimist): the reach, and the
+    # first target, second target and p1. Each candidate's kind is read
+    # before its own move is written and no agent moves twice, so decisions
+    # use entry types.
+    reaches = (reach_f, reach_plus, reach_minus)
+    rules = ((OPTIMIST, PESSIMIST, f_to_o), (PESSIMIST, FUNDAMENTALIST, o_to_p),
+             (OPTIMIST, FUNDAMENTALIST, p_to_o))
     sizes = [n_f, n_plus, n_minus]
     switches = 0
     for i in candidates:
         kind = kinds[i]
-        first, second, p1, reach = rules[kind]
         draw = draws[offset + i]
-        if draw < reach:
+        if draw < reaches[kind]:
+            first, second, p1 = rules[kind]
             target = first if draw < p1 else second
             kinds[i] = target
             sizes[kind] -= 1
