@@ -358,8 +358,7 @@ class RegimeBin:
 def bin_indices(pc: np.ndarray, bin_width: float) -> tuple[np.ndarray, int]:
     """Map chartist fractions to bin ids; edges are right-exclusive and the
     top of the last bin is inclusive so pc = 1.0 lands in it. A small slack
-    keeps fractions that are decimal multiples of the width on their edge;
-    `check_analysis_options` bounds the width."""
+    keeps fractions that are decimal multiples of the width on their edge."""
     n_bins = int(math.ceil(round(1.0 / bin_width, 9)))
     idx = np.floor(pc / bin_width + 1e-9).astype(int)
     return np.clip(idx, 0, n_bins - 1), n_bins
@@ -548,8 +547,6 @@ def check_analysis_options(n_periods: int, bin_width: float, xmin_quantile: floa
         raise ValueError("min_obs must be >= 1")
     if burn_periods < 0:
         raise ValueError("burn_periods must be >= 0")
-    if n_periods < 2:
-        raise ValueError("need at least two full trading periods")
     if burn_periods and n_periods <= burn_periods + 16:
         raise ValueError("burn_periods leaves too little data")
 

@@ -172,6 +172,16 @@ def settle_trade(cash_ticks, shares, trade: Trade) -> None:
         raise RuntimeError(f"settle at step {trade.step}: negative holdings after settle")
 
 
+def pick_agent(next_uint32, state, n: int) -> int:
+    """`rng.integers(n)`, 1 <= n <= 2**32, as numpy draws it from the ctypes
+    `next_uint32` and `state` of rng's bit generator (Lemire's method, no draw
+    for n = 1), without the argument handling that is most of numpy's cost."""
+    m = next_uint32(state) * n if n > 1 else 0
+    while m & 0xFFFFFFFF < (2**32 - n) % n:
+        m = next_uint32(state) * n
+    return m >> 32
+
+
 def check_escrow(book: OrderBook, committed_cash: list[int], committed_shares: list[int]) -> None:
     """Every agent's escrow must equal what its resting orders pledge: the
     ticks of its bids in cash and one share per ask."""
@@ -197,6 +207,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     fund_ss, switch_ss, trade_ss = seed_seq.spawn(3)
     rng_switch = np.random.default_rng(switch_ss)
     rng_trade = np.random.default_rng(trade_ss)
+    bitgen = rng_trade.bit_generator.ctypes  # the trader pick draws from it directly
 
     fv = fundamental_path(config.pf0, sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
     fv_at = memoryview(fv)
@@ -260,7 +271,6 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
     switching = config.switching_enabled
     chartist_u2 = config.u2_trend_horizon == "chartist"
-    sigma_aligned = config.sigma_window_aligned
     band = config.band
     lo, hi = circuit_breaker(config.p0, band)
     p_prev = float(price[0])  # price[t - 1]; a Python float computes the same values faster
@@ -294,13 +304,13 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
         p_f_now = fv_at[t]
 
-        agent = int(rng_trade.integers(n_agents))
+        agent = pick_agent(bitgen.next_uint32, bitgen.state, n_agents)
         agent_type = kinds[agent]
         if agent_type == FUNDAMENTALIST:
             sigma_tau = 0.0
             horizon = horizon_f
         else:
-            sigma_tau = rolling_sigma(price, t, horizon_c, sigma_aligned)
+            sigma_tau = rolling_sigma(price, t, horizon_c, config.sigma_window_aligned)
             horizon = horizon_c
         expectation = expected_price(
             agent_type, p_prev, p_f_now, sigma_tau, sigma_eps, eparams, rng_trade

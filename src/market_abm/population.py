@@ -126,9 +126,6 @@ def apply_switching(
     Returns (switches, clamp events, counts after the sweep).
     """
     n = len(kinds)
-    if n == 0:
-        return 0, 0, (n_f, n_plus, n_minus)
-
     n_c = n_plus + n_minus
     x = (n_plus - n_minus) / n_c if n_c else 0.0
     if p <= 0.0 or p_f <= 0.0:

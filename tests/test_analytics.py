@@ -355,7 +355,6 @@ class TestHelpers:
         check_analysis_options(2, bin_width=1.0, xmin_quantile=0.999, min_obs=1)
         check_analysis_options(217, 0.05, burn_periods=200)
         for n_periods, options, message in (
-            (1, {}, "two full trading periods"),
             (216, {"burn_periods": 200}, "too little data"),
             (100, {"bin_width": 0.0}, "bin_width"),
             (100, {"bin_width": 1.5}, "bin_width"),

@@ -16,6 +16,7 @@ from market_abm.engine import (
     check_escrow,
     circuit_breaker,
     enforce_budget,
+    pick_agent,
     run_seeds,
     run_simulation,
     settle_trade,
@@ -216,6 +217,23 @@ def test_small_runs_keep_escrow(n_agents, steps, seed, switching, switch_mode, a
     )
     out = run_simulation(cfg)
     assert len(out.records) == steps
+
+
+class TestPickAgent:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 500, 2**31 + 1, 2**32 - 1, 2**32])
+    def test_draws_what_rng_integers_draws(self, n):
+        # each step draws its trader, then a normal and an exponential, from
+        # one generator; the pick must leave that stream as rng.integers
+        # leaves it. n = 2**31 + 1 rejects about half of its 32-bit draws,
+        # 2**32 takes them whole and 1 takes none.
+        expected, got = np.random.default_rng(n), np.random.default_rng(n)
+        bitgen = got.bit_generator.ctypes
+        for _ in range(2000):
+            agent = pick_agent(bitgen.next_uint32, bitgen.state, n)
+            assert type(agent) is int
+            assert agent == expected.integers(n)
+            assert got.standard_normal() == expected.standard_normal()
+            assert got.standard_exponential() == expected.standard_exponential()
 
 
 class TestRunSimulation:
