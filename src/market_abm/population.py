@@ -120,8 +120,8 @@ def apply_switching(
 
     `kinds` views the int8 type codes, (n_f, n_plus, n_minus) counts them,
     and moves are written into it in place. `draws` views a flat float64
-    buffer of uniforms, of which agent i reads draws[offset + i], so that
-    one buffer serves several sweeps. `only` is the one agent that may move
+    numpy array of uniforms, of which agent i reads draws[offset + i], so
+    that one array serves several sweeps. `only` is the one agent that may move
     (the per-trade variant); it reads its own draw of the sweep's n.
     Returns (switches, clamp events, counts after the sweep).
     """
