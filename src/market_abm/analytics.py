@@ -1,10 +1,12 @@
 """Statistics over simulated market microstructure.
 
-Covers the full reporting pipeline: detrended fluctuation analysis for
-long-memory exponents, maximum-likelihood power-law tail fits, empirical
-CCDFs, extreme-event rates, regime classification over chartist-fraction
-bins, dispersion-vs-chartist-fraction curves, and return-kurtosis decay
-across aggregation horizons.
+Covers the full reporting pipeline, one implementation per statistic, each
+the one `analyze_bundles` runs: detrended fluctuation analysis of one or
+more realisations (`ensemble_dfa`), maximum-likelihood power-law tail fits,
+empirical CCDFs, the 4-sigma extreme-event threshold (`extreme_threshold`),
+regime classification over chartist-fraction bins, dispersion-vs-chartist-
+fraction curves, and the decay of log-difference kurtosis across
+aggregation horizons (`lagged_kurtosis`).
 """
 
 from __future__ import annotations
@@ -96,37 +98,13 @@ def _fit_loglog_slope(sizes: np.ndarray, fluct: np.ndarray) -> tuple[float, floa
     return float(slope), stderr
 
 
-def dfa(series, box_sizes=None) -> DfaResult:
-    """Scaling exponent of F(n) ~ n^H via least squares on log-log axes.
-
-    Default box sizes run from 10 to length/4, 20 log-spaced values. A
-    constant series has zero fluctuation at every scale and is rejected
-    rather than reported as a number.
-    """
-    x = np.asarray(series, dtype=float)
-    if len(x) and np.all(x == x[0]):
-        raise ValueError("constant series: fluctuation function is identically zero")
-    if box_sizes is None:
-        box_sizes = log_box_sizes(MIN_BOX, max(len(x) // 4, MIN_BOX + 1))
-    sizes = np.asarray(box_sizes, dtype=int)
-    if len(x) < 4 * sizes.max():
-        raise ValueError("series shorter than 4x the largest box size")
-    fluct = fluctuation_function(x, sizes)
-    keep = fluct > 0.0
-    sizes, fluct = sizes[keep], fluct[keep]
-    if len(sizes) < 2:
-        raise ValueError("fewer than two usable box sizes")
-    h, stderr = _fit_loglog_slope(sizes, fluct)
-    span = math.log10(sizes.max() / sizes.min())
-    return DfaResult(h=h, stderr=stderr, box_sizes=sizes, fluctuations=fluct, span_decades=span)
-
-
 def ensemble_dfa(series_list):
-    """Pool several realisations: average F(n)^2 per box size, fit one slope.
+    """DFA exponent H of F(n) ~ n^H, one least-squares slope on log-log axes
+    through F(n)^2 averaged over the realisations; one series is a list of one.
 
-    Returns (pooled DfaResult, list of per-run H). Box sizes are pinned by
-    the shortest series so every run contributes to every size.
-    """
+    Returns (pooled DfaResult, per-run H, NaN where a run's F(n) has a zero).
+    Box sizes are pinned by the shortest series so every run contributes to
+    every size. Constant series have no exponent (F(n) is zero or roundoff)."""
     series_list = [np.asarray(s, dtype=float) for s in series_list]
     if not series_list:
         raise ValueError("no series given")
@@ -134,6 +112,8 @@ def ensemble_dfa(series_list):
     sizes = log_box_sizes(MIN_BOX, max(shortest // 4, MIN_BOX + 1))
     if shortest < 4 * sizes.max():
         raise ValueError("shortest series is under 4x the largest box size")
+    if all(np.all(s == s[0]) for s in series_list):
+        raise ValueError("constant series: fluctuation function is identically zero")
     sq = np.zeros(len(sizes))
     per_run_h = []
     for s in series_list:
@@ -180,8 +160,8 @@ def fit_power_law(samples, x_min: float) -> TailFit:
                    stderr=(alpha - 1.0) / math.sqrt(x.size))
 
 
-def tail_fit_quantile(samples, quantile: float = 0.95) -> TailFit:
-    """Fit the power-law tail above a fixed sample quantile (default: top 5%)."""
+def tail_fit_quantile(samples, quantile: float) -> TailFit:
+    """Fit the power-law tail above a fixed sample quantile."""
     x = np.asarray(samples, dtype=float)
     x = x[np.isfinite(x) & (x > 0.0)]
     if x.size == 0:
@@ -207,15 +187,14 @@ def ccdf(samples) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def extreme_event_rate(series) -> float:
-    """Fraction of observations above mean + 4 standard deviations."""
-    x = np.asarray(series, dtype=float)
+def extreme_threshold(values) -> float:
+    """Mean + EXTREME_SIGMAS standard deviations of the finite values; an
+    observation above it is an extreme event."""
+    x = np.asarray(values, dtype=float)
+    x = x[np.isfinite(x)]
     if x.size == 0:
-        raise ValueError("empty series")
-    sd = float(x.std())
-    if sd == 0.0:
-        return 0.0
-    return float(np.mean(x > x.mean() + EXTREME_SIGMAS * sd))
+        raise ValueError("no finite values")
+    return float(x.mean() + EXTREME_SIGMAS * x.std())
 
 
 def excess_kurtosis(x) -> float:
@@ -260,16 +239,18 @@ def spearman(x, y) -> float:
     return float(ra @ rb) / denom
 
 
-def aggregational_gaussianity(prices, lags) -> dict[int, float]:
-    """Excess kurtosis of ln p(t) - ln p(t - lag) for each lag."""
-    p = np.asarray(prices, dtype=float)
-    logp = np.log(p)
-    out = {}
+def lagged_kurtosis(series_list, lags) -> list[float | None]:
+    """Excess kurtosis of ln x(t) - ln x(t - lag), pooled over the series, for
+    each lag. None where there is none to report: no series longer than the
+    lag, fewer than four differences, or all of them zero (a flat market)."""
+    logs = [np.log(np.asarray(x, dtype=float)) for x in series_list]
+    out = []
     for lag in lags:
-        lag = int(lag)
-        if lag < 1 or lag >= p.size:
-            raise ValueError(f"lag {lag} outside 1..{p.size - 1}")
-        out[lag] = excess_kurtosis(logp[lag:] - logp[:-lag])
+        parts = [lx[lag:] - lx[:-lag] for lx in logs if lag < lx.size]
+        try:
+            out.append(excess_kurtosis(np.concatenate(parts)) if parts else None)
+        except ValueError:
+            out.append(None)
     return out
 
 
@@ -368,14 +349,14 @@ def bin_by_pc(
     pc: np.ndarray,
     values: np.ndarray,
     depth: np.ndarray,
-    bin_width: float = 0.01,
-    threshold: float | None = None,
+    bin_width: float,
+    threshold: float,
 ) -> list[RegimeBin]:
     """Per-bin extreme-event rate, dispersion and mean book depth for one quantity.
 
-    An extreme event is an observation above one shared threshold (mean + 4
-    sigma of the pooled series by default, overridable via `threshold`), so
-    each bin's rate measures how much of the series-wide tail it contributes.
+    An extreme event is an observation above `threshold`, one value shared by
+    every bin (the report passes `extreme_threshold` of the series), so each
+    bin's rate measures how much of the series-wide tail it contributes.
     NaN values are excluded from the quantity's statistics but the book depth
     is averaged over every observation falling in the bin.
     """
@@ -392,11 +373,6 @@ def bin_by_pc(
     ok = np.isfinite(values)
     vi = idx[ok]
     v = values[ok]
-    global_sd = float(v.std()) if v.size else 0.0
-    if threshold is not None:
-        global_threshold = float(threshold)
-    else:
-        global_threshold = v.mean() + EXTREME_SIGMAS * global_sd if v.size else np.inf
     count = np.bincount(vi, minlength=n_bins)
     s1 = np.bincount(vi, weights=v, minlength=n_bins)
     s2 = np.bincount(vi, weights=v * v, minlength=n_bins)
@@ -404,10 +380,7 @@ def bin_by_pc(
         mean = s1 / count
         var = np.maximum(s2 / count - mean * mean, 0.0)
         sigma = np.sqrt(var)
-        if global_sd > 0.0 or threshold is not None:
-            exceed = np.bincount(vi[v > global_threshold], minlength=n_bins)
-        else:
-            exceed = np.zeros(n_bins)
+        exceed = np.bincount(vi[v > threshold], minlength=n_bins)
         ne = np.where(count > 0, exceed / np.maximum(count, 1), 0.0)
         mean_depth = np.where(depth_count > 0, depth_sum / np.maximum(depth_count, 1), np.nan)
 
@@ -460,7 +433,7 @@ def regime_boundaries(bins: list[RegimeBin], min_obs: int) -> dict:
     }
 
 
-def sigma_vs_pc(bins: list[RegimeBin], min_obs: int = 10) -> dict:
+def sigma_vs_pc(bins: list[RegimeBin], min_obs: int) -> dict:
     """Per-bin dispersion normalised so the curve's maximum equals 1.
 
     Returns bin centers, the normalised curve (NaN on thin bins), and the
@@ -521,18 +494,6 @@ class AnalysisReport:
             "depth_pc_spearman": self.depth_spearman,
             "meta": self.meta,
         }
-
-
-def _pooled_kurtosis(parts: list[np.ndarray]) -> float | None:
-    """Excess kurtosis of the runs' pooled differences at one lag; None when
-    there is none to report: no differences, fewer than four, or a flat
-    market whose differences are all zero."""
-    if not parts:
-        return None
-    try:
-        return excess_kurtosis(np.concatenate(parts))
-    except ValueError:
-        return None
 
 
 def check_analysis_options(n_periods: int, bin_width: float, xmin_quantile: float = 0.95,
@@ -625,19 +586,15 @@ def analyze_bundles(
         "spread": (pc_all, np.concatenate([p["spread"] for p in per_run]), depth_all),
         "first_gap": (pc_all, np.concatenate([p["first_gap"] for p in per_run]), depth_all),
     }
-    # extreme-event thresholds anchor on the post-burn-in (recurrent) series so
-    # the artificial starting composition does not inflate them
-    thresholds = {}
-    for quantity in BIN_QUANTITIES:
-        steady = np.concatenate([p[quantity][burn:] for p in per_run])
-        steady = steady[np.isfinite(steady)]
-        thresholds[quantity] = float(steady.mean() + EXTREME_SIGMAS * steady.std())
     regimes: dict = {}
     sigma_peaks: dict = {}
     depth_spearman = None
     for quantity in BIN_QUANTITIES:
         pc_q, values_q, depth_q = quantity_inputs[quantity]
-        bins = bin_by_pc(pc_q, values_q, depth_q, bin_width, threshold=thresholds[quantity])
+        # the extreme-event threshold anchors on the post-burn-in (recurrent)
+        # series so the artificial starting composition does not inflate it
+        threshold = extreme_threshold(np.concatenate([p[quantity][burn:] for p in per_run]))
+        bins = bin_by_pc(pc_q, values_q, depth_q, bin_width, threshold)
         bins = classify_regimes(bins)
         regimes[quantity] = {
             "bins": [dataclasses.asdict(b) for b in bins],
@@ -669,19 +626,10 @@ def analyze_bundles(
                 )
 
     lag_list = [int(l) for l in lags]
-    ret_by_lag = {lag: [] for lag in lag_list}
-    fv_by_lag = {lag: [] for lag in lag_list}
-    for p in per_run:
-        logc = np.log(p["close"][burn:])
-        logf = np.log(p["fv_close"][burn:])
-        for lag in lag_list:
-            if lag < logc.size:
-                ret_by_lag[lag].append(logc[lag:] - logc[:-lag])
-                fv_by_lag[lag].append(logf[lag:] - logf[:-lag])
     agg_gauss = {
         "lags": lag_list,
-        "excess_kurtosis": [_pooled_kurtosis(ret_by_lag[lag]) for lag in lag_list],
-        "fv_excess_kurtosis": [_pooled_kurtosis(fv_by_lag[lag]) for lag in lag_list],
+        "excess_kurtosis": lagged_kurtosis([p["close"][burn:] for p in per_run], lag_list),
+        "fv_excess_kurtosis": lagged_kurtosis([p["fv_close"][burn:] for p in per_run], lag_list),
     }
 
     meta = {

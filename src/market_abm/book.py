@@ -95,10 +95,6 @@ class OrderBook:
         t = self.best_ask_ticks()
         return None if t is None else t * self.tick_size
 
-    @property
-    def depth(self) -> int:
-        return len(self._orders)
-
     # -- mutation ----------------------------------------------------------
 
     def submit(self, intent: OrderIntent, t: int) -> tuple[Trade | None, LimitOrder | None]:

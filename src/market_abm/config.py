@@ -103,18 +103,23 @@ def _parse_value(key: str, raw: str):
     raise ValueError(f"config key {key!r} has unsupported type {kind}")
 
 
+def _parse_pair(text: str, where: str, malformed: str) -> tuple[str, object]:
+    """Split `key = value` text and parse the value by the field's type. The
+    `malformed` message (text without '=') and an unknown key's message are
+    prefixed with `where`."""
+    if "=" not in text:
+        raise ValueError(where + malformed)
+    key, raw = text.split("=", 1)
+    key = key.strip()
+    if key not in _FIELDS:
+        raise ValueError(f"{where}unknown config key {key!r}")
+    return key, _parse_value(key, raw)
+
+
 def parse_overrides(pairs: list[str]) -> dict:
     """Parse repeated `key=value` strings, rejecting unknown keys by name."""
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"override {pair!r} is not of the form key=value")
-        key, raw = pair.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
-        out[key] = _parse_value(key, raw)
-    return out
+    return dict(_parse_pair(pair, "", f"override {pair!r} is not of the form key=value")
+                for pair in pairs)
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> SimConfig:
@@ -125,13 +130,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SimConfig:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
+        key, value = _parse_pair(stripped, f"{path}:{lineno}: ",
+                                 f"expected key = value, got {line!r}")
+        values[key] = value
     if overrides:
         values.update(overrides)
     cfg = SimConfig(**values)

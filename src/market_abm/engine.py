@@ -208,6 +208,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     rng_switch = np.random.default_rng(switch_ss)
     rng_trade = np.random.default_rng(trade_ss)
     bitgen = rng_trade.bit_generator.ctypes  # the trader pick draws from it directly
+    switch_bitgen = rng_switch.bit_generator.ctypes  # as does the per-trade switching pick
 
     fv = fundamental_path(config.pf0, sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
     fv_at = memoryview(fv)
@@ -262,7 +263,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     n_plus_at, n_minus_at = memoryview(rec.n_plus), memoryview(rec.n_minus)
     # All-agents sweeps read their uniforms at a row offset in a flat block
     # of sweeps drawn at once; rng.random(n * k) yields the same stream as k
-    # calls of rng.random(n). Per-trade sweeps interleave an integer draw, so
+    # calls of rng.random(n). Per-trade sweeps interleave an agent pick, so
     # they draw their own.
     per_trade = config.switch_mode == "per_trade"
     block_size = max(1, _DRAW_BLOCK_DOUBLES // n_agents) * n_agents
@@ -288,7 +289,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             trend_c = average_price_trend(price_at, t, horizon_c, dt)
             trend_f = trend_c if chartist_u2 else average_price_trend(price_at, t, horizon_f, dt)
             if per_trade:
-                only = int(rng_switch.integers(n_agents))
+                only = pick_agent(switch_bitgen.next_uint32, switch_bitgen.state, n_agents)
                 draws, offset = memoryview(rng_switch.random(n_agents)), 0
             else:
                 offset += n_agents

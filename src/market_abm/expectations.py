@@ -30,7 +30,7 @@ class ExpectationParams:
             raise ValueError("tick must be > 0")
 
 
-def rolling_sigma(price, t: int, tau: int, aligned: bool = False) -> float:
+def rolling_sigma(price, t: int, tau: int, aligned: bool) -> float:
     """Trailing dispersion of the prices before step t, price[0..t-1], over
     a window of tau steps.
 

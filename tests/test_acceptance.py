@@ -16,8 +16,8 @@ from market_abm.analytics import (
     MEMH,
     MRFM,
     analyze_bundles,
-    dfa,
-    extreme_event_rate,
+    ensemble_dfa,
+    extreme_threshold,
     fit_power_law,
     reduce_run,
 )
@@ -235,7 +235,7 @@ def test_c5_kurtosis_decays_toward_fundamental(hetero):
 
 def test_c6_dfa_iid_gaussian():
     rng = np.random.default_rng(606)
-    h = dfa(rng.standard_normal(2**20)).h
+    h = ensemble_dfa([rng.standard_normal(2**20)])[0].h
     check("C6 DFA on 2^20 iid Gaussian = 0.50 +- 0.03", abs(h - 0.5) <= 0.03, f"h={h:.3f}")
 
 
@@ -246,8 +246,8 @@ def test_c6_dfa_shuffled_long_memory():
         [[0.0], freqs ** ((1 - 2 * 0.85) / 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, freqs.size))]
     )
     series = np.fft.irfft(spectrum, 2**18)
-    assert dfa(series).h > 0.7  # long memory present before shuffling
-    h = dfa(rng.permutation(series)).h
+    assert ensemble_dfa([series])[0].h > 0.7  # long memory present before shuffling
+    h = ensemble_dfa([rng.permutation(series)])[0].h
     check("C6 DFA on shuffled long-memory series = 0.5 +- 0.03", abs(h - 0.5) <= 0.03,
           f"h={h:.3f}")
 
@@ -264,7 +264,10 @@ def test_c6_extreme_event_rate_gaussian():
     # one 1e7 batch has a binomial standard error of ~1.8e-6, comparable to
     # the +-2e-6 window; the mean over five batches resolves the target
     rng = np.random.default_rng(609)
-    rates = [extreme_event_rate(rng.standard_normal(10_000_000)) for _ in range(5)]
+    rates = []
+    for _ in range(5):
+        x = rng.standard_normal(10_000_000)
+        rates.append(np.mean(x > extreme_threshold(x)))
     rate = float(np.mean(rates))
     check("C6 extreme rate on 1e7-sample Gaussian batches = 3.17e-5 +- 2e-6",
           abs(rate - 3.17e-5) <= 2e-6, f"mean rate={rate:.3e}")

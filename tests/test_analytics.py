@@ -13,20 +13,19 @@ from market_abm.analytics import (
     MRFM,
     NE_THRESHOLD,
     RegimeBin,
-    aggregational_gaussianity,
     analyze_bundles,
     bin_by_pc,
     bin_indices,
     ccdf,
     check_analysis_options,
     classify_regimes,
-    dfa,
     ensemble_dfa,
     excess_kurtosis,
-    extreme_event_rate,
+    extreme_threshold,
     fit_power_law,
     fluctuation_function,
     forward_fill,
+    lagged_kurtosis,
     log_box_sizes,
     period_series,
     reduce_run,
@@ -48,37 +47,56 @@ def fgn_spectral(h, n, rng):
     return series / series.std()
 
 
+def dfa_h(series) -> float:
+    """DFA exponent of one series: the ensemble of one."""
+    return ensemble_dfa([series])[0].h
+
+
 class TestDfa:
     def test_iid_gaussian_gives_half(self):
         rng = np.random.default_rng(0)
         series = rng.standard_normal(2**18)
-        result = dfa(series)
-        assert result.h == pytest.approx(0.5, abs=0.03)
+        assert dfa_h(series) == pytest.approx(0.5, abs=0.03)
 
     def test_long_memory_series_detected(self):
         rng = np.random.default_rng(1)
         series = fgn_spectral(0.8, 2**17, rng)
-        assert dfa(series).h == pytest.approx(0.8, abs=0.08)
+        assert dfa_h(series) == pytest.approx(0.8, abs=0.08)
 
     def test_shuffling_destroys_memory(self):
         rng = np.random.default_rng(2)
         series = fgn_spectral(0.85, 2**17, rng)
         shuffled = rng.permutation(series)
-        assert dfa(shuffled).h == pytest.approx(0.5, abs=0.03)
+        assert dfa_h(shuffled) == pytest.approx(0.5, abs=0.03)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(3)
         series = rng.standard_normal(4096)
-        base = dfa(series).h
-        assert dfa(3.7 * series - 42.0).h == pytest.approx(base, abs=1e-9)
+        base = dfa_h(series)
+        assert dfa_h(3.7 * series - 42.0) == pytest.approx(base, abs=1e-9)
 
     def test_constant_series_rejected(self):
-        with pytest.raises(ValueError):
-            dfa(np.full(4096, 2.5))
+        # the pooled F(n) of constant series is zero, or roundoff where the
+        # mean is inexact (0.1), so no exponent exists to fit
+        for value in (2.5, 0.1):
+            with pytest.raises(ValueError, match="constant series"):
+                ensemble_dfa([np.full(4096, value)])
+        with pytest.raises(ValueError, match="constant series"):
+            ensemble_dfa([np.zeros(4096), np.full(5000, 0.1)])
+
+    def test_one_constant_run_among_others_is_pooled(self):
+        rng = np.random.default_rng(20)
+        pooled, per_run = ensemble_dfa([rng.standard_normal(4096), np.zeros(4096)])
+        assert math.isfinite(pooled.h) and math.isfinite(per_run[0])
+        assert math.isnan(per_run[1])
 
     def test_series_too_short_for_boxes(self):
+        # the largest box is at least MIN_BOX + 1 = 11, which needs 44 points
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            dfa(np.random.default_rng(0).standard_normal(100), box_sizes=[10, 50])
+            ensemble_dfa([rng.standard_normal(43)])
+        with pytest.raises(ValueError):
+            ensemble_dfa([rng.standard_normal(4096), rng.standard_normal(43)])
 
     def test_fluctuation_function_monotone_for_noise(self):
         rng = np.random.default_rng(4)
@@ -98,7 +116,7 @@ class TestDfa:
         series = np.random.default_rng(6).standard_normal(4096)
         series[7] = np.nan
         with pytest.raises(ValueError):
-            dfa(series)
+            ensemble_dfa([series])
 
 
 class TestPowerLawFit:
@@ -178,16 +196,24 @@ class TestCcdf:
 
 class TestExtremeEventRate:
     def test_constant_series(self):
-        assert extreme_event_rate(np.full(1000, 3.0)) == 0.0
+        x = np.full(1000, 3.0)
+        assert np.mean(x > extreme_threshold(x)) == 0.0
 
     def test_gaussian_tail(self):
         rng = np.random.default_rng(12)
-        rate = extreme_event_rate(rng.standard_normal(10_000_000))
+        x = rng.standard_normal(10_000_000)
+        rate = np.mean(x > extreme_threshold(x))
         assert rate == pytest.approx(3.17e-5, abs=2e-6)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            extreme_event_rate([])
+            extreme_threshold([])
+        with pytest.raises(ValueError):
+            extreme_threshold([np.nan, np.inf])
+
+    def test_non_finite_values_ignored(self):
+        assert extreme_threshold([1.0, np.nan, 3.0, -np.inf]) == extreme_threshold([1.0, 3.0])
+        assert extreme_threshold([1.0, 3.0]) == 2.0 + 4.0 * 1.0
 
 
 class TestBinning:
@@ -199,7 +225,7 @@ class TestBinning:
     def test_degenerate_distribution_single_bin(self):
         pc = np.full(500, 0.5)
         values = np.random.default_rng(13).normal(0, 1, 500)
-        bins = bin_by_pc(pc, values, np.full(500, 10.0), 0.01)
+        bins = bin_by_pc(pc, values, np.full(500, 10.0), 0.01, extreme_threshold(values))
         populated = [b for b in bins if b.n_obs > 0]
         assert len(populated) == 1
         assert populated[0].lo == pytest.approx(0.5)
@@ -208,7 +234,8 @@ class TestBinning:
         rng = np.random.default_rng(14)
         n = 100_000
         pc = rng.random(n)
-        bins = bin_by_pc(pc, rng.normal(0, 1, n), np.full(n, 5.0), 0.01)
+        values = rng.normal(0, 1, n)
+        bins = bin_by_pc(pc, values, np.full(n, 5.0), 0.01, extreme_threshold(values))
         counts = np.array([b.n_obs for b in bins])
         expected = n / 100
         sd = math.sqrt(n * 0.01 * 0.99)
@@ -218,22 +245,24 @@ class TestBinning:
         rng = np.random.default_rng(15)
         values = rng.standard_normal(50_000) ** 2
         pc = np.full(values.size, 0.25)
-        bins = bin_by_pc(pc, values, np.full(values.size, 1.0), 0.01)
+        bins = bin_by_pc(pc, values, np.full(values.size, 1.0), 0.01, extreme_threshold(values))
         target = [b for b in bins if b.n_obs][0]
-        assert target.ne == pytest.approx(extreme_event_rate(values), rel=1e-12)
+        rate = np.mean(values > values.mean() + 4.0 * values.std())
+        assert target.ne == pytest.approx(rate, rel=1e-12)
 
     def test_nan_values_excluded_from_quantity_but_not_depth(self):
         pc = np.array([0.1, 0.1, 0.1, 0.1])
         values = np.array([1.0, np.nan, 2.0, np.nan])
         depth = np.array([4.0, 6.0, 8.0, 10.0])
-        bins = bin_by_pc(pc, values, depth, 0.05)
+        bins = bin_by_pc(pc, values, depth, 0.05, extreme_threshold(values))
         target = [b for b in bins if b.n_obs][0]
         assert target.n_obs == 2
         assert target.mean_depth == pytest.approx(7.0)
 
     def test_low_confidence_flag(self):
         pc = np.full(10, 0.3)
-        bins = bin_by_pc(pc, np.arange(10.0), np.ones(10), 0.01)
+        values = np.arange(10.0)
+        bins = bin_by_pc(pc, values, np.ones(10), 0.01, extreme_threshold(values))
         target = [b for b in bins if b.n_obs][0]
         assert target.low_confidence
 
@@ -292,7 +321,7 @@ class TestSigmaVsPc:
                       sigma=float(rng.uniform(0.5, 3.0)), mean=1.0, mean_depth=50.0)
             for i in range(20)
         ]
-        curve = sigma_vs_pc(bins)
+        curve = sigma_vs_pc(bins, min_obs=10)
         assert np.nanmax(curve["curve"]) == pytest.approx(1.0)
 
     def test_constant_quantity_flat_curve(self):
@@ -301,34 +330,35 @@ class TestSigmaVsPc:
                       mean=1.0, mean_depth=50.0)
             for i in range(20)
         ]
-        curve = sigma_vs_pc(bins)
+        curve = sigma_vs_pc(bins, min_obs=10)
         finite = curve["curve"][np.isfinite(curve["curve"])]
         np.testing.assert_allclose(finite, 1.0)
 
     def test_requires_populated_bins(self):
         bins = [make_bin(0.0, 0.0, 10.0, n_obs=1) for _ in range(20)]
         with pytest.raises(ValueError):
-            sigma_vs_pc(bins)
+            sigma_vs_pc(bins, min_obs=10)
 
 
 class TestAggregationalGaussianity:
     def test_gaussian_random_walk_flat(self):
         rng = np.random.default_rng(17)
         prices = 300 * np.exp(np.cumsum(rng.normal(0, 0.005, 1_000_000)))
-        kurt = aggregational_gaussianity(prices, [1, 4, 16])
-        for value in kurt.values():
+        kurt = lagged_kurtosis([prices], [1, 4, 16])
+        assert len(kurt) == 3
+        for value in kurt:
             assert abs(value) < 0.1
 
     def test_lag_out_of_range(self):
-        with pytest.raises(ValueError):
-            aggregational_gaussianity(np.linspace(1, 2, 50), [50])
+        # no difference spans 50 steps of a 50-point series
+        assert lagged_kurtosis([np.linspace(1, 2, 50)], [50]) == [None]
 
     def test_heavy_tailed_returns_decay(self):
         rng = np.random.default_rng(18)
         increments = rng.standard_t(3, 200_000) * 0.01
         prices = 300 * np.exp(np.cumsum(increments))
-        kurt = aggregational_gaussianity(prices, [1, 64])
-        assert kurt[1] > kurt[64]
+        kurt_1, kurt_64 = lagged_kurtosis([prices], [1, 64])
+        assert kurt_1 > kurt_64
 
 
 class TestHelpers:
@@ -370,7 +400,8 @@ class TestHelpers:
 class TestRunBundles:
     @pytest.fixture(scope="class")
     def records(self):
-        return run_simulation(experiment_config(1.0, False, {"steps": 3000, "seed": 3})).records
+        # 60 periods: enough for a DFA fit (44) after the default burn of 0
+        return run_simulation(experiment_config(1.0, False, {"steps": 6000, "seed": 3})).records
 
     def test_period_series_own_their_data(self, records):
         # a view would keep the run's full step arrays alive with the bundle
@@ -388,3 +419,15 @@ class TestRunBundles:
         assert all(math.isfinite(k) for k in report.agg_gauss["fv_excess_kurtosis"])
         with pytest.raises(ValueError, match="zero variance"):
             excess_kurtosis(np.zeros(10))
+
+    def test_flat_series_kind_reported_as_error(self, records):
+        # a flat price makes returns and volatility constant: their Hurst
+        # entries carry the rejection, the other kinds still get an exponent
+        flat = copy.deepcopy(records)
+        flat.price[:] = 300.0
+        report = analyze_bundles([reduce_run(flat, 100), reduce_run(flat, 100)], 100)
+        for kind in ("return", "volatility"):
+            assert report.hurst[kind] == {
+                "error": "constant series: fluctuation function is identically zero"}
+        for kind in ("spread", "first_gap", "volume", "fv_return"):
+            assert math.isfinite(report.hurst[kind]["h"]), kind

@@ -83,7 +83,7 @@ class TestSubmit:
         trade, rested = book.submit(intent(1, Side.BUY, 302.0), 2)
         assert trade is None and rested is None
         assert book.self_trade_rejections == 1
-        assert book.depth == 1  # the resting ask is untouched
+        assert book.quote_ticks()[4] == 1  # the resting ask is untouched
 
     def test_self_cross_allowed_when_enabled(self):
         book = make_book(allow_self_trades=True)
@@ -126,14 +126,14 @@ class TestExpire:
         book = make_book()
         book.submit(intent(1, Side.BUY, 299.0, horizon=100), 1)
         assert book.expire(50) == []
-        assert book.depth == 1
+        assert book.quote_ticks()[4] == 1
 
     def test_boundary_inclusive(self):
         book = make_book()
         book.submit(intent(1, Side.BUY, 299.0, horizon=100), 1)
         removed = book.expire(101)
         assert len(removed) == 1
-        assert book.depth == 0
+        assert book.quote_ticks()[4] == 0
 
     def test_mixed_expiries_match_set_difference(self):
         rng = np.random.default_rng(2)
@@ -270,7 +270,7 @@ class TestPurge:
         book.submit(intent(3, Side.SELL, 360.0), 1)
         removed = book.purge_outside(255.0, 345.0)
         assert {o.agent_id for o in removed} == {1, 3}
-        assert book.depth == 1
+        assert book.quote_ticks()[4] == 1
 
 
 def test_differential_against_naive_reference():

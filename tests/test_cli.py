@@ -36,6 +36,26 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="stepz"):
             load_config(path)
 
+    def test_malformed_and_unknown_keys_say_where(self, tmp_path):
+        # a file's errors carry its path and line; an override's name the pair
+        path = tmp_path / "bad.cfg"
+        for text, message in (
+            ("# header\nsteps 100\n", "expected key = value, got 'steps 100'"),
+            ("seed = 1\n stepz = 100\n", "unknown config key 'stepz'"),
+        ):
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                load_config(path)
+            assert str(err.value) == f"{path}:2: {message}"
+        with pytest.raises(ValueError) as err:
+            parse_overrides(["steps500"])
+        assert str(err.value) == "override 'steps500' is not of the form key=value"
+        with pytest.raises(ValueError) as err:
+            parse_overrides([" stepz =1"])
+        assert str(err.value) == "unknown config key 'stepz'"
+        with pytest.raises(ValueError, match="cannot parse 'maybe' as bool"):
+            parse_overrides(["switching_enabled=maybe"])
+
     def test_scientific_notation_steps(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("steps = 1e5\n")
