@@ -102,9 +102,10 @@ def ensemble_dfa(series_list):
     """DFA exponent H of F(n) ~ n^H, one least-squares slope on log-log axes
     through F(n)^2 averaged over the realisations; one series is a list of one.
 
-    Returns (pooled DfaResult, per-run H, NaN where a run's F(n) has a zero).
-    Box sizes are pinned by the shortest series so every run contributes to
-    every size. Constant series have no exponent (F(n) is zero or roundoff)."""
+    Returns (pooled DfaResult, per-run H, NaN where a run is constant or its
+    F(n) has a zero). Box sizes are pinned by the shortest series so every
+    run contributes to every size. Constant series have no exponent (F(n) is
+    zero or roundoff)."""
     series_list = [np.asarray(s, dtype=float) for s in series_list]
     if not series_list:
         raise ValueError("no series given")
@@ -112,14 +113,16 @@ def ensemble_dfa(series_list):
     sizes = log_box_sizes(MIN_BOX, max(shortest // 4, MIN_BOX + 1))
     if shortest < 4 * sizes.max():
         raise ValueError("shortest series is under 4x the largest box size")
-    if all(np.all(s == s[0]) for s in series_list):
+    constant = [bool(np.all(s == s[0])) for s in series_list]
+    if all(constant):
         raise ValueError("constant series: fluctuation function is identically zero")
     sq = np.zeros(len(sizes))
     per_run_h = []
-    for s in series_list:
+    for s, flat in zip(series_list, constant):
         f = fluctuation_function(s, sizes)
         sq += f * f
-        per_run_h.append(_fit_loglog_slope(sizes, f)[0] if np.all(f > 0) else float("nan"))
+        fits = not flat and np.all(f > 0)
+        per_run_h.append(_fit_loglog_slope(sizes, f)[0] if fits else float("nan"))
     pooled = np.sqrt(sq / len(series_list))
     h, stderr = _fit_loglog_slope(sizes, pooled)
     span = math.log10(sizes.max() / sizes.min())
@@ -210,18 +213,10 @@ def excess_kurtosis(x) -> float:
 
 
 def _ranks(a: np.ndarray) -> np.ndarray:
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(a.size)
-    sorted_a = a[order]
-    base = np.arange(1, a.size + 1, dtype=float)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        ranks[order[i : j + 1]] = base[i : j + 1].mean()
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of the positions they
+    occupy, which the last position less (count - 1) / 2 gives exactly."""
+    _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def spearman(x, y) -> float:

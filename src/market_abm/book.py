@@ -4,6 +4,9 @@ All resting orders are one-unit limit orders on an integer tick grid; a
 submission whose reservation crosses the opposite best quote executes
 immediately against the oldest resting order at that quote, at the resting
 order's price. Resting orders expire after the submitting agent's horizon.
+
+The book keeps the escrow: per agent, a resting bid pledges its ticks in cash
+and a resting ask one share, until the order trades, expires or is purged.
 """
 
 from __future__ import annotations
@@ -65,11 +68,14 @@ NO_TICK = 0  # stands for a missing quote or gap in tick fields; real ones are >
 
 
 class OrderBook:
-    def __init__(self, tick_size: float, allow_self_trades: bool = False):
+    def __init__(self, tick_size: float, n_agents: int, allow_self_trades: bool = False):
         if tick_size <= 0.0:
             raise ValueError("tick_size must be > 0")
         self.tick_size = float(tick_size)
         self.allow_self_trades = bool(allow_self_trades)
+        # the escrow, per agent id: ticks pledged by resting bids, shares by resting asks
+        self.pledged_cash = [0] * n_agents
+        self.pledged_shares = [0] * n_agents
         self._orders: dict[int, LimitOrder] = {}
         self._levels = {BUY: {}, SELL: {}}  # ticks -> deque of order ids
         self._ticks = {BUY: [], SELL: []}  # sorted ascending distinct ticks
@@ -97,11 +103,11 @@ class OrderBook:
 
     # -- mutation ----------------------------------------------------------
 
-    def submit(self, intent: OrderIntent, t: int) -> tuple[Trade | None, LimitOrder | None]:
-        """Match or rest one intent. Returns (trade, rested_order).
+    def submit(self, intent: OrderIntent, t: int) -> Trade | None:
+        """Match or rest one intent; the trade it makes, else None.
 
-        (None, None) means the intent was dropped because the only match
-        candidate was the submitter's own resting order.
+        An intent whose only match candidate is the submitter's own resting
+        order is dropped and counted in `self_trade_rejections`.
         """
         agent_id, side, ticks, _, horizon = intent
         if ticks <= 0:
@@ -118,13 +124,13 @@ class OrderBook:
             resting = self._orders[queue[0]]
             if resting.agent_id == agent_id and not self.allow_self_trades:
                 self.self_trade_rejections += 1
-                return None, None
+                return None
             self._remove(resting.order_id)
             if side == BUY:
                 buyer, seller = agent_id, resting.agent_id
             else:
                 buyer, seller = resting.agent_id, agent_id
-            return Trade(t, best, best * self.tick_size, buyer, seller, side), None
+            return Trade(t, best, best * self.tick_size, buyer, seller, side)
 
         order_id = self._next_id
         self._next_id = order_id + 1
@@ -136,22 +142,21 @@ class OrderBook:
             bisect.insort(self._ticks[side], ticks)
         level.append(order_id)
         heapq.heappush(self._expiry, (expires_at, order_id))
-        return None, order
+        if side == BUY:
+            self.pledged_cash[agent_id] += ticks
+        else:
+            self.pledged_shares[agent_id] += 1
 
-    def expire(self, t: int) -> list[LimitOrder]:
+    def expire(self, t: int) -> None:
         """Remove every resting order with expires_at <= t."""
-        removed = []
-        while self._expiry and self._expiry[0][0] <= t:
-            _, oid = heapq.heappop(self._expiry)
-            order = self._orders.get(oid)
-            if order is not None:
+        expiry = self._expiry
+        while expiry and expiry[0][0] <= t:
+            oid = heapq.heappop(expiry)[1]
+            if oid in self._orders:
                 self._remove(oid)
-                removed.append(order)
-        return removed
 
-    def purge_outside(self, lo: float, hi: float) -> list[LimitOrder]:
+    def purge_outside(self, lo: float, hi: float) -> None:
         """Remove resting orders priced outside [lo, hi] (currency units)."""
-        removed = []
         for side in (BUY, SELL):
             bad = [
                 ticks
@@ -160,12 +165,16 @@ class OrderBook:
             ]
             for ticks in bad:
                 for oid in list(self._levels[side][ticks]):
-                    removed.append(self._orders[oid])
                     self._remove(oid)
-        return removed
 
     def _remove(self, order_id: int) -> None:
+        """Take a resting order off the book and release its pledge; every
+        trade, expiry and purge goes through here."""
         order = self._orders.pop(order_id)
+        if order.side == BUY:
+            self.pledged_cash[order.agent_id] -= order.ticks
+        else:
+            self.pledged_shares[order.agent_id] -= 1
         level = self._levels[order.side][order.ticks]
         level.remove(order_id)
         if not level:
@@ -202,10 +211,10 @@ class OrderBook:
             depth=depth,
         )
 
-    def pledges(self, n_agents: int) -> tuple[list[int], list[int]]:
-        """Per agent: the summed ticks of its resting bids and the number of its resting asks."""
-        cash = [0] * n_agents
-        shares = [0] * n_agents
+    def pledges(self) -> tuple[list[int], list[int]]:
+        """The escrow recounted from the resting orders: per agent, its bids' ticks and asks."""
+        cash = [0] * len(self.pledged_cash)
+        shares = [0] * len(self.pledged_shares)
         for order in self._orders.values():
             if order.side == BUY:
                 cash[order.agent_id] += order.ticks

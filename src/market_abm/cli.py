@@ -24,7 +24,6 @@ from .runio import (
     load_run_dir,
     sha256_file,
     write_analysis,
-    write_fundamental_trace,
     write_run,
 )
 
@@ -77,8 +76,6 @@ def cmd_run(args) -> int:
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     write_run(out_root, run)
-    if args.trace_fundamental:
-        write_fundamental_trace(out_root / "fundamental.csv", run.records)
     (out_root / "config.txt").write_text(dump_config(cfg))
     _experiment_manifest(
         out_root, args, cfg, [cfg.seed],
@@ -230,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, config=True):
-        if config:
+        if config:  # reproduce-paper builds its own config, which -O still adjusts
             p.add_argument("--config", help="key = value config file")
-            p.add_argument(
-                "-O", "--override", action="append", metavar="KEY=VALUE",
-                help="override one config key (repeatable)",
-            )
+        p.add_argument(
+            "-O", "--override", action="append", metavar="KEY=VALUE",
+            help="override one config key (repeatable)",
+        )
         p.add_argument("--out", required=True, help="output directory")
 
     p_run = sub.add_parser("run", help="single simulation run")
@@ -245,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lob-snapshot", action="append", type=int, metavar="STEP",
         help="write a book snapshot CSV at this step, 1..steps (repeatable)",
     )
-    p_run.add_argument("--trace-fundamental", action="store_true",
-                       help="also dump the fundamental path as fundamental.csv")
     p_run.set_defaults(func=cmd_run)
 
     p_ens = sub.add_parser("ensemble", help="independent runs over consecutive seeds")
@@ -270,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce-paper",
         help="full experiment recipe: ensemble plus analytics report at a given scale",
     )
-    add_common(p_rep)
+    add_common(p_rep, config=False)
     p_rep.add_argument(
         "--scale", type=float, default=0.1,
         help="1.0 = 100 seeds x 1e6 steps; default desk scale 0.1 = 10 seeds x 1e5 steps",

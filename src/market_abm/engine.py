@@ -6,10 +6,11 @@ expectation into an order, filter through the price band and the budget,
 match against the book, and record the market state.
 
 Cash is accounted in integer ticks and shares as integers, so conservation
-holds exactly. Cash pledged by resting bids and shares pledged by resting
-asks are escrowed until the order trades, expires or is purged, which makes
-the budget filter sound even with several live orders per agent; every run
-ends by checking the escrow against the book's resting orders.
+holds exactly. The book escrows the cash pledged by resting bids and the
+shares pledged by resting asks until the order trades, expires or is
+purged; the budget filter spends only what is not pledged, which makes it
+sound even with several live orders per agent. Every run ends by checking
+the book's escrow against its resting orders.
 """
 
 from __future__ import annotations
@@ -182,11 +183,11 @@ def pick_agent(next_uint32, state, n: int) -> int:
     return m >> 32
 
 
-def check_escrow(book: OrderBook, committed_cash: list[int], committed_shares: list[int]) -> None:
-    """Every agent's escrow must equal what its resting orders pledge: the
-    ticks of its bids in cash and one share per ask."""
-    if book.pledges(len(committed_cash)) != (list(committed_cash), list(committed_shares)):
-        raise RuntimeError("escrow violated: committed cash or shares differ from resting orders")
+def check_escrow(book: OrderBook) -> None:
+    """The book's running escrow must equal what its resting orders pledge,
+    per agent: the ticks of its bids in cash and one share per ask."""
+    if book.pledges() != (book.pledged_cash, book.pledged_shares):
+        raise RuntimeError("escrow violated: pledged cash or shares differ from resting orders")
 
 
 def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
@@ -218,14 +219,14 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         cash=config.init_cash, shares=config.init_shares, tick_size=tick,
     )
     # The holdings ledger is plain ints during the run and goes back into
-    # `pop` at its end; committed amounts are escrowed by resting orders.
+    # `pop` at its end; the book keeps what resting orders pledge of it.
     cash = pop.cash_ticks.tolist()
     shares = pop.shares.tolist()
     total_cash0, total_shares0 = sum(cash), sum(shares)
-    committed_cash, committed_shares = [0] * n_agents, [0] * n_agents
 
-    book = OrderBook(tick_size=tick, allow_self_trades=config.allow_self_trades)
+    book = OrderBook(tick, n_agents, allow_self_trades=config.allow_self_trades)
     tick_size = book.tick_size  # float; the book prices every tick with it
+    pledged_cash, pledged_shares = book.pledged_cash, book.pledged_shares
     sparams = SwitchParams(
         v1=config.v1, v2=config.v2, alpha1=config.alpha1, alpha2=config.alpha2,
         alpha3=config.alpha3, big_r=config.big_r, s=config.s,
@@ -250,12 +251,6 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     switch_count = 0
     snapshots = {}
 
-    def release(order) -> None:
-        if order.side == BUY:
-            committed_cash[order.agent_id] -= order.ticks
-        else:
-            committed_shares[order.agent_id] -= 1
-
     kinds = memoryview(pop.types)  # apply_switching moves agents in place
     n_f, n_plus, n_minus = pop.counts()
     rec.n_plus[:] = n_plus
@@ -279,11 +274,9 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         # new trading period: the band anchor moved, purge stale out-of-band orders
         if t > 1 and (t - 1) % spp == 0:
             lo, hi = circuit_breaker(p_prev, band)
-            for order in book.purge_outside(lo, hi):
-                release(order)
+            book.purge_outside(lo, hi)
 
-        for order in book.expire(t):
-            release(order)
+        book.expire(t)
 
         if switching:
             trend_c = average_price_trend(price_at, t, horizon_c, dt)
@@ -325,26 +318,16 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         elif not lo <= intent.price <= hi:
             rejections["band"] += 1
         else:
-            checked = enforce_budget(intent, book, cash[agent] - committed_cash[agent],
-                                     shares[agent] - committed_shares[agent])
+            checked = enforce_budget(intent, book, cash[agent] - pledged_cash[agent],
+                                     shares[agent] - pledged_shares[agent])
             if checked is None:
                 rejections["budget_buy" if intent.side == BUY else "budget_sell"] += 1
             else:
-                trade, rested = book.submit(checked, t)
+                trade = book.submit(checked, t)
                 if trade is not None:
-                    if trade.aggressor == BUY:
-                        committed_shares[trade.seller_id] -= 1
-                    else:
-                        committed_cash[trade.buyer_id] -= trade.ticks
                     settle_trade(cash, shares, trade)
                     trade_rows.extend(
                         (t, trade.ticks, trade.buyer_id, trade.seller_id, trade.aggressor))
-                elif rested is not None:
-                    if rested.side == BUY:
-                        committed_cash[agent] += rested.ticks
-                    else:
-                        committed_shares[agent] += 1
-                # both None: submit rejected a self-cross; counted by the book
 
         bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
         p_now = current_price(trade, bid, ask, tick_size, p_prev)
@@ -371,7 +354,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         raise RuntimeError("conservation violated: cash or share totals changed")
     if (pop.cash_ticks < 0).any() or (pop.shares < 0).any():
         raise RuntimeError("negative holdings at end of run")
-    check_escrow(book, committed_cash, committed_shares)
+    check_escrow(book)
 
     tr_step, tr_ticks, tr_buyer, tr_seller, tr_aggr = np.reshape(trade_rows, (-1, 5)).T
     trades = TradeRecords(

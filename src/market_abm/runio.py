@@ -85,11 +85,6 @@ def write_lob_snapshot(path: Path, rows: list[tuple[float, int]]) -> None:
     ])
 
 
-def write_fundamental_trace(path: Path, records: StepRecords) -> None:
-    """Two-column dump (step, value) of the fundamental path."""
-    _write_csv(path, ["step", "value"], [records.step, records.fundamental_value])
-
-
 def run_manifest(run: RunOutput) -> dict:
     pop, tick = run.final_population, float(run.config.tick)
     return {

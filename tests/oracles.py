@@ -342,17 +342,11 @@ class NaiveBook:
         self.next_id += 1
         return None
 
-    def _drop(self, gone) -> list[int]:
-        """Remove the rows `gone` selects; their order ids, ascending."""
-        removed = sorted(o[3] for o in self.orders if gone(o))
-        self.orders = [o for o in self.orders if not gone(o)]
-        return removed
+    def expire(self, t) -> None:
+        self.orders = [o for o in self.orders if o[5] > t]
 
-    def expire(self, t) -> list[int]:
-        return self._drop(lambda o: o[5] <= t)
-
-    def purge_outside(self, lo, hi, tick_size) -> list[int]:
-        return self._drop(lambda o: o[1] * tick_size < lo or o[1] * tick_size > hi)
+    def purge_outside(self, lo, hi, tick_size) -> None:
+        self.orders = [o for o in self.orders if lo <= o[1] * tick_size <= hi]
 
     def quote_ticks(self):
         """(best bid, best ask, bid gap, ask gap, depth), NO_TICK where absent."""
@@ -365,6 +359,11 @@ class NaiveBook:
             asks[1] - asks[0] if len(asks) > 1 else NO_TICK,
             len(self.orders),
         )
+
+    def live_orders(self):
+        """(order_id, agent_id, side, ticks, submit_step, expires_at) of every
+        resting order, oldest first, as `OrderBook` records them."""
+        return sorted((o[3], o[4], o[0], o[1], o[2], o[5]) for o in self.orders)
 
     def pledges(self, n_agents):
         cash, shares = [0] * n_agents, [0] * n_agents

@@ -279,7 +279,7 @@ def test_c6_extreme_event_rate_gaussian():
 def test_c7_book_matches_naive_reference():
     tick = 0.0005
     rng = np.random.default_rng(777)
-    fast = OrderBook(tick)
+    fast = OrderBook(tick, 60)
     naive = NaiveBook()
     trades = 0
     for t in range(1, 100_001):
@@ -293,7 +293,7 @@ def test_c7_book_matches_naive_reference():
             price=ticks * tick,
             horizon=int(rng.integers(5, 120)),
         )
-        trade, _ = fast.submit(it, t)
+        trade = fast.submit(it, t)
         ref = naive.submit(it, t)
         if trade is None:
             assert ref is None, f"step {t}: reference traded, book did not"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from market_abm.analytics import (
     DEPTH_FLOOR,
@@ -13,6 +15,7 @@ from market_abm.analytics import (
     MRFM,
     NE_THRESHOLD,
     RegimeBin,
+    _ranks,
     analyze_bundles,
     bin_by_pc,
     bin_indices,
@@ -87,6 +90,10 @@ class TestDfa:
     def test_one_constant_run_among_others_is_pooled(self):
         rng = np.random.default_rng(20)
         pooled, per_run = ensemble_dfa([rng.standard_normal(4096), np.zeros(4096)])
+        assert math.isfinite(pooled.h) and math.isfinite(per_run[0])
+        assert math.isnan(per_run[1])
+        # 0.1 is inexact, so a flat run's F(n) is roundoff, not zero: still no exponent
+        pooled, per_run = ensemble_dfa([rng.standard_normal(4096), np.full(4096, 0.1)])
         assert math.isfinite(pooled.h) and math.isfinite(per_run[0])
         assert math.isnan(per_run[1])
 
@@ -379,6 +386,15 @@ class TestHelpers:
 
     def test_spearman_ties(self):
         assert spearman([1, 1, 2, 3], [2, 2, 4, 6]) == pytest.approx(1.0)
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
+    def test_tied_values_share_the_mean_of_their_positions(self, values):
+        a = np.array(values, dtype=float)
+        ranks = _ranks(a)
+        for i, v in enumerate(a):
+            # sorted, v fills positions below + 1 .. below + count
+            below, count = int(np.sum(a < v)), int(np.sum(a == v))
+            assert ranks[i] == below + (count + 1) / 2
 
     def test_analysis_options_at_their_bounds(self):
         # the widest admissible options pass; one step past any bound fails

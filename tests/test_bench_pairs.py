@@ -15,6 +15,7 @@ _spec.loader.exec_module(bench_pairs)
 # (parent, change) per pair; pair 1 ties on steps/s
 STEPS_PER_S = [(100.0, 120.0), (110.0, 110.0)]
 WALL_S = [(10.0, 8.0), (12.0, 13.0)]
+LOAD_US = [(3.0, 2.0), (4.0, 2.5)]  # every change run beats every parent run
 
 
 def report(side, workload, pair, digest="d"):
@@ -28,6 +29,7 @@ def report(side, workload, pair, digest="d"):
         "metrics": {
             "sim_steps_per_s": {"value": STEPS_PER_S[pair][k], "unit": "steps/s"},
             "wall_s": {"value": WALL_S[pair][k], "unit": "s"},
+            "load_us_per_step": {"value": LOAD_US[pair][k], "unit": "us/step"},
         },
     }
 
@@ -45,8 +47,9 @@ def summary(tmp_path):
                 path.write_text(json.dumps(report(side, workload, pair, digest)))
     benchmark = tmp_path / "BENCHMARK.json"
     benchmark.write_text(json.dumps({
-        "end_to_end": [{"name": "sim_steps_per_s", "better": "higher"},
-                       {"name": "wall_s", "better": "lower"}],
+        "end_to_end": [{"name": "sim_steps_per_s", "better": "higher", "bound": 0.25},
+                       {"name": "wall_s", "better": "lower", "bound": 0.05},
+                       {"name": "load_us_per_step", "better": "lower", "bound": 0.05}],
         "per_layer": [],
     }))
     out = tmp_path / "BENCH_test.json"
@@ -87,6 +90,19 @@ def test_lower_is_better_metric(summary):
     assert m["pair_ratios"] == pytest.approx([0.8, 13 / 12])
     assert m["median_ratio"] == pytest.approx((0.8 + 13 / 12) / 2)
     assert m["change_wins"] == 1
+
+
+def test_unresolved_when_the_parent_spreads_beyond_the_bound(summary):
+    metrics = summary["runs"]["hetero-seed1-trace0"]["metrics"]
+    # steps/s: parent spread 5 / 105, inside its 0.25 bound
+    assert metrics["sim_steps_per_s"]["parent_spread"] == pytest.approx(5 / 105)
+    assert metrics["sim_steps_per_s"]["unresolved"] is False
+    # wall_s: spread 1 / 11 beyond its 0.05 bound, and the runs overlap
+    assert metrics["wall_s"]["parent_spread"] == pytest.approx(1 / 11)
+    assert metrics["wall_s"]["unresolved"] is True
+    # load: spread 0.5 / 3.5 beyond its bound, but every change run is better
+    assert metrics["load_us_per_step"]["parent_spread"] == pytest.approx(0.5 / 3.5)
+    assert metrics["load_us_per_step"]["unresolved"] is False
 
 
 STUB_RUN = """

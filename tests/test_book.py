@@ -1,4 +1,4 @@
-"""Tests for the double-auction book: matching, expiry, quotes, statistics."""
+"""Tests for the double-auction book: matching, expiry, escrow, quotes, statistics."""
 
 import numpy as np
 import pytest
@@ -19,8 +19,11 @@ def intent(agent, side, price, horizon=100):
     return OrderIntent(agent_id=agent, side=side, ticks=ticks, price=ticks * TICK, horizon=horizon)
 
 
-def make_book(allow_self_trades=False):
-    return OrderBook(tick_size=TICK, allow_self_trades=allow_self_trades)
+N_AGENTS = 60
+
+
+def make_book(allow_self_trades=False, n_agents=N_AGENTS):
+    return OrderBook(TICK, n_agents, allow_self_trades=allow_self_trades)
 
 
 class TestQuotes:
@@ -40,7 +43,7 @@ class TestQuotes:
     def test_emptied_side(self):
         book = make_book()
         book.submit(intent(1, Side.SELL, 301.0), 1)
-        trade, _ = book.submit(intent(2, Side.BUY, 301.0), 2)
+        trade = book.submit(intent(2, Side.BUY, 301.0), 2)
         assert trade is not None
         assert book.best_ask() is None
 
@@ -49,8 +52,8 @@ class TestSubmit:
     def test_marketable_buy_executes_at_ask(self):
         book = make_book()
         book.submit(intent(1, Side.SELL, 301.0), 1)
-        trade, rested = book.submit(intent(2, Side.BUY, 301.0), 2)
-        assert rested is None
+        trade = book.submit(intent(2, Side.BUY, 301.0), 2)
+        assert [o.agent_id for o in resting_orders(book)] == []
         assert trade.price == pytest.approx(301.0)
         assert trade.buyer_id == 2 and trade.seller_id == 1
         assert trade.aggressor == Side.BUY
@@ -58,37 +61,37 @@ class TestSubmit:
     def test_non_crossing_buy_rests(self):
         book = make_book()
         book.submit(intent(1, Side.SELL, 301.0), 1)
-        trade, rested = book.submit(intent(2, Side.BUY, 300.5), 2)
+        trade = book.submit(intent(2, Side.BUY, 300.5), 2)
         assert trade is None
-        assert rested is not None
+        assert resting_orders(book)[-1] == (1, 2, Side.BUY, 601_000, 2, 102)
         assert book.best_bid() == pytest.approx(300.5)
 
     def test_time_priority_at_same_price(self):
         book = make_book()
         book.submit(intent(1, Side.SELL, 301.0), 5)
         book.submit(intent(2, Side.SELL, 301.0), 9)
-        trade, _ = book.submit(intent(3, Side.BUY, 302.0), 10)
+        trade = book.submit(intent(3, Side.BUY, 302.0), 10)
         assert trade.seller_id == 1  # the older order matches first
 
     def test_marketable_sell_executes_at_bid(self):
         book = make_book()
         book.submit(intent(1, Side.BUY, 299.0), 1)
-        trade, _ = book.submit(intent(2, Side.SELL, 298.0), 2)
+        trade = book.submit(intent(2, Side.SELL, 298.0), 2)
         assert trade.price == pytest.approx(299.0)
         assert trade.aggressor == Side.SELL
 
     def test_self_cross_is_dropped_by_default(self):
         book = make_book()
         book.submit(intent(1, Side.SELL, 301.0), 1)
-        trade, rested = book.submit(intent(1, Side.BUY, 302.0), 2)
-        assert trade is None and rested is None
+        assert book.submit(intent(1, Side.BUY, 302.0), 2) is None
         assert book.self_trade_rejections == 1
         assert book.quote_ticks()[4] == 1  # the resting ask is untouched
+        assert [o.order_id for o in resting_orders(book)] == [0]  # and the bid did not rest
 
     def test_self_cross_allowed_when_enabled(self):
         book = make_book(allow_self_trades=True)
         book.submit(intent(1, Side.SELL, 301.0), 1)
-        trade, _ = book.submit(intent(1, Side.BUY, 302.0), 2)
+        trade = book.submit(intent(1, Side.BUY, 302.0), 2)
         assert trade is not None
         assert trade.buyer_id == trade.seller_id == 1
 
@@ -125,27 +128,29 @@ class TestExpire:
     def test_noop_without_expiries(self):
         book = make_book()
         book.submit(intent(1, Side.BUY, 299.0, horizon=100), 1)
-        assert book.expire(50) == []
+        assert book.expire(50) is None
         assert book.quote_ticks()[4] == 1
 
     def test_boundary_inclusive(self):
         book = make_book()
         book.submit(intent(1, Side.BUY, 299.0, horizon=100), 1)
-        removed = book.expire(101)
-        assert len(removed) == 1
+        book.expire(100)
+        assert book.quote_ticks()[4] == 1
+        book.expire(101)
         assert book.quote_ticks()[4] == 0
 
     def test_mixed_expiries_match_set_difference(self):
         rng = np.random.default_rng(2)
-        book = make_book()
+        book = make_book(n_agents=200)
         expected_alive = set()
         for i in range(200):
             t = i + 1
             horizon = int(rng.integers(5, 80))
             it = intent(i, Side.BUY if rng.random() < 0.5 else Side.SELL,
                         float(rng.uniform(200, 400)), horizon=horizon)
-            _, rested = book.submit(it, t)
-            if rested is not None:
+            if book.submit(it, t) is None:  # every agent id is new, so no self-cross
+                rested = resting_orders(book)[-1]
+                assert rested.agent_id == i
                 expected_alive.add((rested.order_id, rested.expires_at))
         cutoff = 120
         book.expire(cutoff)
@@ -179,7 +184,7 @@ class TestCurrentPrice:
         book = make_book()
         book.submit(intent(1, Side.BUY, 299.0), 1)
         book.submit(intent(2, Side.SELL, 301.0), 1)
-        trade, _ = book.submit(intent(3, Side.BUY, 301.0), 2)
+        trade = book.submit(intent(3, Side.BUY, 301.0), 2)
         assert price_proxy(book, trade, 310.0) == pytest.approx(301.0)
 
     def test_empty_book_keeps_previous(self):
@@ -262,14 +267,31 @@ class TestSnapshot:
         assert rows == [(pytest.approx(299.0), 2), (pytest.approx(301.0), -1)]
 
 
+class TestPledges:
+    def test_resting_orders_pledge_and_every_removal_releases(self):
+        book = make_book(n_agents=3)
+        book.submit(intent(0, Side.BUY, 299.0, horizon=5), 1)  # pledges 598_000 ticks
+        book.submit(intent(1, Side.SELL, 301.0), 1)  # pledges one share
+        assert (book.pledged_cash, book.pledged_shares) == ([598_000, 0, 0], [0, 1, 0])
+        book.submit(intent(2, Side.BUY, 301.0), 2)  # trades: agent 1's ask is released
+        assert (book.pledged_cash, book.pledged_shares) == ([598_000, 0, 0], [0, 0, 0])
+        book.submit(intent(2, Side.SELL, 400.0), 3)
+        assert book.pledged_shares == [0, 0, 1]
+        book.expire(6)  # agent 0's bid expires
+        assert book.pledged_cash == [0, 0, 0]
+        book.purge_outside(250.0, 350.0)  # agent 2's ask is outside
+        assert (book.pledged_cash, book.pledged_shares) == ([0, 0, 0], [0, 0, 0])
+        assert book.quote_ticks()[4] == 0
+
+
 class TestPurge:
     def test_out_of_band_orders_removed(self):
         book = make_book()
         book.submit(intent(1, Side.BUY, 250.0), 1)
         book.submit(intent(2, Side.BUY, 299.0), 1)
         book.submit(intent(3, Side.SELL, 360.0), 1)
-        removed = book.purge_outside(255.0, 345.0)
-        assert {o.agent_id for o in removed} == {1, 3}
+        assert book.purge_outside(255.0, 345.0) is None
+        assert [o.agent_id for o in resting_orders(book)] == [2]
         assert book.quote_ticks()[4] == 1
 
 
@@ -288,7 +310,7 @@ def test_differential_against_naive_reference():
             float(rng.uniform(285, 315)),
             horizon=int(rng.integers(5, 200)),
         )
-        trade, _ = fast.submit(it, t)
+        trade = fast.submit(it, t)
         ref = naive.submit(it, t)
         if trade is None:
             assert ref is None
@@ -309,73 +331,54 @@ def test_differential_against_naive_reference():
 
 class BookAgainstNaive(RuleBasedStateMachine):
     """Random submit, expire and purge sequences on the book and the naive
-    reference, with an escrow ledger kept the way the engine keeps it.
+    reference.
 
     Few agents and few price levels make self-crosses, shared levels and
-    empty sides common. After every rule the quotes, the pledges and the
-    ledger must agree.
+    empty sides common. After every rule the quotes, the live orders and
+    the book's escrow must agree with the reference.
     """
 
     N_AGENTS = 4
 
     @initialize(allow_self=st.booleans())
     def start(self, allow_self):
-        self.book = make_book(allow_self_trades=allow_self)
+        self.book = make_book(allow_self_trades=allow_self, n_agents=self.N_AGENTS)
         self.naive = NaiveBook(allow_self_trades=allow_self)
         self.t = 1
-        self.committed_cash = [0] * self.N_AGENTS
-        self.committed_shares = [0] * self.N_AGENTS
-
-    def release(self, order):
-        if order.side == Side.BUY:
-            self.committed_cash[order.agent_id] -= order.ticks
-        else:
-            self.committed_shares[order.agent_id] -= 1
 
     @rule(agent=st.integers(0, N_AGENTS - 1), side=st.sampled_from(Side),
           ticks=st.integers(1, 12), horizon=st.integers(1, 8))
     def submit(self, agent, side, ticks, horizon):
         it = OrderIntent(agent_id=agent, side=side, ticks=ticks, price=ticks * TICK,
                          horizon=horizon)
-        trade, rested = self.book.submit(it, self.t)
+        trade = self.book.submit(it, self.t)
         ref = self.naive.submit(it, self.t)
         assert (None if trade is None else (trade.ticks, trade.buyer_id, trade.seller_id)) == ref
         if trade is not None:
             assert (trade.step, trade.aggressor, trade.price) == (self.t, side, trade.ticks * TICK)
-            if trade.aggressor == Side.BUY:
-                self.committed_shares[trade.seller_id] -= 1
-            else:
-                self.committed_cash[trade.buyer_id] -= trade.ticks
-        elif rested is not None:
-            assert (rested.order_id, rested.expires_at) == (self.naive.next_id - 1,
-                                                            self.t + horizon)
-            if rested.side == Side.BUY:
-                self.committed_cash[agent] += rested.ticks
-            else:
-                self.committed_shares[agent] += 1
 
     @rule(steps=st.integers(0, 4))
     def expire(self, steps):
         self.t += steps
-        removed = self.book.expire(self.t)
-        assert sorted(o.order_id for o in removed) == self.naive.expire(self.t)
-        for order in removed:
-            self.release(order)
+        assert self.book.expire(self.t) is None
+        self.naive.expire(self.t)
 
     @rule(lo=st.integers(0, 13), width=st.integers(0, 13))
     def purge_outside(self, lo, width):
         bounds = (lo * TICK, (lo + width) * TICK)
-        removed = self.book.purge_outside(*bounds)
-        assert sorted(o.order_id for o in removed) == self.naive.purge_outside(*bounds, TICK)
-        for order in removed:
-            self.release(order)
+        assert self.book.purge_outside(*bounds) is None
+        self.naive.purge_outside(*bounds, TICK)
 
     @invariant()
     def agrees_with_naive(self):
         assert self.book.quote_ticks() == self.naive.quote_ticks()
-        assert self.book.pledges(self.N_AGENTS) == self.naive.pledges(self.N_AGENTS)
+        # every live order, with its owner, side, price and expiry step
+        assert [(o.order_id, o.agent_id, o.side, o.ticks, o.submitted_at, o.expires_at)
+                for o in resting_orders(self.book)] == self.naive.live_orders()
+        assert (self.book.pledged_cash, self.book.pledged_shares) == \
+            self.naive.pledges(self.N_AGENTS)
         assert self.book.self_trade_rejections == self.naive.self_trade_rejections
-        check_escrow(self.book, self.committed_cash, self.committed_shares)
+        check_escrow(self.book)
 
 
 BookAgainstNaive.TestCase.settings = settings(max_examples=150, stateful_step_count=60,

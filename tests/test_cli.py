@@ -114,13 +114,6 @@ class TestRunCommand:
         main(["run", "--config", str(config_file), "-O", "steps=300", "--out", str(out)])
         assert len((out / "steps.csv").read_text().splitlines()) == 301
 
-    def test_fundamental_trace(self, tmp_path, config_file):
-        out = tmp_path / "out"
-        main(["run", "--config", str(config_file), "--out", str(out), "--trace-fundamental"])
-        lines = (out / "fundamental.csv").read_text().splitlines()
-        assert lines[0] == "step,value"
-        assert len(lines) == 1001
-
     def test_lob_snapshot_outside_the_run_is_an_error(self, tmp_path, config_file, capsys):
         out = tmp_path / "out"
         status = main(["run", "--config", str(config_file), "-O", "steps=200", "--out", str(out),
@@ -334,6 +327,24 @@ class TestReproduceCommand:
         manifest = json.loads((out / "experiment.json").read_text())
         assert manifest["config"]["switching_enabled"] is False
         assert manifest["config"]["init_frac_f"] == 1.0
+
+    def test_config_file_is_a_usage_error(self, tmp_path, capsys):
+        # the recipe builds its own config, so a config file is refused, not ignored
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("n_agents = 37\n")
+        out = tmp_path / "exp"
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce-paper", "--config", str(cfg), "--scale", "0.003",
+                  "--burn-periods", "5", "--out", str(out), "--workers", "1"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+        # -O still adjusts the recipe
+        assert main(["reproduce-paper", "-O", "n_agents=37", "--scale", "0.003",
+                     "--burn-periods", "5", "--out", str(out), "--workers", "1"]) == 0
+        manifest = json.loads((out / "experiment.json").read_text())
+        assert manifest["config"]["n_agents"] == 37
+        assert manifest["config_path"] is None
 
     def test_bad_scale(self, tmp_path, capsys):
         assert main(["reproduce-paper", "--scale", "-1", "--out", str(tmp_path / "x")]) == 2

@@ -105,21 +105,21 @@ class TestSelfTrade:
 
 class TestEnforceBudget:
     def test_no_cash_buy_rejected(self):
-        book = OrderBook(TICK)
+        book = OrderBook(TICK, 10)
         assert enforce_budget(intent(1, Side.BUY, 279.0), book, 0, 5) is None
 
     def test_no_shares_sell_rejected(self):
-        book = OrderBook(TICK)
+        book = OrderBook(TICK, 10)
         assert enforce_budget(intent(1, Side.SELL, 310.0), book, 10**9, 0) is None
 
     def test_resting_buy_checked_against_reservation(self):
-        book = OrderBook(TICK)
+        book = OrderBook(TICK, 10)
         it = intent(1, Side.BUY, 279.0)
         cash_ticks = int(round(300.0 / TICK))
         assert enforce_budget(it, book, cash_ticks, 0) is it
 
     def test_marketable_buy_checked_against_best_ask(self):
-        book = OrderBook(TICK)
+        book = OrderBook(TICK, 10)
         book.submit(intent(9, Side.SELL, 300.0), 1)
         # reservation 310 but it would execute at 300: cash for 300 suffices
         it = intent(1, Side.BUY, 310.0)
@@ -163,7 +163,7 @@ class TestSettleTrade:
 
 class TestEscrow:
     def make_book(self):
-        book = OrderBook(TICK)
+        book = OrderBook(TICK, 3)
         book.submit(intent(0, Side.BUY, 299.0), 1)
         book.submit(intent(0, Side.BUY, 298.5), 1)
         book.submit(intent(1, Side.SELL, 301.0), 1)
@@ -173,24 +173,33 @@ class TestEscrow:
     BIDS_0 = int(round(299.0 / TICK)) + int(round(298.5 / TICK))
 
     def test_consistent_ledger_passes(self):
-        check_escrow(self.make_book(), [self.BIDS_0, 0, 0], [0, 2, 0])
-        check_escrow(OrderBook(TICK), [0, 0], [0, 0])
+        book = self.make_book()
+        assert (book.pledged_cash, book.pledged_shares) == ([self.BIDS_0, 0, 0], [0, 2, 0])
+        check_escrow(book)
+        check_escrow(OrderBook(TICK, 2))
 
     def test_corrupted_ledger_trips(self):
-        book = self.make_book()
         for cash, shares in (
             ([self.BIDS_0 - 1, 0, 0], [0, 2, 0]),  # one tick short
             ([self.BIDS_0, 1, 0], [0, 2, 0]),  # cash pledged by an agent without bids
             ([self.BIDS_0, 0, 0], [0, 1, 0]),  # one ask not escrowed
             ([self.BIDS_0, 0, 0], [1, 2, 0]),  # a share held back for no ask
         ):
+            book = self.make_book()
+            book.pledged_cash[:], book.pledged_shares[:] = cash, shares
             with pytest.raises(RuntimeError, match="escrow"):
-                check_escrow(book, cash, shares)
+                check_escrow(book)
 
     def test_run_trips_when_expiries_go_unreleased(self, monkeypatch):
-        # a book that expires orders without reporting them leaves stale escrow
+        # a book that drops expired orders but keeps their pledges leaves stale escrow
         expire = OrderBook.expire
-        monkeypatch.setattr(OrderBook, "expire", lambda self, t: expire(self, t) and [])
+
+        def expire_without_release(self, t):
+            cash, shares = self.pledged_cash[:], self.pledged_shares[:]
+            expire(self, t)
+            self.pledged_cash[:], self.pledged_shares[:] = cash, shares
+
+        monkeypatch.setattr(OrderBook, "expire", expire_without_release)
         with pytest.raises(RuntimeError, match="escrow"):
             run_simulation(small_config(steps=1000))
 

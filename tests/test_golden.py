@@ -4,10 +4,11 @@ Any change that moves a trajectory by one byte fails here. Refactors and
 speedups must keep these digests. A model change that is meant to move the
 trajectory re-pins them, with a CHANGES.md entry that says why it moved.
 
-Besides `steps.csv` and `trades.csv`, the pin covers each run's rejection
-counters and final per-agent holdings, book snapshots, the fundamental
-trace, and every file `market-abm analyze` writes over the first three run
-directories (which reads them back through the loader).
+Besides `steps.csv` (whose `fundamental_value` column is the fundamental
+path) and `trades.csv`, the pin covers each run's rejection counters and
+final per-agent holdings, book snapshots, and every file `market-abm
+analyze` writes over the first three run directories (which reads them back
+through the loader).
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 
 from market_abm.cli import experiment_config, main
 from market_abm.engine import run_simulation
-from market_abm.runio import sha256_file, write_fundamental_trace, write_run
+from market_abm.runio import sha256_file, write_run
 
 STEPS = 5000
 SEED = 100
@@ -75,14 +76,13 @@ OUTCOMES = {
     ),
 }
 
-# Extra files of the hetero_all_agents run: book snapshots and the fundamental trace.
+# Extra files of the hetero_all_agents run: book snapshots.
 EXTRA_RUN = "hetero_all_agents"
 SNAPSHOT_STEPS = (1000, 2500, 5000)
 EXTRA_FILES = {
     "lob_1000.csv": "e962a9af61ccb053fb2841e9d2b4327334f07c74333a91e5e41b8706cb5bef2b",
     "lob_2500.csv": "e6a9c7bca96355f49100dd1680474057f98790e10c35d79892dcb462e2499d6c",
     "lob_5000.csv": "fb7f1aa6359f226e9dc948335e2a5ea287406440de8e46eb0e24bb88efd36268",
-    "fundamental.csv": "f4690855f9d3346e9f8a7803e14e5cf0904f11987a69a4233e168a88b29c95f3",
 }
 
 # `analyze` over the three ANALYZED runs; thin thresholds so every curve is written.
@@ -133,8 +133,6 @@ def golden_root(tmp_path_factory):
         dirs[name] = (root if name in ANALYZED else apart) / name
         manifests[name] = write_run(dirs[name], run)
         holdings[name] = holdings_sha256(run.final_population, run.config.tick)
-        if name == EXTRA_RUN:
-            write_fundamental_trace(dirs[name] / "fundamental.csv", run.records)
     return root, dirs, manifests, holdings
 
 

@@ -19,7 +19,11 @@ mode, and for each metric, it writes the per-side median and quartiles,
 the per-pair change/parent ratios, and how many pairs the change won. Which
 direction wins comes from `BENCHMARK.json`; a per-layer metric counts as
 won when the change is lower, except for the ratios the benchmark marks
-"higher". The commits come from the reports' environments.
+"higher". For each end-to-end metric it also writes the parent's spread,
+(q3 - q1) / median, and marks the metric `unresolved` when that spread
+exceeds the metric's bound and the change's runs are not all better than
+all of the parent's: such runs are too noisy to tell a move within the
+bound. The commits come from the reports' environments.
 """
 
 from __future__ import annotations
@@ -67,13 +71,14 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def directions(benchmark: Path) -> dict[str, str]:
+def metric_specs(benchmark: Path) -> dict[str, dict]:
+    """Each metric's entry in BENCHMARK.json, by name; end-to-end ones carry a bound."""
     spec = json.loads(benchmark.read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def summarize(args) -> None:
-    better = directions(Path(args.benchmark))
+    specs = metric_specs(Path(args.benchmark))
     groups: dict[tuple, dict[str, dict[int, dict]]] = {}
     for path in sorted(Path(args.archive).glob("*.json")):
         side, rest = path.stem.split("-", 1)
@@ -100,12 +105,13 @@ def summarize(args) -> None:
         }
         for name, meta in first["metrics"].items():
             values = {s: [r["metrics"][name]["value"] for r in reports[s]] for s in SIDES}
-            higher = better.get(name, "lower") == "higher"
+            spec = specs.get(name, {})
+            higher = spec.get("better", "lower") == "higher"
             ratios = [c / p if p else None for p, c in zip(values["parent"], values["change"])]
             wins = sum((c > p) if higher else (c < p)
                        for p, c in zip(values["parent"], values["change"]))
             known = [r for r in ratios if r is not None]
-            entry["metrics"][name] = {
+            metric = entry["metrics"][name] = {
                 "unit": meta["unit"],
                 "better": "higher" if higher else "lower",
                 **{s: quartiles(values[s]) for s in SIDES},
@@ -113,6 +119,15 @@ def summarize(args) -> None:
                 "median_ratio": statistics.median(known) if known else None,
                 "change_wins": wins,
             }
+            if "bound" in spec:
+                parent = metric["parent"]
+                spread = (parent["q3"] - parent["q1"]) / parent["median"]
+                if higher:
+                    clear = min(values["change"]) > max(values["parent"])
+                else:
+                    clear = max(values["change"]) < min(values["parent"])
+                metric["parent_spread"] = spread
+                metric["unresolved"] = spread > spec["bound"] and not clear
         label = f"{workload}-seed{seed}-trace{int(traced)}"
         out["runs"][label] = entry
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
