@@ -53,7 +53,7 @@ class TestSubmit:
         book = make_book()
         book.submit(intent(1, Side.SELL, 301.0), 1)
         trade = book.submit(intent(2, Side.BUY, 301.0), 2)
-        assert [o.agent_id for o in resting_orders(book)] == []
+        assert resting_orders(book) == []
         assert trade.price == pytest.approx(301.0)
         assert trade.buyer_id == 2 and trade.seller_id == 1
         assert trade.aggressor == Side.BUY
