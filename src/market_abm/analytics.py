@@ -32,6 +32,7 @@ DEPTH_FLOOR = 20.0
 EXTREME_SIGMAS = 4.0
 MIN_BOX = 10  # smallest DFA box; the largest is a quarter of the series
 N_BOXES = 20  # log-spaced DFA box sizes
+LAGS = (1, 4, 16, 64)  # aggregation lags, in periods, of the kurtosis decay
 MIN_TAIL = 50  # fewest tail samples a power-law fit accepts
 LOW_CONFIDENCE_BELOW = 1000  # bins with fewer observations are flagged
 
@@ -512,7 +513,6 @@ def analyze_bundles(
     steps_per_period: int,
     bin_width: float = 0.01,
     xmin_quantile: float = 0.95,
-    lags=(1, 4, 16, 64),
     min_obs: int = 100,
     burn_periods: int = 0,
 ) -> AnalysisReport:
@@ -620,11 +620,10 @@ def analyze_bundles(
                     np.array([b.mean_depth for b in active]),
                 )
 
-    lag_list = [int(l) for l in lags]
     agg_gauss = {
-        "lags": lag_list,
-        "excess_kurtosis": lagged_kurtosis([p["close"][burn:] for p in per_run], lag_list),
-        "fv_excess_kurtosis": lagged_kurtosis([p["fv_close"][burn:] for p in per_run], lag_list),
+        "lags": list(LAGS),
+        "excess_kurtosis": lagged_kurtosis([p["close"][burn:] for p in per_run], LAGS),
+        "fv_excess_kurtosis": lagged_kurtosis([p["fv_close"][burn:] for p in per_run], LAGS),
     }
 
     meta = {

@@ -38,22 +38,10 @@ def _default_workers() -> int:
         return 1
 
 
-def _load_config(args) -> SimConfig:
-    overrides = parse_overrides(args.override or [])
-    if args.config is None:
-        cfg = SimConfig(**overrides)
-        cfg.validate()
-        return cfg
-    path = Path(args.config)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    return load_config(path, overrides)
-
-
 def _experiment_manifest(out_root: Path, args, cfg: SimConfig, seeds, run_entries) -> None:
     manifest = {
         "tool_version": __version__,
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(args.argv),
         "config_path": str(args.config) if getattr(args, "config", None) else None,
         "config_sha256": sha256_file(args.config) if getattr(args, "config", None) else None,
         "config": cfg.as_dict(),
@@ -66,7 +54,7 @@ def _experiment_manifest(out_root: Path, args, cfg: SimConfig, seeds, run_entrie
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_config(args.config, parse_overrides(args.override or []))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     started = time.perf_counter()
@@ -123,7 +111,7 @@ def cmd_ensemble(args) -> int:
     if args.seeds < 1:
         print("--seeds must be >= 1", file=sys.stderr)
         return 2
-    cfg = _load_config(args)
+    cfg = load_config(args.config, parse_overrides(args.override or []))
     seeds = list(range(cfg.seed, cfg.seed + args.seeds))
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -144,7 +132,7 @@ def cmd_analyze(args) -> int:
     spp = None
     for run_dir in run_dirs:
         records, manifest = load_run_dir(run_dir)
-        run_spp = int(manifest.get("config", {}).get("steps_per_period", 100))
+        run_spp = int(manifest["config"]["steps_per_period"])
         spp = run_spp if spp is None else spp
         if run_spp != spp:
             print(f"{run_dir}: steps_per_period differs across runs", file=sys.stderr)
@@ -175,9 +163,7 @@ def experiment_config(scale: float, homogeneous: bool, overrides: dict | None = 
         base = dict(steps=steps, init_frac_f=0.15, init_frac_opt=0.425,
                     init_cash=450.0, init_shares=1)
     base.update(overrides or {})
-    cfg = SimConfig(**base)
-    cfg.validate()
-    return cfg
+    return load_config(None, base)
 
 
 def experiment_seeds(scale: float, first_seed: int = 0) -> list[int]:
@@ -282,8 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # the command experiment.json records
     try:
         return args.func(args)
     except FileNotFoundError as exc:

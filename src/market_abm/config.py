@@ -1,5 +1,8 @@
 """Run configuration: every model parameter plus the seed.
 
+The kernels read their parameters from the SimConfig itself, so each
+parameter's default and check live here and nowhere else.
+
 Configs round-trip through a flat `key = value` text format whose keys match
 the SimConfig field names exactly, so experiment files stay greppable and
 diffable.
@@ -122,17 +125,21 @@ def parse_overrides(pairs: list[str]) -> dict:
                 for pair in pairs)
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> SimConfig:
-    """Read a `key = value` config file and apply overrides on top."""
-    path = Path(path)
+def load_config(path: str | Path | None, overrides: dict | None = None) -> SimConfig:
+    """Read a `key = value` config file, or take the defaults when `path` is
+    None, apply overrides on top and validate."""
     values = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, value = _parse_pair(stripped, f"{path}:{lineno}: ",
-                                 f"expected key = value, got {line!r}")
-        values[key] = value
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise FileNotFoundError(f"config file not found: {path}")
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            key, value = _parse_pair(stripped, f"{path}:{lineno}: ",
+                                     f"expected key = value, got {line!r}")
+            values[key] = value
     if overrides:
         values.update(overrides)
     cfg = SimConfig(**values)

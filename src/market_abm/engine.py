@@ -26,11 +26,9 @@ import numpy as np
 
 from .book import BUY, NO_TICK, OrderBook, OrderIntent, Trade, current_price
 from .config import SimConfig
-from .expectations import ExpectationParams, decide_order, draw_k, expected_price, rolling_sigma
+from .expectations import decide_order, draw_k, expected_price, rolling_sigma
 from .fundamental import fundamental_path
-from .population import (
-    FUNDAMENTALIST, Population, SwitchParams, apply_switching, average_price_trend,
-)
+from .population import FUNDAMENTALIST, Population, apply_switching, average_price_trend
 
 _BAND_EPS = 1e-12  # relative slack so exact boundary prices stay inside the band
 _DRAW_BLOCK_DOUBLES = 32_768  # switching uniforms drawn at once: 256 KiB, 64 sweeps of 500 agents
@@ -202,7 +200,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     tick = config.tick
     dt = config.dt
     horizon_f, horizon_c = config.horizon_f, config.horizon_c
-    sigma_eps, k_scale = config.sigma_eps, config.k_scale
+    k_scale = config.k_scale
 
     seed_seq = np.random.SeedSequence(config.seed)
     fund_ss, switch_ss, trade_ss = seed_seq.spawn(3)
@@ -211,7 +209,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     bitgen = rng_trade.bit_generator.ctypes  # the trader pick draws from it directly
     switch_bitgen = rng_switch.bit_generator.ctypes  # as does the per-trade switching pick
 
-    fv = fundamental_path(config.pf0, sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
+    fv = fundamental_path(config.pf0, config.sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
     fv_at = memoryview(fv)
 
     pop = Population.initial(
@@ -227,11 +225,6 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     book = OrderBook(tick, n_agents, allow_self_trades=config.allow_self_trades)
     tick_size = book.tick_size  # float; the book prices every tick with it
     pledged_cash, pledged_shares = book.pledged_cash, book.pledged_shares
-    sparams = SwitchParams(
-        v1=config.v1, v2=config.v2, alpha1=config.alpha1, alpha2=config.alpha2,
-        alpha3=config.alpha3, big_r=config.big_r, s=config.s,
-    )
-    eparams = ExpectationParams(config.gamma_f, config.gamma_c, tick)
 
     # Per-step values go through memoryviews, which read and store Python
     # numbers faster than numpy indexing. The quote and gap columns hold tick
@@ -290,7 +283,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                     draws, offset = memoryview(rng_switch.random(block_size)), 0
             switches, clamped, (n_f, n_plus, n_minus) = apply_switching(
                 kinds, n_f, n_plus, n_minus, p_prev, fv_at[t - 1], trend_f, trend_c,
-                sparams, dt, draws, offset, only)
+                config, draws, offset, only)
             clamp_events += clamped
             switch_count += switches
             n_plus_at[t - 1] = n_plus
@@ -306,9 +299,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         else:
             sigma_tau = rolling_sigma(price, t, horizon_c, config.sigma_window_aligned)
             horizon = horizon_c
-        expectation = expected_price(
-            agent_type, p_prev, p_f_now, sigma_tau, sigma_eps, eparams, rng_trade
-        )
+        expectation = expected_price(agent_type, p_prev, p_f_now, sigma_tau, config, rng_trade)
         k = draw_k(rng_trade, k_scale)
         intent = decide_order(agent, horizon, expectation, p_prev, k, tick)
 

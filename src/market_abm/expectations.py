@@ -9,25 +9,12 @@ discounts (marks up) the expectation by an exponentially distributed factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .book import BUY, SELL, OrderIntent
+from .config import SimConfig
 from .population import FUNDAMENTALIST, OPTIMIST, PESSIMIST
-
-
-@dataclass(frozen=True)
-class ExpectationParams:
-    gamma_f: float = 1.0
-    gamma_c: float = 0.1
-    tick: float = 0.0005
-
-    def __post_init__(self):
-        if not (self.gamma_f > self.gamma_c > 0.0):
-            raise ValueError("risk aversion must satisfy gamma_f > gamma_c > 0")
-        if self.tick <= 0.0:
-            raise ValueError("tick must be > 0")
 
 
 def rolling_sigma(price, t: int, tau: int, aligned: bool) -> float:
@@ -57,11 +44,13 @@ def expected_price(
     p: float,
     p_f: float,
     sigma_tau: float,
-    sigma_eps: float,
-    params: ExpectationParams,
+    config: SimConfig,
     rng: np.random.Generator,
 ) -> float:
     """Draw one price expectation for the given agent type; floored at one tick.
+
+    Reads `config`'s sigma_eps and gamma_f (fundamentalists), gamma_c
+    (chartists) and tick.
 
     A normal draw of scale s is taken as s * z: numpy's normal(0.0, s) is
     0.0 + s * z from the same stream, which differs only in the sign of a
@@ -70,14 +59,14 @@ def expected_price(
     if p <= 0.0 or p_f <= 0.0:
         raise ValueError("prices must be > 0")
     if agent_type == FUNDAMENTALIST:
-        value = p_f * (1.0 + sigma_eps / params.gamma_f * rng.standard_normal())
+        value = p_f * (1.0 + config.sigma_eps / config.gamma_f * rng.standard_normal())
     elif agent_type == OPTIMIST:
-        value = p + abs(sigma_tau / params.gamma_c * rng.standard_normal())
+        value = p + abs(sigma_tau / config.gamma_c * rng.standard_normal())
     elif agent_type == PESSIMIST:
-        value = p - abs(sigma_tau / params.gamma_c * rng.standard_normal())
+        value = p - abs(sigma_tau / config.gamma_c * rng.standard_normal())
     else:
         raise ValueError(f"unknown agent type {agent_type}")
-    return max(value, params.tick)
+    return max(value, config.tick)
 
 
 def draw_k(rng: np.random.Generator, scale: float) -> float:

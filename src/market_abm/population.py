@@ -8,10 +8,11 @@ a herding term (group sizes) with the relative profitability of strategies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, isfinite
 
 import numpy as np
+
+from .config import SimConfig
 
 FUNDAMENTALIST = 0
 OPTIMIST = 1
@@ -20,22 +21,6 @@ PESSIMIST = 2
 # Groups holding less than this fraction of the population cannot be left,
 # which keeps every opinion alive (no absorbing state).
 MIN_GROUP_FRACTION = 0.008
-
-
-@dataclass(frozen=True)
-class SwitchParams:
-    v1: float = 2.0
-    v2: float = 0.6
-    alpha1: float = 0.6
-    alpha2: float = 1.5
-    alpha3: float = 1.0
-    big_r: float = 0.0004  # nominal return rate; r = big_r * p_f is recomputed each step
-    s: float = 0.75
-
-    def __post_init__(self):
-        for name in ("v1", "v2", "alpha1", "alpha2", "alpha3", "big_r", "s"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"switch parameter {name} must be > 0")
 
 
 def average_price_trend(price, t: int, horizon: int, dt: float) -> float:
@@ -104,8 +89,7 @@ def apply_switching(
     p_f: float,
     trend_f: float,
     trend_c: float,
-    params: SwitchParams,
-    dt: float,
+    config: SimConfig,
     draws: memoryview,
     offset: int,
     only: int | None = None,
@@ -123,7 +107,8 @@ def apply_switching(
     numpy array of uniforms, of which agent i reads draws[offset + i], so
     that one array serves several sweeps. `only` is the one agent that may move
     (the per-trade variant); it reads its own draw of the sweep's n.
-    Returns (switches, clamp events, counts after the sweep).
+    The rates read `config`'s v1, v2, alpha1, alpha2, alpha3, big_r, s and
+    dt. Returns (switches, clamp events, counts after the sweep).
     """
     n = len(kinds)
     n_c = n_plus + n_minus
@@ -132,16 +117,17 @@ def apply_switching(
         raise ValueError("prices must be > 0")
     if not (isfinite(trend_f) and isfinite(trend_c)):
         raise ValueError("trends must be finite")
-    v1, v2, big_r, alpha3 = params.v1, params.v2, params.big_r, params.alpha3
+    v1, v2, alpha1, alpha2 = config.v1, config.v2, config.alpha1, config.alpha2
+    alpha3, big_r, s, dt = config.alpha3, config.big_r, config.s, config.dt
 
     # The signals. U1, herding plus the chartist trend, steers flows between
     # optimists and pessimists. Each U2 is the profit differential between a
     # chartist camp and fundamentalism: the chartist side earns the nominal
     # rate r = big_r * p_f plus the trend (the excess), fundamentalists forgo
     # it but profit from any gap between price and fundamental value.
-    u1 = params.alpha1 * x + (params.alpha2 / v1) * (trend_c / p)
+    u1 = alpha1 * x + (alpha2 / v1) * (trend_c / p)
     r = big_r * p_f
-    gap = params.s * abs((p_f - p) / p)
+    gap = s * abs((p_f - p) / p)
     excess_c = (r + trend_c / v2) / p - big_r
     excess_f = (r + trend_f / v2) / p - big_r
     u21_c = alpha3 * (excess_c - gap)

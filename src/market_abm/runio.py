@@ -16,7 +16,6 @@ name and casts each to its schema dtype; blank fields load as NaN.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import re
 from math import isfinite
@@ -66,7 +65,7 @@ def load_steps_csv(path: Path) -> StepRecords:
     header, _, body = Path(path).read_text().partition("\n")
     index = {name: j for j, name in enumerate(header.split(","))}
     if body:
-        data = np.loadtxt(io.StringIO(_BLANK_FIELD.sub(",nan", body)), delimiter=",", ndmin=2)
+        data = np.loadtxt(_BLANK_FIELD.sub(",nan", body).splitlines(), delimiter=",", ndmin=2)
     else:
         data = np.empty((0, len(index)))
     return StepRecords(**{name: data[:, index[name]].astype(dtype) for name, dtype in STEP_SCHEMA})
@@ -120,9 +119,7 @@ def write_run(out_dir: Path, run: RunOutput) -> dict:
 def load_run_dir(run_dir: Path) -> tuple[StepRecords, dict]:
     run_dir = Path(run_dir)
     records = load_steps_csv(run_dir / "steps.csv")
-    manifest_path = run_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
-    return records, manifest
+    return records, json.loads((run_dir / "manifest.json").read_text())
 
 
 def find_run_dirs(roots) -> list[Path]:

@@ -27,14 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from market_abm.book import NO_TICK, OrderBook, Side
+from market_abm.config import SimConfig
 from market_abm.engine import STEP_COLUMNS, TRADE_COLUMNS, StepRecords, TradeRecords
-from market_abm.expectations import ExpectationParams
 from market_abm.population import (
     FUNDAMENTALIST,
     OPTIMIST,
     PESSIMIST,
     Population,
-    SwitchParams,
     apply_switching,
 )
 
@@ -135,14 +134,14 @@ class PopulationCounts:
         return (self.n_plus - self.n_minus) / n_c
 
 
-def compute_U1(x: float, trend: float, p: float, params: SwitchParams) -> float:
+def compute_U1(x: float, trend: float, p: float, params: SimConfig) -> float:
     """Herding-plus-trend signal steering flows between optimists and pessimists."""
     if p <= 0.0:
         raise ValueError("price must be > 0")
     return params.alpha1 * x + (params.alpha2 / params.v1) * (trend / p)
 
 
-def compute_U2(direction: int, trend: float, p: float, p_f: float, params: SwitchParams) -> float:
+def compute_U2(direction: int, trend: float, p: float, p_f: float, params: SimConfig) -> float:
     """Profit-differential signal between one chartist camp and fundamentalism.
 
     The chartist side earns the nominal rate plus the trend; fundamentalists
@@ -161,7 +160,7 @@ def compute_U2(direction: int, trend: float, p: float, p_f: float, params: Switc
 
 
 def transition_rate(
-    from_type: int, to_type: int, counts: PopulationCounts, u: float, params: SwitchParams
+    from_type: int, to_type: int, counts: PopulationCounts, u: float, params: SimConfig
 ) -> float:
     """Poisson rate for one opinion change, before scaling by the step size.
 
@@ -197,13 +196,10 @@ def transition_probability(
     to_type: int,
     counts: PopulationCounts,
     u: float,
-    params: SwitchParams,
-    dt: float,
+    params: SimConfig,
 ) -> float:
     """Per-step switching probability rate * dt, clamped into [0, 1]."""
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    prob = transition_rate(from_type, to_type, counts, u, params) * dt
+    prob = transition_rate(from_type, to_type, counts, u, params) * params.dt
     return min(max(prob, 0.0), 1.0)
 
 
@@ -267,8 +263,7 @@ class SwitchStats:
 def switch_sweep(
     pop: Population,
     market: MarketView,
-    params: SwitchParams,
-    dt: float,
+    params: SimConfig,
     rng: np.random.Generator,
     only=None,
     counts: tuple[int, int, int] | None = None,
@@ -292,8 +287,7 @@ def switch_sweep(
         else:
             u = np.where(np.isin(np.arange(n), allowed), u, np.inf)
     switches, clamped, after = apply_switching(
-        memoryview(pop.types), n_f, n_plus, n_minus, *market, params, dt,
-        memoryview(u), 0, agent)
+        memoryview(pop.types), n_f, n_plus, n_minus, *market, params, memoryview(u), 0, agent)
     return SwitchStats(switches, clamped, after)
 
 
@@ -394,13 +388,12 @@ def expected_price_reference(
     p: float,
     p_f: float,
     sigma_tau: float,
-    sigma_eps: float,
-    params: ExpectationParams,
+    params: SimConfig,
     rng: np.random.Generator,
 ) -> float:
     """`expected_price` with its normal draws taken as rng.normal(0.0, scale)."""
     if agent_type == FUNDAMENTALIST:
-        value = p_f * (1.0 + rng.normal(0.0, sigma_eps / params.gamma_f))
+        value = p_f * (1.0 + rng.normal(0.0, params.sigma_eps / params.gamma_f))
     elif agent_type == OPTIMIST:
         value = p + abs(rng.normal(0.0, sigma_tau / params.gamma_c))
     elif agent_type == PESSIMIST:

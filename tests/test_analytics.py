@@ -430,9 +430,13 @@ class TestRunBundles:
         flat = copy.deepcopy(records)
         flat.price[:] = 300.0
         bundles = [reduce_run(flat, 100), reduce_run(flat, 100)]
-        report = analyze_bundles(bundles, 100, lags=(1, 4))
-        assert report.agg_gauss["excess_kurtosis"] == [None, None]
-        assert all(math.isfinite(k) for k in report.agg_gauss["fv_excess_kurtosis"])
+        report = analyze_bundles(bundles, 100)
+        assert report.agg_gauss["lags"] == [1, 4, 16, 64]
+        assert report.agg_gauss["excess_kurtosis"] == [None] * 4
+        # 60 closes leave differences at lags 1, 4 and 16 but none at 64
+        *short, longest = report.agg_gauss["fv_excess_kurtosis"]
+        assert all(math.isfinite(k) for k in short)
+        assert longest is None
         with pytest.raises(ValueError, match="zero variance"):
             excess_kurtosis(np.zeros(10))
 

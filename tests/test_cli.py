@@ -80,12 +80,25 @@ class TestConfigFormat:
             SimConfig(band=1.0).validate()
         SimConfig(band=0.9).validate()
 
+    @pytest.mark.parametrize("values, message", [
+        *[pytest.param({name: 0}, f"config field {name} must be > 0", id=name) for name in (
+            "v1", "v2", "alpha1", "alpha2", "alpha3", "big_r", "s", "gamma_f", "gamma_c", "tick")],
+        pytest.param({"gamma_f": 0.1, "gamma_c": 0.1}, "gamma_f must exceed gamma_c",
+                     id="gamma_f=gamma_c"),
+        pytest.param({"gamma_f": 0.1, "gamma_c": 1.0}, "gamma_f must exceed gamma_c",
+                     id="gamma_f<gamma_c"),
+    ])
+    def test_model_parameter_rejected(self, values, message):
+        # the switching rates and expectations read these fields unchecked
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**values).validate()
+
 
 class TestRunCommand:
     def test_missing_config_names_path(self, tmp_path, capsys):
         status = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
-        assert status != 0
-        assert "nope.cfg" in capsys.readouterr().err
+        assert status == 2
+        assert capsys.readouterr().err == f"config file not found: {tmp_path / 'nope.cfg'}\n"
 
     def test_row_count_contract(self, tmp_path, config_file):
         out = tmp_path / "out"
@@ -108,6 +121,14 @@ class TestRunCommand:
         assert manifest["config_path"] == str(config_file)
         assert len(manifest["config_sha256"]) == 64
         assert manifest["runs"][0]["wall_clock_s"] >= 0
+
+    def test_manifest_records_the_parsed_arguments(self, tmp_path):
+        # not the host process's sys.argv, which main(argv) never parsed
+        argv = ["run", "-O", "steps=200", "-O", "n_agents=50", "--seed", "3",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "out" / "experiment.json").read_text())
+        assert manifest["command"] == " ".join(argv)
 
     def test_override_flag(self, tmp_path, config_file):
         out = tmp_path / "out"
@@ -289,6 +310,20 @@ class TestAnalyzeCommand:
         assert report["meta"]["n_runs"] == 2
         assert (out / "ccdf_spread.csv").exists()
         assert (out / "fn_return.csv").exists()
+
+    def test_run_without_manifest_is_an_error(self, tmp_path, capsys):
+        # a run cut short before its manifest: its steps_per_period is unknown
+        runs_dir = tmp_path / "ens"
+        assert main(["ensemble", "-O", "steps=500", "-O", "n_agents=50", "--seeds", "2",
+                     "--out", str(runs_dir), "--workers", "1"]) == 0
+        missing = runs_dir / "runs" / "seed_1" / "manifest.json"
+        missing.unlink()
+        out = tmp_path / "analysis"
+        for indir in (missing.parent, runs_dir):
+            capsys.readouterr()
+            assert main(["analyze", "--in", str(indir), "--out", str(out)]) == 2
+            assert str(missing) in capsys.readouterr().err
+            assert not out.exists()
 
     def test_no_runs_found(self, tmp_path, capsys):
         assert main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path / "a")]) == 1

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from market_abm.book import Side
+from market_abm.config import SimConfig
 from market_abm.expectations import (
-    ExpectationParams,
     decide_order,
     draw_k,
     expected_price,
@@ -20,7 +20,7 @@ from market_abm.population import FUNDAMENTALIST, OPTIMIST, PESSIMIST
 
 from oracles import draw_k_reference, expected_price_reference, rolling_sigma_reference
 
-PARAMS = ExpectationParams()
+PARAMS = SimConfig()
 
 
 def brute_force_sigma(history, tau):
@@ -92,25 +92,25 @@ class _ZeroNormal:
 
 class TestExpectedPrice:
     def test_fundamentalist_zero_draw(self):
-        value = expected_price(FUNDAMENTALIST, 290.0, 305.0, 3.0, 0.005, PARAMS, _ZeroNormal())
+        value = expected_price(FUNDAMENTALIST, 290.0, 305.0, 3.0, PARAMS, _ZeroNormal())
         assert value == 305.0
 
     def test_optimist_degenerate_dispersion(self):
         rng = np.random.default_rng(2)
-        value = expected_price(OPTIMIST, 290.0, 305.0, 0.0, 0.005, PARAMS, rng)
+        value = expected_price(OPTIMIST, 290.0, 305.0, 0.0, PARAMS, rng)
         assert value == 290.0
 
     def test_pessimist_never_above_price(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            value = expected_price(PESSIMIST, 290.0, 305.0, 2.0, 0.005, PARAMS, rng)
+            value = expected_price(PESSIMIST, 290.0, 305.0, 2.0, PARAMS, rng)
             assert value <= 290.0
 
     def test_fundamentalist_unbiased(self):
         rng = np.random.default_rng(4)
         n = 100_000
         draws = np.array([
-            expected_price(FUNDAMENTALIST, 290.0, 300.0, 0.0, 0.005, PARAMS, rng)
+            expected_price(FUNDAMENTALIST, 290.0, 300.0, 0.0, PARAMS, rng)
             for _ in range(n)
         ])
         se = 300.0 * 0.005 / math.sqrt(n)
@@ -121,15 +121,15 @@ class TestExpectedPrice:
         n = 100_000
         sigma_tau = 2.0
         scale = sigma_tau / PARAMS.gamma_c
-        opt = np.array([expected_price(OPTIMIST, 300.0, 300.0, sigma_tau, 0.005, PARAMS, rng) for _ in range(n)])
-        pes = np.array([expected_price(PESSIMIST, 300.0, 300.0, sigma_tau, 0.005, PARAMS, rng) for _ in range(n)])
+        opt = np.array([expected_price(OPTIMIST, 300.0, 300.0, sigma_tau, PARAMS, rng) for _ in range(n)])
+        pes = np.array([expected_price(PESSIMIST, 300.0, 300.0, sigma_tau, PARAMS, rng) for _ in range(n)])
         expected_gap = 2 * scale * math.sqrt(2 / math.pi)
         se = 2 * scale / math.sqrt(n)
         assert abs((opt.mean() - pes.mean()) - expected_gap) < 4 * se
 
     def test_floored_at_one_tick(self):
         rng = np.random.default_rng(6)
-        values = [expected_price(PESSIMIST, 1.0, 1.0, 50.0, 0.005, PARAMS, rng) for _ in range(200)]
+        values = [expected_price(PESSIMIST, 1.0, 1.0, 50.0, PARAMS, rng) for _ in range(200)]
         assert min(values) >= PARAMS.tick
 
 
@@ -172,9 +172,10 @@ def test_draws_are_bit_identical_to_numpy_normal_and_exponential(seed, sigma, k_
     rng.normal(0.0, s) and rng.exponential(s) forms bit for bit, and leave
     the generator in the same state."""
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    config = SimConfig(sigma_eps=sigma)
     for agent_type in (FUNDAMENTALIST, OPTIMIST, PESSIMIST):
-        got = expected_price(agent_type, p, p_f, sigma, sigma, PARAMS, rng)
-        want = expected_price_reference(agent_type, p, p_f, sigma, sigma, PARAMS, ref)
+        got = expected_price(agent_type, p, p_f, sigma, config, rng)
+        want = expected_price_reference(agent_type, p, p_f, sigma, config, ref)
         assert bits(got) == bits(want), agent_type
     assert bits(draw_k(rng, k_scale)) == bits(draw_k_reference(ref, k_scale))
     assert rng.integers(500) == ref.integers(500)
@@ -222,8 +223,3 @@ class TestDecideOrder:
     def test_horizon_carried_through(self):
         intent = decide_order(5, 300, 310.0, 300.0, 0.1, 0.0005)
         assert intent.horizon == 300
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        ExpectationParams(gamma_f=0.1, gamma_c=1.0)

@@ -11,7 +11,6 @@ from market_abm.population import (
     OPTIMIST,
     PESSIMIST,
     Population,
-    SwitchParams,
     average_price_trend,
 )
 
@@ -26,7 +25,7 @@ from oracles import (
     transition_rate,
 )
 
-PARAMS = SwitchParams()
+PARAMS = SimConfig()
 
 
 def make_population(n_f, n_plus, n_minus, cash=10_000.0, shares=10):
@@ -123,7 +122,7 @@ class TestSignals:
 class TestTransitionProbability:
     def test_chartist_pair_example(self):
         counts = PopulationCounts(n_f=250, n_plus=125, n_minus=125)
-        prob = transition_probability(PESSIMIST, OPTIMIST, counts, 0.0, PARAMS, 0.01)
+        prob = transition_probability(PESSIMIST, OPTIMIST, counts, 0.0, PARAMS)
         assert prob == pytest.approx(2 * 0.5 * 1.0 * 0.01)
 
     def test_symmetric_at_zero_signal(self):
@@ -134,17 +133,17 @@ class TestTransitionProbability:
 
     def test_zero_prefactor_without_chartists(self):
         counts = PopulationCounts(n_f=500, n_plus=0, n_minus=0)
-        assert transition_probability(PESSIMIST, OPTIMIST, counts, 0.0, PARAMS, 0.01) == 0.0
-        assert transition_probability(FUNDAMENTALIST, OPTIMIST, counts, 0.0, PARAMS, 0.01) == 0.0
+        assert transition_probability(PESSIMIST, OPTIMIST, counts, 0.0, PARAMS) == 0.0
+        assert transition_probability(FUNDAMENTALIST, OPTIMIST, counts, 0.0, PARAMS) == 0.0
 
     def test_self_transition_rejected(self):
         counts = PopulationCounts(250, 125, 125)
         with pytest.raises(ValueError):
-            transition_probability(OPTIMIST, OPTIMIST, counts, 0.0, PARAMS, 0.01)
+            transition_probability(OPTIMIST, OPTIMIST, counts, 0.0, PARAMS)
 
     def test_clamped_to_unit_interval(self):
         counts = PopulationCounts(1, 499, 0)
-        prob = transition_probability(FUNDAMENTALIST, OPTIMIST, counts, 50.0, PARAMS, 0.01)
+        prob = transition_probability(FUNDAMENTALIST, OPTIMIST, counts, 50.0, PARAMS)
         assert prob == 1.0
 
     def test_fundamentalist_pairs_use_target_prefactors(self):
@@ -163,7 +162,7 @@ class TestApplySwitching:
         # with no chartists, every transition rate carries a zero prefactor
         pop = make_population(500, 0, 0)
         before = pop.types.copy()
-        stats = switch_sweep(pop, FLAT_MARKET, PARAMS, 0.01, np.random.default_rng(0))
+        stats = switch_sweep(pop, FLAT_MARKET, PARAMS, np.random.default_rng(0))
         assert stats.switches == 0
         np.testing.assert_array_equal(pop.types, before)
 
@@ -177,39 +176,35 @@ class TestApplySwitching:
         before = pop.types.copy()
         market = MarketView(p=300.0, p_f=300.0, trend_f=trend_f, trend_c=trend_c)
         with pytest.raises(ValueError, match="trends must be finite"):
-            switch_sweep(pop, market, PARAMS, 0.01, np.random.default_rng(0))
+            switch_sweep(pop, market, PARAMS, np.random.default_rng(0))
         np.testing.assert_array_equal(pop.types, before)
-
-    def test_switch_params_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SwitchParams(v1=0.0)
 
     def test_count_conservation(self):
         pop = make_population(250, 125, 125)
         rng = np.random.default_rng(1)
         for _ in range(500):
-            switch_sweep(pop, FLAT_MARKET, PARAMS, 0.01, rng)
+            switch_sweep(pop, FLAT_MARKET, PARAMS, rng)
             assert sum(pop.counts()) == 500
 
     def test_floor_rule_blocks_exits_from_tiny_group(self):
         # 3 fundamentalists of 500 is 0.6% < 0.8%: none of them may leave
         rng = np.random.default_rng(2)
-        hot = SwitchParams(v2=200.0)  # exits would be near-certain if allowed
+        hot = SimConfig(v2=200.0)  # exits would be near-certain if allowed
         for _ in range(100):
             pop = make_population(3, 249, 248)
             fundamentalists = np.flatnonzero(pop.types == FUNDAMENTALIST)
-            switch_sweep(pop, FLAT_MARKET, hot, 0.01, rng)
+            switch_sweep(pop, FLAT_MARKET, hot, rng)
             assert (pop.types[fundamentalists] == FUNDAMENTALIST).all()
 
     def test_floor_rule_allows_exit_at_exactly_point_eight_percent(self):
         # 4 of 500 is exactly 0.8%, which is not below the floor
         rng = np.random.default_rng(3)
-        hot = SwitchParams(v2=200.0)
+        hot = SimConfig(v2=200.0)
         exits = 0
         for _ in range(50):
             pop = make_population(4, 248, 248)
             fundamentalists = np.flatnonzero(pop.types == FUNDAMENTALIST)
-            switch_sweep(pop, FLAT_MARKET, hot, 0.01, rng)
+            switch_sweep(pop, FLAT_MARKET, hot, rng)
             exits += int(np.count_nonzero(pop.types[fundamentalists] != FUNDAMENTALIST))
         assert exits > 0
 
@@ -229,7 +224,7 @@ class TestApplySwitching:
         for _ in range(steps):
             before = pop.types.copy()
             # rebuild population each step to keep group sizes pinned
-            switch_sweep(pop, FLAT_MARKET, PARAMS, 0.01, rng)
+            switch_sweep(pop, FLAT_MARKET, PARAMS, rng)
             after = pop.types
             for (src, dst), _ in expected.items():
                 src_mask = before == src
@@ -249,7 +244,7 @@ class TestApplySwitching:
         pop = make_population(250, 125, 125)
         for _ in range(steps):
             before = pop.types.copy()
-            switch_sweep(pop, FLAT_MARKET, PARAMS, 0.01, rng)
+            switch_sweep(pop, FLAT_MARKET, PARAMS, rng)
             after = pop.types
             net_fo += int(np.count_nonzero((before == FUNDAMENTALIST) & (after == OPTIMIST)))
             net_fo -= int(np.count_nonzero((before == OPTIMIST) & (after == FUNDAMENTALIST)))
@@ -263,8 +258,8 @@ class TestApplySwitching:
 
     def test_probabilities_clamped_and_counted(self):
         pop = make_population(250, 125, 125)
-        crazy = SwitchParams(v1=1e4, v2=1e4)
-        stats = switch_sweep(pop, FLAT_MARKET, crazy, 0.01, np.random.default_rng(6))
+        crazy = SimConfig(v1=1e4, v2=1e4)
+        stats = switch_sweep(pop, FLAT_MARKET, crazy, np.random.default_rng(6))
         assert stats.clamped > 0
 
 

@@ -13,13 +13,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from market_abm.config import SimConfig
 from market_abm.population import (
     FUNDAMENTALIST,
     MIN_GROUP_FRACTION,
     OPTIMIST,
     PESSIMIST,
     Population,
-    SwitchParams,
     apply_switching,
 )
 
@@ -34,10 +34,10 @@ from oracles import (
 )
 
 
-def reference_probabilities(pop, market, params, dt):
+def reference_probabilities(pop, market, params):
     """Counts at entry, raw per-step rates and clamped probabilities of the
     six flows, keyed (from, to)."""
-    counts = PopulationCounts(*pop.counts())
+    counts, dt = PopulationCounts(*pop.counts()), params.dt
     u1 = compute_U1(counts.x, market.trend_c, market.p, params)
     u21_c = compute_U2(OPTIMIST, market.trend_c, market.p, market.p_f, params)
     u21_f = compute_U2(OPTIMIST, market.trend_f, market.p, market.p_f, params)
@@ -55,12 +55,12 @@ def reference_probabilities(pop, market, params, dt):
     return counts, raw, {pair: min(max(v, 0.0), 1.0) for pair, v in raw.items()}
 
 
-def reference_sweep(pop, market, params, dt, rng, only=None) -> SwitchStats:
+def reference_sweep(pop, market, params, rng, only=None) -> SwitchStats:
     """One synchronous sweep, mask by mask; replaces `pop.types` by a new array."""
     stats = SwitchStats()
     if len(pop.types) == 0:
         return stats
-    counts, raw, prob = reference_probabilities(pop, market, params, dt)
+    counts, raw, prob = reference_probabilities(pop, market, params)
     n = counts.total
     stats.clamped = sum(1 for v in raw.values() if v > 1.0)
 
@@ -129,7 +129,7 @@ markets = st.builds(
 )
 # rates from far below to far above 1 per step (dt = 0.01), so that single
 # probabilities clamp and a type's two probabilities can sum past 1
-params = st.builds(SwitchParams, v1=st.floats(0.1, 500.0), v2=st.floats(0.1, 500.0))
+params = st.builds(SimConfig, v1=st.floats(0.1, 500.0), v2=st.floats(0.1, 500.0))
 
 
 class FixedDraws:
@@ -143,10 +143,10 @@ class FixedDraws:
         return self.u
 
 
-def edge_draws(pop, market, params, dt, rng) -> np.ndarray:
+def edge_draws(pop, market, params, rng) -> np.ndarray:
     """Draws on or just below each agent's thresholds p1 and p1 + p2, where a
     strict and a non-strict comparison part ways."""
-    _, _, prob = reference_probabilities(pop, market, params, dt)
+    _, _, prob = reference_probabilities(pop, market, params)
     targets = {FUNDAMENTALIST: (OPTIMIST, PESSIMIST), OPTIMIST: (PESSIMIST, FUNDAMENTALIST),
                PESSIMIST: (OPTIMIST, FUNDAMENTALIST)}
     u = np.empty(len(pop.types))
@@ -168,15 +168,15 @@ def test_sweep_matches_reference(types, market, sparams, seed, only, draws):
         only = [i % n for i in only]
     expected_pop, pop = population(types.copy()), population(types.copy())
     if draws == "edges":
-        u = edge_draws(pop, market, sparams, 0.01, np.random.default_rng(seed))
+        u = edge_draws(pop, market, sparams, np.random.default_rng(seed))
     else:
         u = np.random.default_rng(seed).random(n)
-    expected = reference_sweep(expected_pop, market, sparams, 0.01, FixedDraws(u), only=only)
+    expected = reference_sweep(expected_pop, market, sparams, FixedDraws(u), only=only)
 
     if draws == "rng":
-        stats = switch_sweep(pop, market, sparams, 0.01, np.random.default_rng(seed), only=only)
+        stats = switch_sweep(pop, market, sparams, np.random.default_rng(seed), only=only)
     else:
-        stats = switch_sweep(pop, market, sparams, 0.01, np.random.default_rng(0), only=only,
+        stats = switch_sweep(pop, market, sparams, np.random.default_rng(0), only=only,
                              counts=pop.counts(), uniforms=u)
 
     np.testing.assert_array_equal(pop.types, expected_pop.types)
@@ -190,10 +190,10 @@ def test_rate_of_exactly_one_is_not_clamped():
     # of 1 that no clamp touched
     types = np.array([OPTIMIST, PESSIMIST] * 250, dtype=np.int8)
     market = MarketView(p=300.0, p_f=300.0, trend_f=0.0, trend_c=0.0)
-    exact = SwitchParams(v1=100.0)
-    _, raw, _ = reference_probabilities(population(types), market, exact, 0.01)
+    exact = SimConfig(v1=100.0)
+    _, raw, _ = reference_probabilities(population(types), market, exact)
     assert raw[(OPTIMIST, PESSIMIST)] == raw[(PESSIMIST, OPTIMIST)] == 1.0
-    stats = switch_sweep(population(types.copy()), market, exact, 0.01, np.random.default_rng(2))
+    stats = switch_sweep(population(types.copy()), market, exact, np.random.default_rng(2))
     assert stats.clamped == 0
     assert stats.switches == 500
 
@@ -204,12 +204,12 @@ def test_rate_overflowing_to_inf_clamps_like_the_reference():
     types = np.array([OPTIMIST] * 400 + [PESSIMIST] * 60 + [FUNDAMENTALIST] * 40, dtype=np.int8)
     np.random.default_rng(3).shuffle(types)
     market = MarketView(p=300.0, p_f=310.0, trend_f=5.0, trend_c=5.0)
-    huge = SwitchParams(v1=1.5e308, v2=1.5e308)
-    _, raw, _ = reference_probabilities(population(types), market, huge, 0.01)
+    huge = SimConfig(v1=1.5e308, v2=1.5e308)
+    _, raw, _ = reference_probabilities(population(types), market, huge)
     assert raw[(PESSIMIST, OPTIMIST)] == np.inf
     expected_pop, pop = population(types.copy()), population(types.copy())
-    expected = reference_sweep(expected_pop, market, huge, 0.01, np.random.default_rng(4))
-    stats = switch_sweep(pop, market, huge, 0.01, np.random.default_rng(4))
+    expected = reference_sweep(expected_pop, market, huge, np.random.default_rng(4))
+    stats = switch_sweep(pop, market, huge, np.random.default_rng(4))
     np.testing.assert_array_equal(pop.types, expected_pop.types)
     assert (stats.switches, stats.clamped) == (expected.switches, expected.clamped) == (500, 6)
 
@@ -217,14 +217,14 @@ def test_rate_overflowing_to_inf_clamps_like_the_reference():
 def test_sweep_covers_frozen_clamped_and_overfull_cases():
     # exactly 0.8% fundamentalists may leave; below it they may not; with
     # huge rates every unfrozen agent moves and both chartist pairs clamp
-    hot = SwitchParams(v1=500.0, v2=500.0)
+    hot = SimConfig(v1=500.0, v2=500.0)
     market = MarketView(p=300.0, p_f=300.0, trend_f=0.0, trend_c=0.0)
     for n_f, frozen in ((4, False), (3, True)):
         types = np.array([FUNDAMENTALIST] * n_f + [OPTIMIST] * 248 + [PESSIMIST] * (500 - 248 - n_f),
                          dtype=np.int8)
         expected_pop, pop = population(types.copy()), population(types.copy())
-        expected = reference_sweep(expected_pop, market, hot, 0.01, np.random.default_rng(1))
-        stats = switch_sweep(pop, market, hot, 0.01, np.random.default_rng(1))
+        expected = reference_sweep(expected_pop, market, hot, np.random.default_rng(1))
+        stats = switch_sweep(pop, market, hot, np.random.default_rng(1))
         np.testing.assert_array_equal(pop.types, expected_pop.types)
         assert (stats.switches, stats.clamped) == (expected.switches, expected.clamped)
         assert stats.clamped >= 2
@@ -259,10 +259,10 @@ def test_kernel_at_block_offsets_matches_row_sweeps(types, markets_, sparams, se
     draws = memoryview(block)
     for row, market in enumerate(markets_):
         only = [agents[row]] if per_trade else None
-        expected = reference_sweep(expected_pop, market, sparams, 0.01,
+        expected = reference_sweep(expected_pop, market, sparams,
                                    FixedDraws(block[row * n : (row + 1) * n]), only=only)
         switches, clamped, counts = apply_switching(
-            memoryview(kinds), *counts, *market, sparams, 0.01, draws, row * n,
+            memoryview(kinds), *counts, *market, sparams, draws, row * n,
             agents[row] if per_trade else None)
         np.testing.assert_array_equal(kinds, expected_pop.types)
         assert (switches, clamped) == (expected.switches, expected.clamped)
