@@ -79,6 +79,7 @@ class OrderBook:
         self._orders: dict[int, LimitOrder] = {}
         self._levels = {BUY: {}, SELL: {}}  # ticks -> deque of order ids
         self._ticks = {BUY: [], SELL: []}  # sorted ascending distinct ticks
+        self.ask_levels = self._ticks[SELL]  # the asks' ticks, best first; for reading only
         self._expiry: list[tuple[int, int]] = []  # (expires_at, order_id) min-heap
         self._next_id = 0
         self.self_trade_rejections = 0
@@ -156,14 +157,19 @@ class OrderBook:
                 self._remove(oid)
 
     def purge_outside(self, lo: float, hi: float) -> None:
-        """Remove resting orders priced outside [lo, hi] (currency units)."""
+        """Remove resting orders priced outside [lo, hi] (currency units).
+
+        A level's price ticks * tick_size rises with its ticks, so the levels
+        below lo are a prefix of a side's sorted ticks and those above hi a
+        suffix; bisection on the same products finds both. They are removed
+        in ascending order.
+        """
+        price = lambda ticks: ticks * self.tick_size  # noqa: E731
         for side in (BUY, SELL):
-            bad = [
-                ticks
-                for ticks in self._ticks[side]
-                if ticks * self.tick_size < lo or ticks * self.tick_size > hi
-            ]
-            for ticks in bad:
+            levels = self._ticks[side]
+            below = bisect.bisect_left(levels, lo, key=price)
+            above = max(below, bisect.bisect_right(levels, hi, key=price))
+            for ticks in levels[:below] + levels[above:]:
                 for oid in list(self._levels[side][ticks]):
                     self._remove(oid)
 

@@ -11,6 +11,7 @@ diffable.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +51,10 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name, kind in _FIELDS.items():
+            # NaN passes every comparison check below, and inf most of them
+            if kind == "float" and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"config field {name} must be finite")
         positive = [
             "n_agents", "dt", "steps_per_period", "k_scale", "tick", "p0", "pf0",
             "gamma_f", "gamma_c", "horizon_f", "horizon_c", "v1", "v2", "alpha1",
@@ -96,7 +101,7 @@ def _parse_value(key: str, raw: str):
         except ValueError:
             # allow scientific notation like 1e5 for step counts
             value = float(raw)
-            if value != int(value):
+            if not math.isfinite(value) or value != int(value):
                 raise ValueError(f"config key {key!r}: {raw!r} is not an integer") from None
             return int(value)
     if kind == "float":

@@ -15,20 +15,25 @@ the book's escrow against its resting orders.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 import time
 from array import array
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .book import BUY, NO_TICK, OrderBook, OrderIntent, Trade, current_price
+# The step loop computes expected_price, draw_k, enforce_budget and
+# current_price inline. The names stay bound in this module, where the
+# benchmark's tracer wraps them, and tests run the loop against them.
+from .book import BUY, NO_TICK, OrderBook, OrderIntent, Trade, current_price  # noqa: F401
 from .config import SimConfig
-from .expectations import decide_order, draw_k, expected_price, rolling_sigma
+from .expectations import decide_order, draw_k, expected_price, rolling_sigma  # noqa: F401
 from .fundamental import fundamental_path
-from .population import FUNDAMENTALIST, Population, apply_switching, average_price_trend
+from .population import (
+    FUNDAMENTALIST, OPTIMIST, PESSIMIST, Population, apply_switching, average_price_trend,
+)
 
 _BAND_EPS = 1e-12  # relative slack so exact boundary prices stay inside the band
 _DRAW_BLOCK_DOUBLES = 32_768  # switching uniforms drawn at once: 256 KiB, 64 sweeps of 500 agents
@@ -206,8 +211,14 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     fund_ss, switch_ss, trade_ss = seed_seq.spawn(3)
     rng_switch = np.random.default_rng(switch_ss)
     rng_trade = np.random.default_rng(trade_ss)
-    bitgen = rng_trade.bit_generator.ctypes  # the trader pick draws from it directly
-    switch_bitgen = rng_switch.bit_generator.ctypes  # as does the per-trade switching pick
+    # The trader pick, and the per-trade switching pick, draw from the bit
+    # generators directly; the expectation noise and the reservation offset
+    # are scalar draws from the trade stream.
+    trade_bitgen = rng_trade.bit_generator.ctypes
+    next_uint32, trade_state = trade_bitgen.next_uint32, trade_bitgen.state
+    switch_bitgen = rng_switch.bit_generator.ctypes
+    switch_next_uint32, switch_state = switch_bitgen.next_uint32, switch_bitgen.state
+    normal, exponential = rng_trade.standard_normal, rng_trade.standard_exponential
 
     fv = fundamental_path(config.pf0, config.sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
     fv_at = memoryview(fv)
@@ -225,6 +236,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     book = OrderBook(tick, n_agents, allow_self_trades=config.allow_self_trades)
     tick_size = book.tick_size  # float; the book prices every tick with it
     pledged_cash, pledged_shares = book.pledged_cash, book.pledged_shares
+    asks = book.ask_levels  # the budget filter reads the best ask off it
 
     # Per-step values go through memoryviews, which read and store Python
     # numbers faster than numpy indexing. The quote and gap columns hold tick
@@ -260,6 +272,9 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
     switching = config.switching_enabled
     chartist_u2 = config.u2_trend_horizon == "chartist"
+    aligned = config.sigma_window_aligned
+    noise_f = config.sigma_eps / config.gamma_f  # a fundamentalist's noise scale
+    gamma_c = config.gamma_c
     band = config.band
     lo, hi = circuit_breaker(config.p0, band)
     p_prev = float(price[0])  # price[t - 1]; a Python float computes the same values faster
@@ -275,7 +290,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             trend_c = average_price_trend(price_at, t, horizon_c, dt)
             trend_f = trend_c if chartist_u2 else average_price_trend(price_at, t, horizon_f, dt)
             if per_trade:
-                only = pick_agent(switch_bitgen.next_uint32, switch_bitgen.state, n_agents)
+                only = pick_agent(switch_next_uint32, switch_state, n_agents)
                 draws, offset = memoryview(rng_switch.random(n_agents)), 0
             else:
                 offset += n_agents
@@ -289,40 +304,63 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             n_plus_at[t - 1] = n_plus
             n_minus_at[t - 1] = n_minus
 
-        p_f_now = fv_at[t]
-
-        agent = pick_agent(bitgen.next_uint32, bitgen.state, n_agents)
+        # The trader's expectation (floored at one tick) and its reservation
+        # offset, computed as expected_price and draw_k compute them.
+        agent = pick_agent(next_uint32, trade_state, n_agents)
         agent_type = kinds[agent]
+        p_f_now = fv_at[t]
+        if p_f_now <= 0.0:
+            raise ValueError("prices must be > 0")
         if agent_type == FUNDAMENTALIST:
-            sigma_tau = 0.0
             horizon = horizon_f
+            expectation = p_f_now * (1.0 + noise_f * normal())
         else:
-            sigma_tau = rolling_sigma(price, t, horizon_c, config.sigma_window_aligned)
             horizon = horizon_c
-        expectation = expected_price(agent_type, p_prev, p_f_now, sigma_tau, config, rng_trade)
-        k = draw_k(rng_trade, k_scale)
-        intent = decide_order(agent, horizon, expectation, p_prev, k, tick)
+            sigma_tau = rolling_sigma(price, t, horizon_c, aligned)
+            if agent_type == OPTIMIST:
+                expectation = p_prev + abs(sigma_tau / gamma_c * normal())
+            elif agent_type == PESSIMIST:
+                expectation = p_prev - abs(sigma_tau / gamma_c * normal())
+            else:
+                raise ValueError(f"unknown agent type {agent_type}")
+        if tick > expectation:  # max(expectation, tick), NaN passing through
+            expectation = tick
+        intent = decide_order(agent, horizon, expectation, p_prev, k_scale * exponential(), tick)
 
+        # The band, then the budget as enforce_budget checks it: a buy needs
+        # cash for what it would pay (the best ask when it crosses, else its
+        # own reservation), a sell one share, both beyond what is pledged.
         trade = None
         if intent is None:
             rejections["no_order"] += 1
         elif not lo <= intent.price <= hi:
             rejections["band"] += 1
         else:
-            checked = enforce_budget(intent, book, cash[agent] - pledged_cash[agent],
-                                     shares[agent] - pledged_shares[agent])
-            if checked is None:
+            if intent.side == BUY:
+                ticks = intent.ticks
+                cost = asks[0] if asks and ticks >= asks[0] else ticks
+                refused = cash[agent] - pledged_cash[agent] < cost
+            else:
+                refused = shares[agent] - pledged_shares[agent] < 1
+            if refused:
                 rejections["budget_buy" if intent.side == BUY else "budget_sell"] += 1
             else:
-                trade = book.submit(checked, t)
+                trade = book.submit(intent, t)
                 if trade is not None:
                     settle_trade(cash, shares, trade)
                     trade_rows.extend(
                         (t, trade.ticks, trade.buyer_id, trade.seller_id, trade.aggressor))
 
+        # The price proxy, as current_price takes it: the trade's price, else
+        # the mid-quote of a two-sided book, else the previous price.
         bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
-        p_now = current_price(trade, bid, ask, tick_size, p_prev)
-        if not math.isfinite(p_now) or p_now <= 0.0:
+        if trade is not None:
+            p_now = trade.price
+        elif bid and ask:
+            p_now = (bid + ask) * tick_size / 2.0
+        else:
+            p_now = p_prev
+        if not 0.0 < p_now < math.inf:
             raise FloatingPointError(f"non-finite or non-positive price at step {t}: {p_now!r}")
         price_at[t] = p_now
 
@@ -407,21 +445,21 @@ def run_seeds(config: SimConfig, seeds, workers: int = 1):
     Yields (seed, RunOutput or the exception the run raised, seconds the run
     took, None if the pool itself failed) as each run finishes: in seed order
     when `workers` <= 1, else in completion order on a pool of `workers`
-    processes. Nothing here refers to a run once it is yielded, so a caller
-    that lets each run go holds only the runs the pool has finished and not
-    yet handed over.
+    processes, or of one per seed if there are fewer seeds. Nothing here
+    refers to a run once it is yielded, so a caller that lets each run go
+    holds only the runs the pool has finished and not yet handed over.
     """
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    if workers <= 1:
+    if workers <= 1 or not seeds:
         for seed in seeds:
             yield _run_seed(config, seed)
         return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    # a forked pool starts all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
         pending = {pool.submit(_run_seed, config, seed): seed for seed in seeds}
         while pending:
-            done = concurrent.futures.wait(
-                pending, return_when=concurrent.futures.FIRST_COMPLETED).done
+            done = wait(pending, return_when=FIRST_COMPLETED).done
             while done:
                 yield _take(pending, done.pop())

@@ -77,14 +77,6 @@ def draw_k(rng: np.random.Generator, scale: float) -> float:
     return scale * rng.standard_exponential()
 
 
-def _snap(price: float, tick: float, round_up: bool) -> int:
-    q = price / tick
-    nearest = round(q)
-    if abs(q - nearest) <= 1e-6:  # already on grid up to float noise
-        return int(nearest)
-    return int(math.ceil(q)) if round_up else int(math.floor(q))
-
-
 def decide_order(
     agent_id: int,
     horizon: int,
@@ -96,8 +88,9 @@ def decide_order(
     """Turn an expectation into a one-unit priced intent, or no order.
 
     Expecting a rise makes the agent bid below the expectation; expecting a
-    fall makes it ask above. Buy reservations round down to the grid, sell
-    reservations round up, and a reservation at or below zero means no order.
+    fall makes it ask above. A reservation within 1e-6 ticks of the grid
+    snaps to it; otherwise buy reservations round down to the grid and sell
+    reservations up. A reservation at or below zero means no order.
     """
     if expectation <= 0.0 or p <= 0.0:
         raise ValueError("expectation and price must be > 0")
@@ -105,12 +98,15 @@ def decide_order(
         raise ValueError("k must be >= 0")
     if expectation > p:
         side = BUY
-        ticks = _snap(expectation * (1.0 - k), tick, round_up=False)
+        q = expectation * (1.0 - k) / tick
     elif expectation < p:
         side = SELL
-        ticks = _snap(expectation * (1.0 + k), tick, round_up=True)
+        q = expectation * (1.0 + k) / tick
     else:
         return None
+    ticks = round(q)
+    if abs(q - ticks) > 1e-6:  # off the grid by more than float noise
+        ticks = math.floor(q) if side == BUY else math.ceil(q)
     if ticks <= 0:
         return None
     return OrderIntent(agent_id, side, ticks, ticks * tick, horizon)

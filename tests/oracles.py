@@ -17,24 +17,44 @@ None of this is used by the library itself:
 - the expectation and reservation-offset draws as `rng.normal` and
   `rng.exponential` calls, which the library takes as scaled standard draws;
 - the step-by-step fundamental value process, which `fundamental_path`
-  computes in one vectorised pass.
+  computes in one vectorised pass;
+- `reference_run`, the step loop that calls the step helpers (expectation,
+  reservation offset, order pricing, budget filter and price proxy) and
+  purges the book by scanning every level, which `run_simulation` computes
+  inline and by bisection.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from market_abm.book import NO_TICK, OrderBook, Side
+from market_abm.book import BUY, NO_TICK, SELL, OrderBook, Side, current_price
 from market_abm.config import SimConfig
-from market_abm.engine import STEP_COLUMNS, TRADE_COLUMNS, StepRecords, TradeRecords
+from market_abm.engine import (
+    STEP_COLUMNS,
+    TRADE_COLUMNS,
+    _DRAW_BLOCK_DOUBLES,
+    RunOutput,
+    StepRecords,
+    TradeRecords,
+    check_escrow,
+    circuit_breaker,
+    enforce_budget,
+    pick_agent,
+    settle_trade,
+)
+from market_abm.expectations import decide_order, draw_k, expected_price, rolling_sigma
+from market_abm.fundamental import fundamental_path
 from market_abm.population import (
     FUNDAMENTALIST,
     OPTIMIST,
     PESSIMIST,
     Population,
     apply_switching,
+    average_price_trend,
 )
 
 # ---------------------------------------------------------------------------
@@ -443,3 +463,215 @@ def step_fundamental(
         raise ValueError("dt must be > 0")
     eps = sigma_eps * math.sqrt(dt) * rng.standard_normal()
     return apply_log_increment(state, eps)
+
+
+# ---------------------------------------------------------------------------
+# the step loop
+# ---------------------------------------------------------------------------
+
+
+def scan_purge(book: OrderBook, lo: float, hi: float) -> None:
+    """`OrderBook.purge_outside` as a scan that tests every level's price."""
+    for side in (BUY, SELL):
+        bad = [
+            ticks
+            for ticks in book._ticks[side]
+            if ticks * book.tick_size < lo or ticks * book.tick_size > hi
+        ]
+        for ticks in bad:
+            for oid in list(book._levels[side][ticks]):
+                book._remove(oid)
+
+
+def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
+    """`run_simulation`'s step loop before it inlined its step helpers: it
+    calls expected_price, draw_k, decide_order, enforce_budget and
+    current_price once per step, and purges out-of-band levels by
+    `scan_purge`. The library's run must match it bit for bit."""
+    config.validate()
+    n_steps = config.steps
+    snapshot_at = set(int(s) for s in lob_snapshot_steps)
+    outside = sorted(s for s in snapshot_at if not 1 <= s <= n_steps)
+    if outside:
+        raise ValueError(f"lob snapshot steps outside 1..{n_steps}: {outside}")
+    n_agents = config.n_agents
+    spp = config.steps_per_period
+    tick = config.tick
+    dt = config.dt
+    horizon_f, horizon_c = config.horizon_f, config.horizon_c
+    k_scale = config.k_scale
+
+    seed_seq = np.random.SeedSequence(config.seed)
+    fund_ss, switch_ss, trade_ss = seed_seq.spawn(3)
+    rng_switch = np.random.default_rng(switch_ss)
+    rng_trade = np.random.default_rng(trade_ss)
+    bitgen = rng_trade.bit_generator.ctypes  # the trader pick draws from it directly
+    switch_bitgen = rng_switch.bit_generator.ctypes  # as does the per-trade switching pick
+
+    fv = fundamental_path(config.pf0, config.sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
+    fv_at = memoryview(fv)
+
+    pop = Population.initial(
+        n_agents=n_agents, frac_f=config.init_frac_f, frac_opt=config.init_frac_opt,
+        cash=config.init_cash, shares=config.init_shares, tick_size=tick,
+    )
+    # The holdings ledger is plain ints during the run and goes back into
+    # `pop` at its end; the book keeps what resting orders pledge of it.
+    cash = pop.cash_ticks.tolist()
+    shares = pop.shares.tolist()
+    total_cash0, total_shares0 = sum(cash), sum(shares)
+
+    book = OrderBook(tick, n_agents, allow_self_trades=config.allow_self_trades)
+    tick_size = book.tick_size  # float; the book prices every tick with it
+    pledged_cash, pledged_shares = book.pledged_cash, book.pledged_shares
+
+    # Per-step values go through memoryviews, which read and store Python
+    # numbers faster than numpy indexing. The quote and gap columns hold tick
+    # counts (exact in a double below 2**53) until they are priced in place at
+    # the end; separate int64 columns raised a run's peak memory by ~1 MiB.
+    price = np.empty(n_steps + 1)
+    price[0] = config.p0
+    price_at = memoryview(price)
+    rec = StepRecords.allocate(n_steps)
+    tick_cols = (rec.best_bid, rec.best_ask, rec.bid_gap, rec.ask_gap)
+    bid_at, ask_at, bid_gap_at, ask_gap_at = map(memoryview, tick_cols)
+    depth_at = memoryview(rec.depth)
+    trade_rows = array("q")  # (step, ticks, buyer, seller, aggressor) per trade
+
+    rejections = {"band": 0, "budget_buy": 0, "budget_sell": 0, "self_cross": 0, "no_order": 0}
+    clamp_events = 0
+    switch_count = 0
+    snapshots = {}
+
+    kinds = memoryview(pop.types)  # apply_switching moves agents in place
+    n_f, n_plus, n_minus = pop.counts()
+    rec.n_plus[:] = n_plus
+    rec.n_minus[:] = n_minus
+    n_plus_at, n_minus_at = memoryview(rec.n_plus), memoryview(rec.n_minus)
+    # All-agents sweeps read their uniforms at a row offset in a flat block
+    # of sweeps drawn at once; rng.random(n * k) yields the same stream as k
+    # calls of rng.random(n). Per-trade sweeps interleave an agent pick, so
+    # they draw their own.
+    per_trade = config.switch_mode == "per_trade"
+    block_size = max(1, _DRAW_BLOCK_DOUBLES // n_agents) * n_agents
+    offset = block_size - n_agents  # so that the first all-agents sweep draws a block
+    draws = only = None
+
+    switching = config.switching_enabled
+    chartist_u2 = config.u2_trend_horizon == "chartist"
+    band = config.band
+    lo, hi = circuit_breaker(config.p0, band)
+    p_prev = float(price[0])  # price[t - 1]; a Python float computes the same values faster
+    for t in range(1, n_steps + 1):
+        # new trading period: the band anchor moved, purge stale out-of-band orders
+        if t > 1 and (t - 1) % spp == 0:
+            lo, hi = circuit_breaker(p_prev, band)
+            scan_purge(book, lo, hi)
+
+        book.expire(t)
+
+        if switching:
+            trend_c = average_price_trend(price_at, t, horizon_c, dt)
+            trend_f = trend_c if chartist_u2 else average_price_trend(price_at, t, horizon_f, dt)
+            if per_trade:
+                only = pick_agent(switch_bitgen.next_uint32, switch_bitgen.state, n_agents)
+                draws, offset = memoryview(rng_switch.random(n_agents)), 0
+            else:
+                offset += n_agents
+                if offset == block_size:
+                    draws, offset = memoryview(rng_switch.random(block_size)), 0
+            switches, clamped, (n_f, n_plus, n_minus) = apply_switching(
+                kinds, n_f, n_plus, n_minus, p_prev, fv_at[t - 1], trend_f, trend_c,
+                config, draws, offset, only)
+            clamp_events += clamped
+            switch_count += switches
+            n_plus_at[t - 1] = n_plus
+            n_minus_at[t - 1] = n_minus
+
+        p_f_now = fv_at[t]
+
+        agent = pick_agent(bitgen.next_uint32, bitgen.state, n_agents)
+        agent_type = kinds[agent]
+        if agent_type == FUNDAMENTALIST:
+            sigma_tau = 0.0
+            horizon = horizon_f
+        else:
+            sigma_tau = rolling_sigma(price, t, horizon_c, config.sigma_window_aligned)
+            horizon = horizon_c
+        expectation = expected_price(agent_type, p_prev, p_f_now, sigma_tau, config, rng_trade)
+        k = draw_k(rng_trade, k_scale)
+        intent = decide_order(agent, horizon, expectation, p_prev, k, tick)
+
+        trade = None
+        if intent is None:
+            rejections["no_order"] += 1
+        elif not lo <= intent.price <= hi:
+            rejections["band"] += 1
+        else:
+            checked = enforce_budget(intent, book, cash[agent] - pledged_cash[agent],
+                                     shares[agent] - pledged_shares[agent])
+            if checked is None:
+                rejections["budget_buy" if intent.side == BUY else "budget_sell"] += 1
+            else:
+                trade = book.submit(checked, t)
+                if trade is not None:
+                    settle_trade(cash, shares, trade)
+                    trade_rows.extend(
+                        (t, trade.ticks, trade.buyer_id, trade.seller_id, trade.aggressor))
+
+        bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
+        p_now = current_price(trade, bid, ask, tick_size, p_prev)
+        if not math.isfinite(p_now) or p_now <= 0.0:
+            raise FloatingPointError(f"non-finite or non-positive price at step {t}: {p_now!r}")
+        price_at[t] = p_now
+
+        i = t - 1
+        bid_at[i] = bid
+        ask_at[i] = ask
+        bid_gap_at[i] = bid_gap
+        ask_gap_at[i] = ask_gap
+        depth_at[i] = depth
+
+        if t in snapshot_at:
+            snapshots[t] = book.snapshot_levels()
+        p_prev = p_now
+
+    rejections["self_cross"] = book.self_trade_rejections
+
+    pop.cash_ticks[:] = cash
+    pop.shares[:] = shares
+    if int(pop.cash_ticks.sum()) != total_cash0 or int(pop.shares.sum()) != total_shares0:
+        raise RuntimeError("conservation violated: cash or share totals changed")
+    if (pop.cash_ticks < 0).any() or (pop.shares < 0).any():
+        raise RuntimeError("negative holdings at end of run")
+    check_escrow(book)
+
+    tr_step, tr_ticks, tr_buyer, tr_seller, tr_aggr = np.reshape(trade_rows, (-1, 5)).T
+    trades = TradeRecords(
+        step=tr_step.copy(), price=tr_ticks * tick_size, buyer_id=tr_buyer.copy(),
+        seller_id=tr_seller.copy(), aggressor=tr_aggr.astype(np.int8),
+    )
+    # price the tick columns as the book does: a quote or gap is ticks * tick,
+    # the spread (ask - bid) * tick, and an absent one NaN
+    for column in tick_cols:
+        column[column == NO_TICK] = np.nan
+    np.subtract(rec.best_ask, rec.best_bid, out=rec.spread)
+    for column in (*tick_cols, rec.spread):
+        column *= tick_size
+    rec.price[:] = price[1:]
+    rec.fundamental_value[:] = fv[1:]
+    np.subtract(n_agents, rec.n_plus, out=rec.n_f)
+    rec.n_f -= rec.n_minus
+    rec.traded[trades.step - 1] = True
+    rec.trade_price[trades.step - 1] = trades.price
+    return RunOutput(
+        config=config,
+        seed=config.seed,
+        records=rec,
+        trades=trades,
+        final_population=pop,
+        rejections=rejections,
+        clamp_events=clamp_events,
+        switch_count=switch_count,
+        lob_snapshots=snapshots,
+    )

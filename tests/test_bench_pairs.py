@@ -141,3 +141,45 @@ def test_run_stops_on_an_incorrect_result(tmp_path, capsys):
     # the parent's run of pair 0 went first and is archived; nothing after it
     assert sorted(p.name for p in archive.iterdir()) == ["parent-hetero-seed1-trace0-pair0.json"]
     assert "pair 0 parent: correct=True" in capsys.readouterr().out
+
+
+def test_gain_shown_needs_nine_wins_in_ten_and_a_median_beyond_the_parent_iqr(tmp_path):
+    parent = [100.0 + k for k in range(10)]  # median 104.5, q3 - q1 = 4.5
+    values = {
+        # shown: 9 wins and a tie, medians 113.5 against 104.5
+        "sim_steps_per_s": (parent, [p + 10.0 for p in parent[:9]] + [parent[9]]),
+        # not shown: medians far apart but only 8 wins
+        "wall_s": (parent, [p - 10.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]),
+        # not shown: 10 wins, but medians 0.5 apart, inside the parent's 4.5
+        "load_us_per_step": (parent, [p - 0.5 for p in parent]),
+    }
+    archive = tmp_path / "archive"
+    archive.mkdir()
+    for k in range(10):
+        for side, i in (("parent", 0), ("change", 1)):
+            rep = report(side, "control", 0)
+            rep["metrics"] = {name: {"value": v[i][k], "unit": "u"} for name, v in values.items()}
+            (archive / f"{side}-control-seed1-trace0-pair{k}.json").write_text(json.dumps(rep))
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({
+        "end_to_end": [{"name": "sim_steps_per_s", "better": "higher", "bound": 0.25},
+                       {"name": "wall_s", "better": "lower", "bound": 0.25},
+                       {"name": "load_us_per_step", "better": "lower", "bound": 0.25}],
+        "per_layer": [],
+    }))
+    out = tmp_path / "BENCH_gain.json"
+    bench_pairs.main(["summarize", "--archive", str(archive), "--label", "gain",
+                      "--out", str(out), "--benchmark", str(benchmark)])
+    metrics = json.loads(out.read_text())["runs"]["control-seed1-trace0"]["metrics"]
+    assert metrics["sim_steps_per_s"]["parent"] == {"median": 104.5, "q1": 102.25, "q3": 106.75}
+    assert [metrics[name]["change_wins"] for name in values] == [9, 8, 10]
+    assert [metrics[name]["gain_shown"] for name in values] == [True, False, False]
+
+
+def test_gain_shown_in_the_two_pair_archive(summary):
+    metrics = summary["runs"]["hetero-seed1-trace0"]["metrics"]
+    # steps/s: a win and a tie is one in two; wall_s: one win in two
+    assert metrics["sim_steps_per_s"]["gain_shown"] is False
+    assert metrics["wall_s"]["gain_shown"] is False
+    # load: two wins in two, medians 3.5 -> 2.25 against the parent's q3 - q1 of 0.5
+    assert metrics["load_us_per_step"]["gain_shown"] is True

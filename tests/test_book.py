@@ -1,5 +1,7 @@
 """Tests for the double-auction book: matching, expiry, escrow, quotes, statistics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -293,6 +295,32 @@ class TestPurge:
         assert book.purge_outside(255.0, 345.0) is None
         assert [o.agent_id for o in resting_orders(book)] == [2]
         assert book.quote_ticks()[4] == 1
+
+    @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
+    @pytest.mark.parametrize("nudge, kept", [
+        (0, [1000, 1000, 1200]),  # a level priced exactly on a limit stays
+        (-1, [1000, 1000, 1200]),  # limits an ulp wider keep the same levels
+        (1, []),  # limits an ulp narrower drop the levels on them
+    ])
+    def test_levels_on_the_limits_against_naive(self, side, nudge, kept):
+        # one side only, so nothing crosses: two levels on the limits, two
+        # one tick beyond them and one between, the lowest level twice
+        lo, hi = 1000 * TICK, 1200 * TICK  # the products the book prices levels by
+        if nudge:
+            lo = math.nextafter(lo, math.inf * nudge)
+            hi = math.nextafter(hi, -math.inf * nudge)
+        book, naive = make_book(), NaiveBook()
+        for agent, ticks in enumerate([999, 1000, 1000, 1100, 1200, 1201]):
+            it = OrderIntent(agent, side, ticks, ticks * TICK, 50)
+            book.submit(it, 1)
+            naive.submit(it, 1)
+        book.purge_outside(lo, hi)
+        naive.purge_outside(lo, hi, TICK)
+        live = [tuple(order) for order in resting_orders(book)]
+        assert live == naive.live_orders()
+        assert [order.ticks for order in resting_orders(book)
+                if order.ticks != 1100] == kept
+        assert book.pledges() == (book.pledged_cash, book.pledged_shares)
 
 
 def test_differential_against_naive_reference():

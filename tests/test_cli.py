@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -92,6 +94,38 @@ class TestConfigFormat:
         # the switching rates and expectations read these fields unchecked
         with pytest.raises(ValueError, match=message):
             SimConfig(**values).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_float_field_must_be_finite(self, value):
+        # NaN passes every `<= 0`-style check; inf passes the upper ones
+        names = [f.name for f in dataclasses.fields(SimConfig) if f.type == "float"]
+        assert len(names) == 19
+        for name in names:
+            with pytest.raises(ValueError) as err:
+                SimConfig(**{name: value}).validate()
+            assert str(err.value) == f"config field {name} must be finite"
+
+    @pytest.mark.parametrize("override, message", [
+        # without the check: no trades at exit 0, no switching, a frozen market
+        ("band=nan", "config field band must be finite"),
+        ("alpha3=nan", "config field alpha3 must be finite"),
+        ("v1=nan", "config field v1 must be finite"),
+        # without the check these failed mid-run naming no key
+        ("k_scale=nan", "config field k_scale must be finite"),
+        ("init_cash=inf", "config field init_cash must be finite"),
+        ("steps=nan", "config key 'steps': 'nan' is not an integer"),
+    ], ids=lambda v: v.split("=")[0] if "=" in v else "")
+    def test_non_finite_override_is_named(self, tmp_path, capsys, override, message):
+        out = tmp_path / "out"
+        assert main(["run", "-O", "steps=200", "-O", override, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_non_finite_integer_is_named(self):
+        for raw in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError) as err:
+                parse_overrides([f"init_shares={raw}"])
+            assert str(err.value) == f"config key 'init_shares': {raw!r} is not an integer"
 
 
 class TestRunCommand:

@@ -1,5 +1,6 @@
 """Tests for the trading loop: filters, settlement, conservation, determinism."""
 
+import concurrent.futures
 import dataclasses
 import gc
 import weakref
@@ -405,3 +406,36 @@ class TestRunEnsemble:
             assert ref() is None, f"seed {seed} is still referenced"
             seen.append(seed)
         assert sorted(seen) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("workers, seeds, pool_size", [
+        (8, [1, 2], 2), (2, [1, 2, 3], 2), (3, [4], 1),
+    ])
+    def test_pool_is_no_larger_than_the_seed_list(self, monkeypatch, workers, seeds, pool_size):
+        # a forked pool starts every worker at the first submit, so the pool
+        # size is the process count; this fake runs each task in the caller
+        sizes = []
+
+        class InThreadExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InThreadExecutor)
+        cfg = small_config(steps=200)
+        runs = ensemble(cfg, seeds, workers)
+        assert sizes == [pool_size]
+        assert sorted(out.seed for out in runs) == sorted(seeds)
+
+    def test_no_seeds_start_no_pool(self, monkeypatch):
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", None)  # calling it would raise
+        assert list(run_seeds(small_config(), [], workers=4)) == []

@@ -216,6 +216,18 @@ class TestDecideOrder:
             assert intent.ticks * tick == pytest.approx(intent.price, rel=1e-12)
             assert abs(intent.price / tick - round(intent.price / tick)) < 1e-6
 
+    @pytest.mark.parametrize("off, buy_ticks, sell_ticks", [
+        (-5e-7, 601, 601),  # within 1e-6 ticks of the grid: snapped, either side
+        (5e-7, 601, 601),
+        (-2e-6, 600, 601),  # beyond it: buys round down, sells up
+        (2e-6, 601, 602),
+    ])
+    def test_snap_tolerance(self, off, buy_ticks, sell_ticks):
+        # tick 0.5 and k = 0 make the reservation 2 * expectation ticks
+        expectation = (601 + off) / 2
+        assert decide_order(6, 100, expectation, 1.0, 0.0, 0.5).ticks == buy_ticks
+        assert decide_order(6, 100, expectation, 1000.0, 0.0, 0.5).ticks == sell_ticks
+
     def test_degenerate_reservation_gives_no_order(self):
         # k >= 1 forces the buy reservation to zero or below
         assert decide_order(4, 100, 310.0, 300.0, 1.0, 0.0005) is None

@@ -23,7 +23,10 @@ won when the change is lower, except for the ratios the benchmark marks
 (q3 - q1) / median, and marks the metric `unresolved` when that spread
 exceeds the metric's bound and the change's runs are not all better than
 all of the parent's: such runs are too noisy to tell a move within the
-bound. The commits come from the reports' environments.
+bound. It marks the metric `gain_shown` when the change won at least 9 in
+10 of the pairs (a tie counts for neither side) and the change's median is
+better than the parent's by more than the parent's q3 - q1: a claimed gain
+needs both. The commits come from the reports' environments.
 """
 
 from __future__ import annotations
@@ -128,6 +131,9 @@ def summarize(args) -> None:
                     clear = max(values["change"]) < min(values["parent"])
                 metric["parent_spread"] = spread
                 metric["unresolved"] = spread > spec["bound"] and not clear
+                gain = metric["change"]["median"] - parent["median"]
+                metric["gain_shown"] = (10 * wins >= 9 * len(pairs)
+                                        and (gain if higher else -gain) > parent["q3"] - parent["q1"])
         label = f"{workload}-seed{seed}-trace{int(traced)}"
         out["runs"][label] = entry
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
