@@ -15,11 +15,11 @@ the book's escrow against its resting orders.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
 import time
 from array import array
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -456,10 +456,11 @@ def run_seeds(config: SimConfig, seeds, workers: int = 1):
         for seed in seeds:
             yield _run_seed(config, seed)
         return
-    # a forked pool starts all its workers at the first submit
-    with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
+    pool_size = min(workers, len(seeds))  # a forked pool starts every worker at the first submit
+    with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
         pending = {pool.submit(_run_seed, config, seed): seed for seed in seeds}
         while pending:
-            done = wait(pending, return_when=FIRST_COMPLETED).done
+            done = concurrent.futures.wait(
+                pending, return_when=concurrent.futures.FIRST_COMPLETED).done
             while done:
                 yield _take(pending, done.pop())

@@ -430,12 +430,13 @@ class TestRunEnsemble:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", InThreadExecutor)
+        monkeypatch.setattr(engine.concurrent.futures, "ProcessPoolExecutor", InThreadExecutor)
         cfg = small_config(steps=200)
         runs = ensemble(cfg, seeds, workers)
         assert sizes == [pool_size]
         assert sorted(out.seed for out in runs) == sorted(seeds)
 
     def test_no_seeds_start_no_pool(self, monkeypatch):
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", None)  # calling it would raise
+        # calling it would raise
+        monkeypatch.setattr(engine.concurrent.futures, "ProcessPoolExecutor", None)
         assert list(run_seeds(small_config(), [], workers=4)) == []
