@@ -4,9 +4,9 @@ Covers the full reporting pipeline, one implementation per statistic, each
 the one `analyze_bundles` runs: detrended fluctuation analysis of one or
 more realisations (`ensemble_dfa`), maximum-likelihood power-law tail fits,
 empirical CCDFs, the 4-sigma extreme-event threshold (`extreme_threshold`),
-regime classification over chartist-fraction bins, dispersion-vs-chartist-
-fraction curves, and the decay of log-difference kurtosis across
-aggregation horizons (`lagged_kurtosis`).
+the regime label of each chartist-fraction bin (`regime_label`),
+dispersion-vs-chartist-fraction curves, and the decay of log-difference
+kurtosis across aggregation horizons (`lagged_kurtosis`).
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ class RegimeBin:
     sigma: float
     mean: float
     mean_depth: float
-    label: str | None = None
+    label: str
     low_confidence: bool = False
 
     @property
@@ -348,7 +348,8 @@ def bin_by_pc(
     bin_width: float,
     threshold: float,
 ) -> list[RegimeBin]:
-    """Per-bin extreme-event rate, dispersion and mean book depth for one quantity.
+    """Per-bin extreme-event rate, dispersion, mean book depth and regime label
+    for one quantity.
 
     An extreme event is an observation above `threshold`, one value shared by
     every bin (the report passes `extreme_threshold` of the series), so each
@@ -380,40 +381,25 @@ def bin_by_pc(
         ne = np.where(count > 0, exceed / np.maximum(count, 1), 0.0)
         mean_depth = np.where(depth_count > 0, depth_sum / np.maximum(depth_count, 1), np.nan)
 
-    bins = []
-    for b in range(n_bins):
-        bins.append(
-            RegimeBin(
-                lo=b * bin_width,
-                hi=min((b + 1) * bin_width, 1.0),
-                n_obs=int(count[b]),
-                ne=float(ne[b]) if count[b] else 0.0,
-                sigma=float(sigma[b]) if count[b] else float("nan"),
-                mean=float(mean[b]) if count[b] else float("nan"),
-                mean_depth=float(mean_depth[b]),
-                low_confidence=count[b] < LOW_CONFIDENCE_BELOW,
-            )
-        )
-    return bins
+    return [
+        RegimeBin(lo=b * bin_width, hi=min((b + 1) * bin_width, 1.0), n_obs=n, ne=e, sigma=sd,
+                  mean=m, mean_depth=d, label=regime_label(e, d),
+                  low_confidence=n < LOW_CONFIDENCE_BELOW)
+        for b, (n, e, sd, m, d) in enumerate(zip(
+            count.tolist(), ne.tolist(), sigma.tolist(), mean.tolist(), mean_depth.tolist()))
+    ]
 
 
-def classify_regimes(bins: list[RegimeBin]) -> list[RegimeBin]:
-    """Label bins from (extreme-event rate, book depth) alone.
+def regime_label(ne: float, mean_depth: float) -> str:
+    """A bin's state from its extreme-event rate and mean book depth alone.
 
     A mean depth below `DEPTH_FLOOR` marks collapse; otherwise an
     extreme-event rate above `NE_THRESHOLD` marks the real-market-like
     state, and the remainder is efficient-like.
     """
-    out = []
-    for b in bins:
-        if math.isfinite(b.mean_depth) and b.mean_depth < DEPTH_FLOOR:
-            label = MMC
-        elif b.ne > NE_THRESHOLD:
-            label = MRFM
-        else:
-            label = MEMH
-        out.append(dataclasses.replace(b, label=label))
-    return out
+    if math.isfinite(mean_depth) and mean_depth < DEPTH_FLOOR:
+        return MMC
+    return MRFM if ne > NE_THRESHOLD else MEMH
 
 
 def regime_boundaries(bins: list[RegimeBin], min_obs: int) -> dict:
@@ -470,26 +456,21 @@ def reduce_run(records, steps_per_period: int) -> RunBundle:
 
 @dataclass
 class AnalysisReport:
+    """Every field but `plots` is a table of `analysis.json`, under its name."""
+
     hurst: dict
     tails: dict
     regimes: dict
     sigma_peaks: dict
-    agg_gauss: dict
-    depth_spearman: float | None
+    aggregational_gaussianity: dict
+    depth_pc_spearman: float | None
     meta: dict
     plots: dict = field(default_factory=dict)
 
     def tables(self) -> dict:
         """JSON-serialisable view without the plot arrays."""
-        return {
-            "hurst": self.hurst,
-            "tails": self.tails,
-            "regimes": self.regimes,
-            "sigma_peaks": self.sigma_peaks,
-            "aggregational_gaussianity": self.agg_gauss,
-            "depth_pc_spearman": self.depth_spearman,
-            "meta": self.meta,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name != "plots"}
 
 
 def check_analysis_options(n_periods: int, bin_width: float, xmin_quantile: float = 0.95,
@@ -590,7 +571,6 @@ def analyze_bundles(
         # series so the artificial starting composition does not inflate it
         threshold = extreme_threshold(np.concatenate([p[quantity][burn:] for p in per_run]))
         bins = bin_by_pc(pc_q, values_q, depth_q, bin_width, threshold)
-        bins = classify_regimes(bins)
         regimes[quantity] = {
             "bins": [dataclasses.asdict(b) for b in bins],
             **regime_boundaries(bins, min_obs),
@@ -637,13 +617,5 @@ def analyze_bundles(
         "min_obs": min_obs,
         "burn_periods": burn,
     }
-    return AnalysisReport(
-        hurst=hurst,
-        tails=tails,
-        regimes=regimes,
-        sigma_peaks=sigma_peaks,
-        agg_gauss=agg_gauss,
-        depth_spearman=depth_spearman,
-        meta=meta,
-        plots=plots,
-    )
+    return AnalysisReport(hurst, tails, regimes, sigma_peaks, agg_gauss, depth_spearman, meta,
+                          plots)

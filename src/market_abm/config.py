@@ -67,6 +67,14 @@ class SimConfig:
             raise ValueError("band must be < 1: a band of 1 or more has no lower price limit")
         if self.steps < 0 or self.init_shares < 0 or self.sigma_eps < 0:
             raise ValueError("steps, init_shares and sigma_eps must be >= 0")
+        # the run keeps holdings, and checks their totals, in int64
+        cash_ticks = self.init_cash / self.tick
+        if cash_ticks >= 2**63 or self.n_agents * round(cash_ticks) >= 2**63:
+            raise ValueError("config field init_cash: the total endowment, "
+                             "n_agents * round(init_cash / tick) ticks, reaches 2**63")
+        if self.n_agents * self.init_shares >= 2**63:
+            raise ValueError("config field init_shares: the total endowment, "
+                             "n_agents * init_shares shares, reaches 2**63")
         if abs(self.steps_per_period * self.dt - 1.0) > 1e-9:
             raise ValueError("steps_per_period * dt must equal one time unit")
         if not (self.gamma_f > self.gamma_c):
@@ -99,13 +107,19 @@ def _parse_value(key: str, raw: str):
         try:
             return int(raw)
         except ValueError:
-            # allow scientific notation like 1e5 for step counts
+            pass
+        try:  # scientific notation like 1e5 for step counts
             value = float(raw)
-            if not math.isfinite(value) or value != int(value):
-                raise ValueError(f"config key {key!r}: {raw!r} is not an integer") from None
-            return int(value)
+            if value == int(value):
+                return int(value)
+        except (ValueError, OverflowError):  # not a number, NaN or ±inf
+            pass
+        raise ValueError(f"config key {key!r}: {raw!r} is not an integer")
     if kind == "float":
-        return float(raw)
+        try:
+            return float(raw)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: {raw!r} is not a number") from None
     if kind == "str":
         return raw
     raise ValueError(f"config key {key!r} has unsupported type {kind}")
@@ -113,15 +127,18 @@ def _parse_value(key: str, raw: str):
 
 def _parse_pair(text: str, where: str, malformed: str) -> tuple[str, object]:
     """Split `key = value` text and parse the value by the field's type. The
-    `malformed` message (text without '=') and an unknown key's message are
-    prefixed with `where`."""
+    `malformed` message (text without '='), an unknown key's message and a
+    value's parse error are prefixed with `where`."""
     if "=" not in text:
         raise ValueError(where + malformed)
     key, raw = text.split("=", 1)
     key = key.strip()
     if key not in _FIELDS:
         raise ValueError(f"{where}unknown config key {key!r}")
-    return key, _parse_value(key, raw)
+    try:
+        return key, _parse_value(key, raw)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
 
 
 def parse_overrides(pairs: list[str]) -> dict:

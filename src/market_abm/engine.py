@@ -38,47 +38,31 @@ from .population import (
 _BAND_EPS = 1e-12  # relative slack so exact boundary prices stay inside the band
 _DRAW_BLOCK_DOUBLES = 32_768  # switching uniforms drawn at once: 256 KiB, 64 sweeps of 500 agents
 
-# The step record, in file column order: (name, dtype). It drives the
-# allocation of `StepRecords`, the CSV writer and the loader.
-STEP_SCHEMA = (
-    ("step", np.int64),
-    ("price", np.float64),
-    ("fundamental_value", np.float64),
-    ("best_bid", np.float64),
-    ("best_ask", np.float64),
-    ("spread", np.float64),
-    ("bid_gap", np.float64),
-    ("ask_gap", np.float64),
-    ("depth", np.int64),
-    ("n_f", np.int64),
-    ("n_plus", np.int64),
-    ("n_minus", np.int64),
-    ("traded", np.bool_),
-    ("trade_price", np.float64),
-)
-STEP_COLUMNS = [name for name, _ in STEP_SCHEMA]
 
-TRADE_COLUMNS = ["step", "price", "buyer_id", "seller_id", "aggressor"]
+def _column(dtype) -> dataclasses.Field:
+    """A record column, tagged with the dtype it is allocated and loaded as."""
+    return field(metadata={"dtype": dtype})
 
 
 @dataclass
 class StepRecords:
-    """Column-oriented per-step market snapshots; quote fields are NaN when undefined."""
+    """Column-oriented per-step market snapshots; quote fields are NaN when
+    undefined. The fields, in order, are the columns of `steps.csv`."""
 
-    step: np.ndarray
-    price: np.ndarray
-    fundamental_value: np.ndarray
-    best_bid: np.ndarray
-    best_ask: np.ndarray
-    spread: np.ndarray
-    bid_gap: np.ndarray
-    ask_gap: np.ndarray
-    depth: np.ndarray
-    n_f: np.ndarray
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-    traded: np.ndarray
-    trade_price: np.ndarray
+    step: np.ndarray = _column(np.int64)
+    price: np.ndarray = _column(np.float64)
+    fundamental_value: np.ndarray = _column(np.float64)
+    best_bid: np.ndarray = _column(np.float64)
+    best_ask: np.ndarray = _column(np.float64)
+    spread: np.ndarray = _column(np.float64)
+    bid_gap: np.ndarray = _column(np.float64)
+    ask_gap: np.ndarray = _column(np.float64)
+    depth: np.ndarray = _column(np.int64)
+    n_f: np.ndarray = _column(np.int64)
+    n_plus: np.ndarray = _column(np.int64)
+    n_minus: np.ndarray = _column(np.int64)
+    traded: np.ndarray = _column(np.bool_)
+    trade_price: np.ndarray = _column(np.float64)
 
     def __len__(self) -> int:
         return len(self.step)
@@ -103,6 +87,8 @@ class StepRecords:
 
 @dataclass
 class TradeRecords:
+    """One row per trade; the fields, in order, are the columns of `trades.csv`."""
+
     step: np.ndarray
     price: np.ndarray
     buyer_id: np.ndarray
@@ -113,10 +99,15 @@ class TradeRecords:
         return len(self.step)
 
 
+# (name, dtype) of each step column, in file order; the writer and the loader read it.
+STEP_SCHEMA = tuple((f.name, f.metadata["dtype"]) for f in dataclasses.fields(StepRecords))
+STEP_COLUMNS = [name for name, _ in STEP_SCHEMA]
+TRADE_COLUMNS = [f.name for f in dataclasses.fields(TradeRecords)]
+
+
 @dataclass
 class RunOutput:
     config: SimConfig
-    seed: int
     records: StepRecords
     trades: TradeRecords
     final_population: Population  # opinions and holdings at the end of the run
@@ -124,6 +115,10 @@ class RunOutput:
     clamp_events: int
     switch_count: int
     lob_snapshots: dict[int, list[tuple[float, int]]] = field(default_factory=dict)
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
 
 def circuit_breaker(reference_close: float, band: float) -> tuple[float, float]:
@@ -405,7 +400,6 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     rec.trade_price[trades.step - 1] = trades.price
     return RunOutput(
         config=config,
-        seed=config.seed,
         records=rec,
         trades=trades,
         final_population=pop,

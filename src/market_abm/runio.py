@@ -1,8 +1,9 @@
 """On-disk formats for runs and analyses.
 
-Each run directory holds `steps.csv` (one row per step, columns in the
-order of `engine.STEP_SCHEMA`), `trades.csv`, `manifest.json` (config echo,
-seed, totals, rejection counters) and optional `lob_<step>.csv` book
+Each run directory holds `steps.csv` (one row per step, its columns the
+fields of `engine.StepRecords` in order), `trades.csv` (one row per trade,
+its columns the fields of `engine.TradeRecords`), `manifest.json` (config
+echo, seed, totals, rejection counters) and optional `lob_<step>.csv` book
 snapshots with ask volumes negative.
 
 Every CSV is written by one helper, `_BLOCK_ROWS` rows at a time. Each
@@ -10,7 +11,7 @@ column of a block formats each of its distinct values once, from a table
 of that block alone (memory does not grow with the run): floats as `%.12g`
 with non-finite values left blank, flags as 0/1, integers as themselves.
 The loader parses `steps.csv` with `np.loadtxt`, reads its columns by header
-name and casts each to its schema dtype; blank fields load as NaN.
+name and casts each to the dtype its field declares; blank fields load as NaN.
 """
 
 from __future__ import annotations

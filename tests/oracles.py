@@ -666,7 +666,6 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     rec.trade_price[trades.step - 1] = trades.price
     return RunOutput(
         config=config,
-        seed=config.seed,
         records=rec,
         trades=trades,
         final_population=pop,

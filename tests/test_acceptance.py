@@ -191,7 +191,7 @@ def test_c3_mmc_onset_window(hetero):
 
 def test_c3_depth_monotone_spearman(hetero):
     _, _, report = hetero
-    rho = report.depth_spearman
+    rho = report.depth_pc_spearman
     check("C3 book depth decreasing in P_c (Spearman < -0.8)",
           rho is not None and rho < -0.8, f"rho={rho}")
 
@@ -220,8 +220,8 @@ def test_c4_sigma_drop_above_peak(hetero):
 
 def test_c5_kurtosis_decays_toward_fundamental(hetero):
     _, _, report = hetero
-    kurt = report.agg_gauss["excess_kurtosis"]
-    fv_kurt = report.agg_gauss["fv_excess_kurtosis"]
+    kurt = report.aggregational_gaussianity["excess_kurtosis"]
+    fv_kurt = report.aggregational_gaussianity["fv_excess_kurtosis"]
     inversions = sum(1 for a, b in zip(kurt, kurt[1:]) if b > a)
     check("C5 kurtosis decreasing over lags {1,4,16,64} (<= 1 inversion)", inversions <= 1,
           f"kurt={[round(k, 2) for k in kurt]}")

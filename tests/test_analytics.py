@@ -21,7 +21,6 @@ from market_abm.analytics import (
     bin_indices,
     ccdf,
     check_analysis_options,
-    classify_regimes,
     ensemble_dfa,
     excess_kurtosis,
     extreme_threshold,
@@ -32,6 +31,7 @@ from market_abm.analytics import (
     log_box_sizes,
     period_series,
     reduce_run,
+    regime_label,
     sigma_vs_pc,
     spearman,
     tail_fit_quantile,
@@ -276,48 +276,37 @@ class TestBinning:
 
 def make_bin(lo, ne, depth, n_obs=5000):
     return RegimeBin(lo=lo, hi=lo + 0.01, n_obs=n_obs, ne=ne, sigma=1.0, mean=1.0,
-                     mean_depth=depth)
+                     mean_depth=depth, label=regime_label(ne, depth))
 
 
 class TestClassifyRegimes:
     def test_examples(self):
-        bins = classify_regimes([
-            make_bin(0.10, 0.001, 200.0),
-            make_bin(0.60, 0.020, 80.0),
-            make_bin(0.90, 0.000, 1.0),
-        ])
-        assert [b.label for b in bins] == [MEMH, MRFM, MMC]
+        labels = [regime_label(0.001, 200.0), regime_label(0.020, 80.0), regime_label(0.0, 1.0)]
+        assert labels == [MEMH, MRFM, MMC]
 
     def test_depth_rule_wins_over_ne(self):
-        bins = classify_regimes([make_bin(0.9, 0.5, 0.5)])
-        assert bins[0].label == MMC
-
-    def test_permutation_equivariance(self):
-        raw = [make_bin(0.1, 0.001, 200.0), make_bin(0.5, 0.03, 50.0), make_bin(0.9, 0.0, 0.1)]
-        forward = [b.label for b in classify_regimes(raw)]
-        backward = [b.label for b in classify_regimes(raw[::-1])]
-        assert forward == backward[::-1]
+        assert regime_label(0.5, 0.5) == MMC
 
     def test_ne_at_the_threshold_is_memh(self):
-        at, above = classify_regimes([
-            make_bin(0.3, NE_THRESHOLD, 200.0),
-            make_bin(0.4, math.nextafter(NE_THRESHOLD, 1.0), 200.0),
-        ])
-        assert (at.label, above.label) == (MEMH, MRFM)
+        assert regime_label(NE_THRESHOLD, 200.0) == MEMH
+        assert regime_label(math.nextafter(NE_THRESHOLD, 1.0), 200.0) == MRFM
 
     def test_depth_at_the_floor_is_not_mmc(self):
-        at, below = classify_regimes([
-            make_bin(0.8, 0.0, DEPTH_FLOOR),
-            make_bin(0.9, 0.0, math.nextafter(DEPTH_FLOOR, 0.0)),
-        ])
-        assert (at.label, below.label) == (MEMH, MMC)
+        assert regime_label(0.0, DEPTH_FLOOR) == MEMH
+        assert regime_label(0.0, math.nextafter(DEPTH_FLOOR, 0.0)) == MMC
 
     def test_nan_depth_is_never_mmc(self):
-        quiet, eventful = classify_regimes([
-            make_bin(0.98, 0.0, float("nan")),
-            make_bin(0.99, 0.5, float("nan")),
-        ])
-        assert (quiet.label, eventful.label) == (MEMH, MRFM)
+        assert regime_label(0.0, float("nan")) == MEMH
+        assert regime_label(0.5, float("nan")) == MRFM
+
+    def test_bins_are_labelled_as_they_are_built(self):
+        # pc 0.1: one event in 100 over a deep book; pc 0.9: the same events over a shallow one
+        pc = np.repeat([0.1, 0.9], 100)
+        values = np.tile(np.r_[np.zeros(99), 1.0], 2)
+        depth = np.repeat([200.0, 5.0], 100)
+        bins = bin_by_pc(pc, values, depth, 0.05, 0.5)
+        assert [(b.ne, b.label) for b in bins if b.n_obs] == [(0.01, MRFM), (0.01, MMC)]
+        assert {b.label for b in bins if not b.n_obs} == {MEMH}  # NaN depth, no events
 
 
 class TestSigmaVsPc:
@@ -325,7 +314,7 @@ class TestSigmaVsPc:
         rng = np.random.default_rng(16)
         bins = [
             RegimeBin(lo=i * 0.05, hi=(i + 1) * 0.05, n_obs=100, ne=0.0,
-                      sigma=float(rng.uniform(0.5, 3.0)), mean=1.0, mean_depth=50.0)
+                      sigma=float(rng.uniform(0.5, 3.0)), mean=1.0, mean_depth=50.0, label=MEMH)
             for i in range(20)
         ]
         curve = sigma_vs_pc(bins, min_obs=10)
@@ -334,7 +323,7 @@ class TestSigmaVsPc:
     def test_constant_quantity_flat_curve(self):
         bins = [
             RegimeBin(lo=i * 0.05, hi=(i + 1) * 0.05, n_obs=100, ne=0.0, sigma=2.0,
-                      mean=1.0, mean_depth=50.0)
+                      mean=1.0, mean_depth=50.0, label=MEMH)
             for i in range(20)
         ]
         curve = sigma_vs_pc(bins, min_obs=10)
@@ -431,10 +420,10 @@ class TestRunBundles:
         flat.price[:] = 300.0
         bundles = [reduce_run(flat, 100), reduce_run(flat, 100)]
         report = analyze_bundles(bundles, 100)
-        assert report.agg_gauss["lags"] == [1, 4, 16, 64]
-        assert report.agg_gauss["excess_kurtosis"] == [None] * 4
+        assert report.aggregational_gaussianity["lags"] == [1, 4, 16, 64]
+        assert report.aggregational_gaussianity["excess_kurtosis"] == [None] * 4
         # 60 closes leave differences at lags 1, 4 and 16 but none at 64
-        *short, longest = report.agg_gauss["fv_excess_kurtosis"]
+        *short, longest = report.aggregational_gaussianity["fv_excess_kurtosis"]
         assert all(math.isfinite(k) for k in short)
         assert longest is None
         with pytest.raises(ValueError, match="zero variance"):

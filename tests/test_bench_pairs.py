@@ -143,19 +143,12 @@ def test_run_stops_on_an_incorrect_result(tmp_path, capsys):
     assert "pair 0 parent: correct=True" in capsys.readouterr().out
 
 
-def test_gain_shown_needs_nine_wins_in_ten_and_a_median_beyond_the_parent_iqr(tmp_path):
-    parent = [100.0 + k for k in range(10)]  # median 104.5, q3 - q1 = 4.5
-    values = {
-        # shown: 9 wins and a tie, medians 113.5 against 104.5
-        "sim_steps_per_s": (parent, [p + 10.0 for p in parent[:9]] + [parent[9]]),
-        # not shown: medians far apart but only 8 wins
-        "wall_s": (parent, [p - 10.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]),
-        # not shown: 10 wins, but medians 0.5 apart, inside the parent's 4.5
-        "load_us_per_step": (parent, [p - 0.5 for p in parent]),
-    }
+def summarize_pairs(tmp_path, values) -> dict:
+    """The metrics `summarize` writes for an archive of control pairs, given
+    per metric its (parent, change) values, one per pair; every bound is 0.25."""
     archive = tmp_path / "archive"
     archive.mkdir()
-    for k in range(10):
+    for k in range(len(next(iter(values.values()))[0])):
         for side, i in (("parent", 0), ("change", 1)):
             rep = report(side, "control", 0)
             rep["metrics"] = {name: {"value": v[i][k], "unit": "u"} for name, v in values.items()}
@@ -167,13 +160,41 @@ def test_gain_shown_needs_nine_wins_in_ten_and_a_median_beyond_the_parent_iqr(tm
                        {"name": "load_us_per_step", "better": "lower", "bound": 0.25}],
         "per_layer": [],
     }))
-    out = tmp_path / "BENCH_gain.json"
-    bench_pairs.main(["summarize", "--archive", str(archive), "--label", "gain",
+    out = tmp_path / "BENCH_pairs.json"
+    bench_pairs.main(["summarize", "--archive", str(archive), "--label", "pairs",
                       "--out", str(out), "--benchmark", str(benchmark)])
-    metrics = json.loads(out.read_text())["runs"]["control-seed1-trace0"]["metrics"]
+    return json.loads(out.read_text())["runs"]["control-seed1-trace0"]["metrics"]
+
+
+def test_gain_shown_needs_nine_wins_in_ten_and_a_median_beyond_the_parent_iqr(tmp_path):
+    parent = [100.0 + k for k in range(10)]  # median 104.5, q3 - q1 = 4.5
+    values = {
+        # shown: 9 wins and a tie, medians 113.5 against 104.5
+        "sim_steps_per_s": (parent, [p + 10.0 for p in parent[:9]] + [parent[9]]),
+        # not shown: medians far apart but only 8 wins
+        "wall_s": (parent, [p - 10.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]]),
+        # not shown: 10 wins, but medians 0.5 apart, inside the parent's 4.5
+        "load_us_per_step": (parent, [p - 0.5 for p in parent]),
+    }
+    metrics = summarize_pairs(tmp_path, values)
     assert metrics["sim_steps_per_s"]["parent"] == {"median": 104.5, "q1": 102.25, "q3": 106.75}
     assert [metrics[name]["change_wins"] for name in values] == [9, 8, 10]
     assert [metrics[name]["gain_shown"] for name in values] == [True, False, False]
+
+
+def test_regressed_when_the_median_is_worse_by_more_than_the_bound(tmp_path):
+    parent = [100.0 + k for k in range(5)]  # median 102
+    values = {
+        # regressed: the median falls 30% against a bound of 25%
+        "sim_steps_per_s": (parent, [0.7 * p for p in parent]),
+        # within the bound: the median rises 20% against 25%
+        "wall_s": (parent, [1.2 * p for p in parent]),
+        # better: the median halves
+        "load_us_per_step": (parent, [0.5 * p for p in parent]),
+    }
+    metrics = summarize_pairs(tmp_path, values)
+    assert [metrics[name]["regressed"] for name in values] == [True, False, False]
+    assert [metrics[name]["change_wins"] for name in values] == [0, 0, 5]
 
 
 def test_gain_shown_in_the_two_pair_archive(summary):

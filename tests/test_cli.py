@@ -44,6 +44,7 @@ class TestConfigFormat:
         for text, message in (
             ("# header\nsteps 100\n", "expected key = value, got 'steps 100'"),
             ("seed = 1\n stepz = 100\n", "unknown config key 'stepz'"),
+            ("seed = 1\nband = abc\n", "config key 'band': 'abc' is not a number"),
         ):
             path.write_text(text)
             with pytest.raises(ValueError) as err:
@@ -114,11 +115,34 @@ class TestConfigFormat:
         ("k_scale=nan", "config field k_scale must be finite"),
         ("init_cash=inf", "config field init_cash must be finite"),
         ("steps=nan", "config key 'steps': 'nan' is not an integer"),
+        # without the key these named only the value
+        pytest.param("steps=abc", "config key 'steps': 'abc' is not an integer", id="steps-abc"),
+        pytest.param("band=abc", "config key 'band': 'abc' is not a number", id="band-abc"),
     ], ids=lambda v: v.split("=")[0] if "=" in v else "")
     def test_non_finite_override_is_named(self, tmp_path, capsys, override, message):
         out = tmp_path / "out"
         assert main(["run", "-O", "steps=200", "-O", override, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, field, total", [
+        # without the check: the int64 cash total wrapped and the run ended in
+        # a conservation error
+        pytest.param(["steps=3000", "p0=1.0", "pf0=1.0", "tick=1e-15", "init_cash=450",
+                      "init_frac_f=0.15", "init_frac_opt=0.425", "init_shares=1"],
+                     "init_cash", "n_agents * round(init_cash / tick) ticks", id="cash-total"),
+        # without the check: one agent's cash overflowed int64, naming no field
+        pytest.param(["steps=100", "tick=1e-17", "init_cash=450", "p0=1", "pf0=1"],
+                     "init_cash", "n_agents * round(init_cash / tick) ticks", id="cash-per-agent"),
+        pytest.param(["steps=100", "init_shares=18446744073709552"],
+                     "init_shares", "n_agents * init_shares shares", id="shares-total"),
+    ])
+    def test_endowment_reaching_int64_is_named(self, tmp_path, capsys, overrides, field, total):
+        out = tmp_path / "out"
+        argv = ["run", *[arg for pair in overrides for arg in ("-O", pair)], "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: config field {field}: the total endowment, {total}, reaches 2**63\n")
         assert not out.exists()
 
     def test_non_finite_integer_is_named(self):

@@ -26,7 +26,10 @@ all of the parent's: such runs are too noisy to tell a move within the
 bound. It marks the metric `gain_shown` when the change won at least 9 in
 10 of the pairs (a tie counts for neither side) and the change's median is
 better than the parent's by more than the parent's q3 - q1: a claimed gain
-needs both. The commits come from the reports' environments.
+needs both. It marks the metric `regressed` when the change's median is
+worse than the parent's by more than the metric's bound, taken as a
+fraction of the parent's median: no end-to-end metric of a change may be
+marked so. The commits come from the reports' environments.
 """
 
 from __future__ import annotations
@@ -132,8 +135,11 @@ def summarize(args) -> None:
                 metric["parent_spread"] = spread
                 metric["unresolved"] = spread > spec["bound"] and not clear
                 gain = metric["change"]["median"] - parent["median"]
+                if not higher:
+                    gain = -gain
                 metric["gain_shown"] = (10 * wins >= 9 * len(pairs)
-                                        and (gain if higher else -gain) > parent["q3"] - parent["q1"])
+                                        and gain > parent["q3"] - parent["q1"])
+                metric["regressed"] = -gain > spec["bound"] * parent["median"]
         label = f"{workload}-seed{seed}-trace{int(traced)}"
         out["runs"][label] = entry
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
