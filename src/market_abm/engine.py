@@ -99,7 +99,7 @@ class TradeRecords:
         return len(self.step)
 
 
-# (name, dtype) of each step column, in file order; the writer and the loader read it.
+# (name, dtype) of each step column, in file order: allocation, the writer and the loader read it.
 STEP_SCHEMA = tuple((f.name, f.metadata["dtype"]) for f in dataclasses.fields(StepRecords))
 STEP_COLUMNS = [name for name, _ in STEP_SCHEMA]
 TRADE_COLUMNS = [f.name for f in dataclasses.fields(TradeRecords)]
