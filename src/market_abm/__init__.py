@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .book import OrderBook, OrderIntent, Side, Trade, current_price
+from .book import OrderBook, OrderIntent, Side, Trade
 from .config import SimConfig, load_config
 from .engine import RunOutput, run_seeds, run_simulation
 from .population import Population
@@ -15,7 +15,6 @@ __all__ = [
     "Side",
     "SimConfig",
     "Trade",
-    "current_price",
     "load_config",
     "run_seeds",
     "run_simulation",

@@ -33,8 +33,7 @@ BUY, SELL = Side.BUY, Side.SELL
 class OrderIntent(NamedTuple):
     agent_id: int
     side: Side
-    ticks: int  # reservation price in tick units, > 0
-    price: float  # ticks * tick_size, carried for reporting
+    ticks: int  # reservation price in tick units, > 0; the price is ticks * tick_size
     horizon: int  # lifetime in steps once resting
 
 
@@ -49,8 +48,7 @@ class LimitOrder(NamedTuple):
 
 class Trade(NamedTuple):
     step: int
-    ticks: int
-    price: float
+    ticks: int  # the price is ticks * tick_size
     buyer_id: int
     seller_id: int
     aggressor: Side
@@ -110,7 +108,7 @@ class OrderBook:
         An intent whose only match candidate is the submitter's own resting
         order is dropped and counted in `self_trade_rejections`.
         """
-        agent_id, side, ticks, _, horizon = intent
+        agent_id, side, ticks, horizon = intent
         if ticks <= 0:
             raise ValueError("reservation price must be positive")
         if side == BUY:
@@ -131,7 +129,7 @@ class OrderBook:
                 buyer, seller = agent_id, resting.agent_id
             else:
                 buyer, seller = resting.agent_id, agent_id
-            return Trade(t, best, best * self.tick_size, buyer, seller, side)
+            return Trade(t, best, buyer, seller, side)
 
         order_id = self._next_id
         self._next_id = order_id + 1
@@ -254,7 +252,7 @@ def current_price(last_trade: Trade | None, bid: int, ask: int, tick_size: float
     if previous_price <= 0.0:
         raise ValueError("previous_price must be > 0")
     if last_trade is not None:
-        return last_trade.price
+        return last_trade.ticks * tick_size
     if bid and ask:
         return (bid + ask) * tick_size / 2.0
     return previous_price

@@ -9,8 +9,6 @@ per-run wall clock, so re-running a manifest reproduces identical outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 import time
@@ -24,6 +22,7 @@ from .runio import (
     load_run_dir,
     sha256_file,
     write_analysis,
+    write_json,
     write_run,
 )
 
@@ -48,15 +47,14 @@ def _experiment_manifest(out_root: Path, args, cfg: SimConfig, seeds, run_entrie
         "seeds": list(seeds),
         "runs": run_entries,
     }
-    with open(out_root / "experiment.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_root / "experiment.json", manifest)
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config, parse_overrides(args.override or []))
+    overrides = parse_overrides(args.override or [])
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        overrides["seed"] = args.seed
+    cfg = load_config(args.config, overrides)
     started = time.perf_counter()
     run = run_simulation(cfg, lob_snapshot_steps=args.lob_snapshot or ())
     elapsed = time.perf_counter() - started
@@ -157,7 +155,7 @@ def experiment_config(scale: float, homogeneous: bool, overrides: dict | None = 
     """
     steps = max(100, int(round(1_000_000 * scale)))
     if homogeneous:
-        base = dict(steps=steps, switching_enabled=False, init_frac_f=1.0, init_frac_opt=0.0,
+        base = dict(steps=steps, switch_mode="off", init_frac_f=1.0, init_frac_opt=0.0,
                     init_cash=450.0, init_shares=1)
     else:
         base = dict(steps=steps, init_frac_f=0.15, init_frac_opt=0.425,

@@ -20,8 +20,7 @@ from pathlib import Path
 class SimConfig:
     n_agents: int = 500
     steps: int = 1_000_000
-    dt: float = 0.01
-    steps_per_period: int = 100
+    steps_per_period: int = 100  # steps per unit of time; one step is dt = 1 / steps_per_period
     sigma_eps: float = 0.005
     k_scale: float = 0.1
     tick: float = 0.0005
@@ -43,12 +42,15 @@ class SimConfig:
     init_frac_opt: float = 0.25
     init_cash: float = 10_000.0
     init_shares: int = 10
-    switching_enabled: bool = True
-    switch_mode: str = "all_agents"  # or "per_trade": only the step's trader reconsiders
+    switch_mode: str = "all_agents"  # "per_trade": only the step's trader reconsiders; "off": none
     allow_self_trades: bool = False
     sigma_window_aligned: bool = False
     u2_trend_horizon: str = "own"  # "own": evaluator's horizon; "chartist": strategy horizon
     seed: int = 0
+
+    @property
+    def dt(self) -> float:
+        return 1.0 / self.steps_per_period
 
     def validate(self) -> None:
         for name, kind in _FIELDS.items():
@@ -56,7 +58,7 @@ class SimConfig:
             if kind == "float" and not math.isfinite(getattr(self, name)):
                 raise ValueError(f"config field {name} must be finite")
         positive = [
-            "n_agents", "dt", "steps_per_period", "k_scale", "tick", "p0", "pf0",
+            "n_agents", "steps_per_period", "k_scale", "tick", "p0", "pf0",
             "gamma_f", "gamma_c", "horizon_f", "horizon_c", "v1", "v2", "alpha1",
             "alpha2", "alpha3", "big_r", "s", "band", "init_cash",
         ]
@@ -67,6 +69,8 @@ class SimConfig:
             raise ValueError("band must be < 1: a band of 1 or more has no lower price limit")
         if self.steps < 0 or self.init_shares < 0 or self.sigma_eps < 0:
             raise ValueError("steps, init_shares and sigma_eps must be >= 0")
+        if self.seed < 0:
+            raise ValueError("config field seed must be >= 0")
         # the run keeps holdings, and checks their totals, in int64
         cash_ticks = self.init_cash / self.tick
         if cash_ticks >= 2**63 or self.n_agents * round(cash_ticks) >= 2**63:
@@ -75,16 +79,14 @@ class SimConfig:
         if self.n_agents * self.init_shares >= 2**63:
             raise ValueError("config field init_shares: the total endowment, "
                              "n_agents * init_shares shares, reaches 2**63")
-        if abs(self.steps_per_period * self.dt - 1.0) > 1e-9:
-            raise ValueError("steps_per_period * dt must equal one time unit")
         if not (self.gamma_f > self.gamma_c):
             raise ValueError("gamma_f must exceed gamma_c")
         if self.init_frac_f < 0 or self.init_frac_opt < 0 or self.init_frac_f + self.init_frac_opt > 1.0 + 1e-12:
             raise ValueError("initial composition fractions must be >= 0 and sum to <= 1")
         if self.u2_trend_horizon not in ("own", "chartist"):
             raise ValueError("u2_trend_horizon must be 'own' or 'chartist'")
-        if self.switch_mode not in ("all_agents", "per_trade"):
-            raise ValueError("switch_mode must be 'all_agents' or 'per_trade'")
+        if self.switch_mode not in ("all_agents", "per_trade", "off"):
+            raise ValueError("switch_mode must be 'all_agents', 'per_trade' or 'off'")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

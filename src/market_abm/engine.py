@@ -265,7 +265,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     offset = block_size - n_agents  # so that the first all-agents sweep draws a block
     draws = only = None
 
-    switching = config.switching_enabled
+    switching = config.switch_mode != "off"
     chartist_u2 = config.u2_trend_horizon == "chartist"
     aligned = config.sigma_window_aligned
     noise_f = config.sigma_eps / config.gamma_f  # a fundamentalist's noise scale
@@ -328,7 +328,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         trade = None
         if intent is None:
             rejections["no_order"] += 1
-        elif not lo <= intent.price <= hi:
+        elif not lo <= intent.ticks * tick <= hi:
             rejections["band"] += 1
         else:
             if intent.side == BUY:
@@ -343,14 +343,13 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                 trade = book.submit(intent, t)
                 if trade is not None:
                     settle_trade(cash, shares, trade)
-                    trade_rows.extend(
-                        (t, trade.ticks, trade.buyer_id, trade.seller_id, trade.aggressor))
+                    trade_rows.extend(trade)
 
         # The price proxy, as current_price takes it: the trade's price, else
         # the mid-quote of a two-sided book, else the previous price.
         bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
         if trade is not None:
-            p_now = trade.price
+            p_now = trade.ticks * tick_size
         elif bid and ask:
             p_now = (bid + ask) * tick_size / 2.0
         else:

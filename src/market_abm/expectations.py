@@ -109,4 +109,4 @@ def decide_order(
         ticks = math.floor(q) if side == BUY else math.ceil(q)
     if ticks <= 0:
         return None
-    return OrderIntent(agent_id, side, ticks, ticks * tick, horizon)
+    return OrderIntent(agent_id, side, ticks, horizon)

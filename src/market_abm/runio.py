@@ -75,7 +75,7 @@ def load_steps_csv(path: Path) -> StepRecords:
 def write_trades_csv(path: Path, trades: TradeRecords) -> None:
     side = np.where(trades.aggressor == int(Side.BUY), "buy", "sell")
     _write_csv(path, TRADE_COLUMNS,
-               [trades.step, trades.price, trades.buyer_id, trades.seller_id, side])
+               [side if name == "aggressor" else getattr(trades, name) for name in TRADE_COLUMNS])
 
 
 def write_lob_snapshot(path: Path, rows: list[tuple[float, int]]) -> None:
@@ -111,16 +111,19 @@ def write_run(out_dir: Path, run: RunOutput) -> dict:
     for step, rows in sorted(run.lob_snapshots.items()):
         write_lob_snapshot(out_dir / f"lob_{step}.csv", rows)
     manifest = run_manifest(run)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
 def load_run_dir(run_dir: Path) -> tuple[StepRecords, dict]:
+    """Step records and manifest; the manifest, written last, is read first."""
     run_dir = Path(run_dir)
-    records = load_steps_csv(run_dir / "steps.csv")
-    return records, json.loads((run_dir / "manifest.json").read_text())
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    path = run_dir / "steps.csv"
+    try:
+        return load_steps_csv(path), manifest
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def find_run_dirs(roots) -> list[Path]:
@@ -164,14 +167,17 @@ def _jsonable(obj):
     return obj
 
 
+def write_json(path: Path, obj) -> None:
+    """`obj` as JSON-safe values, indented, keys sorted, with a final newline."""
+    Path(path).write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+
+
 def write_analysis(out_dir: Path, report) -> None:
     """analysis.json plus one plot-ready CSV, `<kind>_<name>.csv`, per curve
     in `report.plots[kind][name]`; the curve's keys are the column names."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "analysis.json", "w") as fh:
-        json.dump(_jsonable(report.tables()), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "analysis.json", report.tables())
     for kind, curves in report.plots.items():
         for name, data in curves.items():
             _write_csv(out_dir / f"{kind}_{name}.csv", list(data),

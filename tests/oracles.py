@@ -256,7 +256,7 @@ def current_price_reference(book: OrderBook, last_trade, previous_price: float) 
     if previous_price <= 0.0:
         raise ValueError("previous_price must be > 0")
     if last_trade is not None:
-        return last_trade.price
+        return last_trade.ticks * book.tick_size
     bid = book.best_bid_ticks()
     ask = book.best_ask_ticks()
     if bid is not None and ask is not None:
@@ -557,7 +557,7 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     offset = block_size - n_agents  # so that the first all-agents sweep draws a block
     draws = only = None
 
-    switching = config.switching_enabled
+    switching = config.switch_mode != "off"
     chartist_u2 = config.u2_trend_horizon == "chartist"
     band = config.band
     lo, hi = circuit_breaker(config.p0, band)
@@ -605,7 +605,7 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         trade = None
         if intent is None:
             rejections["no_order"] += 1
-        elif not lo <= intent.price <= hi:
+        elif not lo <= intent.ticks * tick <= hi:
             rejections["band"] += 1
         else:
             checked = enforce_budget(intent, book, cash[agent] - pledged_cash[agent],

@@ -290,7 +290,6 @@ def test_c7_book_matches_naive_reference():
             agent_id=int(rng.integers(60)),
             side=Side.BUY if rng.random() < 0.5 else Side.SELL,
             ticks=ticks,
-            price=ticks * tick,
             horizon=int(rng.integers(5, 120)),
         )
         trade = fast.submit(it, t)

@@ -18,7 +18,7 @@ TICK = 0.0005
 
 def intent(agent, side, price, horizon=100):
     ticks = int(round(price / TICK))
-    return OrderIntent(agent_id=agent, side=side, ticks=ticks, price=ticks * TICK, horizon=horizon)
+    return OrderIntent(agent_id=agent, side=side, ticks=ticks, horizon=horizon)
 
 
 N_AGENTS = 60
@@ -56,7 +56,7 @@ class TestSubmit:
         book.submit(intent(1, Side.SELL, 301.0), 1)
         trade = book.submit(intent(2, Side.BUY, 301.0), 2)
         assert resting_orders(book) == []
-        assert trade.price == pytest.approx(301.0)
+        assert trade.ticks * TICK == pytest.approx(301.0)
         assert trade.buyer_id == 2 and trade.seller_id == 1
         assert trade.aggressor == Side.BUY
 
@@ -79,7 +79,7 @@ class TestSubmit:
         book = make_book()
         book.submit(intent(1, Side.BUY, 299.0), 1)
         trade = book.submit(intent(2, Side.SELL, 298.0), 2)
-        assert trade.price == pytest.approx(299.0)
+        assert trade.ticks * TICK == pytest.approx(299.0)
         assert trade.aggressor == Side.SELL
 
     def test_self_cross_is_dropped_by_default(self):
@@ -311,7 +311,7 @@ class TestPurge:
             hi = math.nextafter(hi, -math.inf * nudge)
         book, naive = make_book(), NaiveBook()
         for agent, ticks in enumerate([999, 1000, 1000, 1100, 1200, 1201]):
-            it = OrderIntent(agent, side, ticks, ticks * TICK, 50)
+            it = OrderIntent(agent, side, ticks, 50)
             book.submit(it, 1)
             naive.submit(it, 1)
         book.purge_outside(lo, hi)
@@ -377,13 +377,12 @@ class BookAgainstNaive(RuleBasedStateMachine):
     @rule(agent=st.integers(0, N_AGENTS - 1), side=st.sampled_from(Side),
           ticks=st.integers(1, 12), horizon=st.integers(1, 8))
     def submit(self, agent, side, ticks, horizon):
-        it = OrderIntent(agent_id=agent, side=side, ticks=ticks, price=ticks * TICK,
-                         horizon=horizon)
+        it = OrderIntent(agent_id=agent, side=side, ticks=ticks, horizon=horizon)
         trade = self.book.submit(it, self.t)
         ref = self.naive.submit(it, self.t)
         assert (None if trade is None else (trade.ticks, trade.buyer_id, trade.seller_id)) == ref
         if trade is not None:
-            assert (trade.step, trade.aggressor, trade.price) == (self.t, side, trade.ticks * TICK)
+            assert (trade.step, trade.aggressor) == (self.t, side)
 
     @rule(steps=st.integers(0, 4))
     def expire(self, steps):

@@ -57,7 +57,7 @@ class TestConfigFormat:
             parse_overrides([" stepz =1"])
         assert str(err.value) == "unknown config key 'stepz'"
         with pytest.raises(ValueError, match="cannot parse 'maybe' as bool"):
-            parse_overrides(["switching_enabled=maybe"])
+            parse_overrides(["allow_self_trades=maybe"])
 
     def test_scientific_notation_steps(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -65,14 +65,14 @@ class TestConfigFormat:
         assert load_config(path).steps == 100_000
 
     def test_override_parsing(self):
-        overrides = parse_overrides(["steps=500", "switching_enabled=false"])
-        assert overrides == {"steps": 500, "switching_enabled": False}
+        overrides = parse_overrides(["steps=500", "allow_self_trades=true"])
+        assert overrides == {"steps": 500, "allow_self_trades": True}
         with pytest.raises(ValueError, match="frobnicate"):
             parse_overrides(["frobnicate=1"])
 
     def test_invalid_config_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("dt = 0.02\n")  # breaks steps_per_period * dt = 1
+        path.write_text("steps_per_period = 0\n")
         with pytest.raises(ValueError):
             load_config(path)
 
@@ -100,7 +100,7 @@ class TestConfigFormat:
     def test_every_float_field_must_be_finite(self, value):
         # NaN passes every `<= 0`-style check; inf passes the upper ones
         names = [f.name for f in dataclasses.fields(SimConfig) if f.type == "float"]
-        assert len(names) == 19
+        assert len(names) == 18
         for name in names:
             with pytest.raises(ValueError) as err:
                 SimConfig(**{name: value}).validate()
@@ -143,6 +143,18 @@ class TestConfigFormat:
         assert main(argv) == 1
         assert capsys.readouterr().err == (
             f"error: config field {field}: the total endowment, {total}, reaches 2**63\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("dt", "0.02"), ("switching_enabled", "false")])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
+        # dt is 1 / steps_per_period, and switch_mode = off turns switching off
+        out = tmp_path / "out"
+        assert main(["run", "-O", "steps=200", "-O", f"{key}={value}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+        path = tmp_path / "old.cfg"
+        path.write_text(f"steps = 200\n{key} = {value}\n")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: unknown config key {key!r}\n"
         assert not out.exists()
 
     def test_non_finite_integer_is_named(self):
@@ -215,6 +227,15 @@ class TestRunCommand:
         assert err == "error: math range error\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["-O", "seed=-1"], ["--seed", "-1"]], ids=["O", "seed"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, monkeypatch, capsys, argv):
+        # numpy used to reject it mid-run, naming no key
+        monkeypatch.setattr(cli, "run_simulation", _no_run)
+        out = tmp_path / "out"
+        assert main(["run", "-O", "steps=300", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: config field seed must be >= 0\n"
+        assert not out.exists()
+
     def test_bad_override_key_diagnostic(self, tmp_path, config_file, capsys):
         status = main(["run", "--config", str(config_file), "-O", "bogus=1",
                        "--out", str(tmp_path / "o")])
@@ -223,6 +244,10 @@ class TestRunCommand:
 
 
 _measured_run = engine._run_seed
+
+
+def _no_run(config, lob_snapshot_steps=()):
+    raise AssertionError("a run started")
 
 
 def _fixed_time_run(config, seed):
@@ -313,6 +338,17 @@ class TestEnsembleCommand:
         assert "--seeds must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # both runs used to start and fail, naming no key
+        monkeypatch.setattr(engine, "run_simulation", _no_run)
+        out = tmp_path / "ens"
+        assert main(["ensemble", "-O", "steps=300", "-O", "seed=-3", "--seeds", "2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: config field seed must be >= 0\n"
+        assert "seed" not in captured.out
+        assert not out.exists()
+
     def test_runs_and_manifest(self, tmp_path, config_file):
         out = tmp_path / "ens"
         assert main(["ensemble", "--config", str(config_file), "--seeds", "3",
@@ -383,6 +419,37 @@ class TestAnalyzeCommand:
             assert str(missing) in capsys.readouterr().err
             assert not out.exists()
 
+    @staticmethod
+    def cut_short_run(tmp_path):
+        """A run directory whose steps.csv stops partway through a row."""
+        run_dir = tmp_path / "run"
+        assert main(["run", "-O", "steps=600", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
+        steps = run_dir / "steps.csv"
+        lines = steps.read_text().splitlines()
+        cut = lines[: len(lines) // 2] + [",".join(lines[len(lines) // 2].split(",")[:6])]
+        steps.write_text("\n".join(cut))
+        return run_dir
+
+    def test_cut_short_run_without_manifest_names_it(self, tmp_path, capsys):
+        # the manifest is read first: steps.csv used to fail to parse, exit 1
+        run_dir = self.cut_short_run(tmp_path)
+        (run_dir / "manifest.json").unlink()
+        out = tmp_path / "analysis"
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(run_dir), "--out", str(out)]) == 2
+        assert str(run_dir / "manifest.json") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparsable_steps_csv_is_named(self, tmp_path, capsys):
+        run_dir = self.cut_short_run(tmp_path)
+        out = tmp_path / "analysis"
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(run_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / 'steps.csv'}: ")
+        assert "number of columns changed from 14 to 6" in err
+        assert not out.exists()
+
     def test_no_runs_found(self, tmp_path, capsys):
         assert main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path / "a")]) == 1
         assert "steps.csv" in capsys.readouterr().err
@@ -418,7 +485,7 @@ class TestReproduceCommand:
         assert main(["reproduce-paper", "--scale", "0.003", "--homogeneous",
                      "--out", str(out), "--workers", "1", "--burn-periods", "5"]) == 0
         manifest = json.loads((out / "experiment.json").read_text())
-        assert manifest["config"]["switching_enabled"] is False
+        assert manifest["config"]["switch_mode"] == "off"
         assert manifest["config"]["init_frac_f"] == 1.0
 
     def test_config_file_is_a_usage_error(self, tmp_path, capsys):

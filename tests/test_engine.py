@@ -35,7 +35,7 @@ def small_config(**kw):
 
 def intent(agent, side, price, horizon=100):
     ticks = int(round(price / TICK))
-    return OrderIntent(agent_id=agent, side=side, ticks=ticks, price=ticks * TICK, horizon=horizon)
+    return OrderIntent(agent_id=agent, side=side, ticks=ticks, horizon=horizon)
 
 
 def run_scripted(monkeypatch, p0, orders, **config):
@@ -48,7 +48,7 @@ def run_scripted(monkeypatch, p0, orders, **config):
         return intent(agent, side, price, horizon)
 
     monkeypatch.setattr(engine, "decide_order", scripted)
-    cfg = small_config(steps=len(orders), p0=p0, switching_enabled=False, **config)
+    cfg = small_config(steps=len(orders), p0=p0, switch_mode="off", **config)
     assert cfg.steps < cfg.steps_per_period
     return run_simulation(cfg, lob_snapshot_steps=[cfg.steps])
 
@@ -135,8 +135,7 @@ class TestSettleTrade:
 
     def trade(self, price=300.0):
         ticks = int(round(price / TICK))
-        return Trade(step=1, ticks=ticks, price=ticks * TICK, buyer_id=0, seller_id=1,
-                     aggressor=Side.BUY)
+        return Trade(step=1, ticks=ticks, buyer_id=0, seller_id=1, aggressor=Side.BUY)
 
     def test_moves_cash_and_share(self):
         pop = self.make_pop()
@@ -210,19 +209,17 @@ class TestEscrow:
     n_agents=st.integers(1, 40),
     steps=st.integers(0, 600),
     seed=st.integers(0, 2**32 - 1),
-    switching=st.booleans(),
-    switch_mode=st.sampled_from(["all_agents", "per_trade"]),
+    switch_mode=st.sampled_from(["all_agents", "per_trade", "off"]),
     allow_self_trades=st.booleans(),
     horizon=st.integers(1, 120),
     init_cash=st.sampled_from([300.0, 1000.0, 10_000.0]),
     init_shares=st.integers(0, 3),
 )
-def test_small_runs_keep_escrow(n_agents, steps, seed, switching, switch_mode, allow_self_trades,
+def test_small_runs_keep_escrow(n_agents, steps, seed, switch_mode, allow_self_trades,
                                 horizon, init_cash, init_shares):
     # run_simulation checks the escrow at the end of every run
     cfg = SimConfig(
-        n_agents=n_agents, steps=steps, seed=seed, switching_enabled=switching,
-        switch_mode=switch_mode, allow_self_trades=allow_self_trades,
+        n_agents=n_agents, steps=steps, seed=seed, switch_mode=switch_mode, allow_self_trades=allow_self_trades,
         horizon_c=horizon, horizon_f=2 * horizon, init_cash=init_cash, init_shares=init_shares,
     )
     out = run_simulation(cfg)
@@ -299,7 +296,7 @@ class TestRunSimulation:
 
     def test_homogeneous_market_tracks_fundamental(self):
         cfg = small_config(
-            steps=50_000, switching_enabled=False, init_frac_f=1.0, init_frac_opt=0.0, seed=5
+            steps=50_000, switch_mode="off", init_frac_f=1.0, init_frac_opt=0.0, seed=5
         )
         out = run_simulation(cfg)
         r = out.records
@@ -310,9 +307,13 @@ class TestRunSimulation:
         assert rel.max() < 0.20
 
     def test_switching_disabled_freezes_population(self):
-        cfg = small_config(steps=2000, switching_enabled=False)
-        out = run_simulation(cfg)
-        assert (out.records.n_f == out.records.n_f[0]).all()
+        # chartists are present, and none of the 500 agents moves
+        out = run_simulation(small_config(steps=2000, switch_mode="off"))
+        r = out.records
+        assert out.switch_count == 0
+        assert (r.n_plus[0], r.n_minus[0]) == (125, 125)
+        for counts in (r.n_f, r.n_plus, r.n_minus):
+            assert (counts == counts[0]).all()
 
     def test_per_trade_switch_mode_is_slower(self):
         fast = run_simulation(small_config(steps=5000))
@@ -333,7 +334,7 @@ class TestRunSimulation:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            run_simulation(small_config(dt=0.02))  # breaks steps_per_period * dt = 1
+            run_simulation(small_config(steps_per_period=0))
         with pytest.raises(ValueError):
             run_simulation(small_config(gamma_c=2.0))  # gamma_f must exceed gamma_c
 

@@ -60,12 +60,11 @@ def configs(draw):
     p0, tick = draw(st.sampled_from([(300.0, 0.0005), (300.0, 1e-12), (1.0, 1e-15),
                                      (300.0, 0.01), (1.0, 0.01), (1.0, 0.5)]))
     frac_f = draw(st.sampled_from([1.0, 0.7, 0.3, 0.0]))
-    switching = draw(st.sampled_from([False, "all_agents", "per_trade"]))
+    switch_mode = draw(st.sampled_from(["off", "all_agents", "per_trade"]))
     config = SimConfig(
         n_agents=draw(st.sampled_from([40, 12, 2, 1])),
         steps=steps,
         steps_per_period=spp,
-        dt=1.0 / spp,
         sigma_eps=draw(st.sampled_from([0.05, 0.005, 0.2, 0.0])),
         k_scale=draw(st.sampled_from([1e-3, 0.02, 0.1])),
         tick=tick,
@@ -79,8 +78,7 @@ def configs(draw):
         init_frac_opt=(1.0 - frac_f) * draw(st.sampled_from([0.0, 0.5, 1.0])),
         init_cash=p0 * draw(st.sampled_from([100.0, 5.0, 1.5, 0.5])),  # total ticks < 2**63
         init_shares=draw(st.sampled_from([10, 1, 0])),
-        switching_enabled=bool(switching),
-        switch_mode=switching or "all_agents",
+        switch_mode=switch_mode,
         allow_self_trades=draw(st.booleans()),
         sigma_window_aligned=draw(st.booleans()),
         u2_trend_horizon=draw(st.sampled_from(["own", "chartist"])),
@@ -106,10 +104,10 @@ def test_inlined_loop_matches_reference(drawn):
 @pytest.mark.parametrize("band, tick", [(0.15, 0.0005), (0.01, 0.0005), (0.15, 1e-12)])
 def test_desk_runs_match_reference(band, tick):
     # the recipe's two markets, long enough to purge a deep book many times
-    for frac_f, frac_opt, switching in ((0.15, 0.425, True), (1.0, 0.0, False)):
+    for frac_f, frac_opt, switch_mode in ((0.15, 0.425, "all_agents"), (1.0, 0.0, "off")):
         config = SimConfig(steps=3000, init_frac_f=frac_f, init_frac_opt=frac_opt, band=band,
                            tick=tick, init_cash=450.0, init_shares=1,
-                           switching_enabled=switching, seed=5)
+                           switch_mode=switch_mode, seed=5)
         assert_same_run(run_simulation(config, [1500, 3000]), reference_run(config, [1500, 3000]))
 
 
@@ -140,7 +138,7 @@ def test_unknown_agent_type_is_refused(monkeypatch):
             pop.types[:] = 7
             return pop
 
-    config = SimConfig(steps=20, n_agents=5, switching_enabled=False, seed=1)
+    config = SimConfig(steps=20, n_agents=5, switch_mode="off", seed=1)
     for module in (engine, oracles):
         monkeypatch.setattr(module, "Population", Unknown)
     for run in (run_simulation, reference_run):

@@ -188,13 +188,13 @@ class TestDecideOrder:
     def test_buy_discounts_expectation(self):
         intent = decide_order(1, 100, 310.0, 300.0, 0.1, 0.0005)
         assert intent.side == Side.BUY
-        assert intent.price == pytest.approx(279.0)
+        assert intent.ticks * 0.0005 == pytest.approx(279.0)
         assert intent.ticks == 558000
 
     def test_sell_zero_offset_boundary(self):
         intent = decide_order(2, 300, 290.0, 300.0, 0.0, 0.0005)
         assert intent.side == Side.SELL
-        assert intent.price == pytest.approx(290.0)
+        assert intent.ticks * 0.0005 == pytest.approx(290.0)
         assert intent.ticks == 580000
 
     def test_reservations_on_grid_and_ordered(self):
@@ -207,14 +207,15 @@ class TestDecideOrder:
             intent = decide_order(3, 100, expectation, p, k, tick)
             if intent is None:
                 continue
+            price = intent.ticks * tick
             # buy rounds down, so reservation <= expectation*(1-k) <= expectation
             if intent.side == Side.BUY:
-                assert intent.price <= expectation + tick
+                assert price <= expectation + tick
             else:
-                assert intent.price >= expectation - tick
-            # exact grid multiple
-            assert intent.ticks * tick == pytest.approx(intent.price, rel=1e-12)
-            assert abs(intent.price / tick - round(intent.price / tick)) < 1e-6
+                assert price >= expectation - tick
+            # a whole number of ticks, so an exact grid multiple
+            assert type(intent.ticks) is int and intent.ticks > 0
+            assert abs(price / tick - round(price / tick)) < 1e-6
 
     @pytest.mark.parametrize("off, buy_ticks, sell_ticks", [
         (-5e-7, 601, 601),  # within 1e-6 ticks of the grid: snapped, either side
