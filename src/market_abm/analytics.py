@@ -34,6 +34,7 @@ MIN_BOX = 10  # smallest DFA box; the largest is a quarter of the series
 N_BOXES = 20  # log-spaced DFA box sizes
 LAGS = (1, 4, 16, 64)  # aggregation lags, in periods, of the kurtosis decay
 MIN_TAIL = 50  # fewest tail samples a power-law fit accepts
+XMIN_QUANTILE = 0.95  # tails are fitted above this sample quantile
 LOW_CONFIDENCE_BELOW = 1000  # bins with fewer observations are flagged
 
 
@@ -473,14 +474,12 @@ class AnalysisReport:
                 if f.name != "plots"}
 
 
-def check_analysis_options(n_periods: int, bin_width: float, xmin_quantile: float = 0.95,
-                           min_obs: int = 100, burn_periods: int = 0) -> None:
+def check_analysis_options(n_periods: int, bin_width: float, min_obs: int = 100,
+                           burn_periods: int = 0) -> None:
     """Reject options no report can be built with, given the fewest trading
     periods of any run, so that a caller can check them before any run exists."""
     if not 0.0 < bin_width <= 1.0:
         raise ValueError("bin_width must be in (0, 1]")
-    if not 0.0 < xmin_quantile < 1.0:
-        raise ValueError("xmin_quantile must be in (0, 1)")
     if min_obs < 1:
         raise ValueError("min_obs must be >= 1")
     if burn_periods < 0:
@@ -493,7 +492,6 @@ def analyze_bundles(
     bundles: list[RunBundle],
     steps_per_period: int,
     bin_width: float = 0.01,
-    xmin_quantile: float = 0.95,
     min_obs: int = 100,
     burn_periods: int = 0,
 ) -> AnalysisReport:
@@ -509,8 +507,7 @@ def analyze_bundles(
         raise ValueError("no runs given")
     per_run = [b.period for b in bundles]
     burn = int(burn_periods)
-    check_analysis_options(min(len(p["close"]) for p in per_run), bin_width, xmin_quantile,
-                           min_obs, burn)
+    check_analysis_options(min(len(p["close"]) for p in per_run), bin_width, min_obs, burn)
 
     hurst: dict = {}
     plots: dict = {"fn": {}, "ccdf": {}, "sigma_vs_pc": {}, "ne_vs_pc": {}}
@@ -542,7 +539,7 @@ def analyze_bundles(
     tails: dict = {}
     for name, samples in tail_samples.items():
         try:
-            tails[name] = dataclasses.asdict(tail_fit_quantile(samples, xmin_quantile))
+            tails[name] = dataclasses.asdict(tail_fit_quantile(samples, XMIN_QUANTILE))
         except ValueError as exc:
             tails[name] = {"error": str(exc)}
         finite = samples[np.isfinite(samples) & (samples > 0)]
@@ -611,7 +608,7 @@ def analyze_bundles(
         "steps_per_run": int(bundles[0].n_steps),
         "steps_per_period": int(steps_per_period),
         "bin_width": bin_width,
-        "xmin_quantile": xmin_quantile,
+        "xmin_quantile": XMIN_QUANTILE,
         "ne_threshold": NE_THRESHOLD,
         "depth_floor": DEPTH_FLOOR,
         "min_obs": min_obs,

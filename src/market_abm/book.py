@@ -66,11 +66,10 @@ NO_TICK = 0  # stands for a missing quote or gap in tick fields; real ones are >
 
 
 class OrderBook:
-    def __init__(self, tick_size: float, n_agents: int, allow_self_trades: bool = False):
+    def __init__(self, tick_size: float, n_agents: int):
         if tick_size <= 0.0:
             raise ValueError("tick_size must be > 0")
         self.tick_size = float(tick_size)
-        self.allow_self_trades = bool(allow_self_trades)
         # the escrow, per agent id: ticks pledged by resting bids, shares by resting asks
         self.pledged_cash = [0] * n_agents
         self.pledged_shares = [0] * n_agents
@@ -121,7 +120,7 @@ class OrderBook:
         if crossing:
             queue = self._levels[SELL if side == BUY else BUY][best]
             resting = self._orders[queue[0]]
-            if resting.agent_id == agent_id and not self.allow_self_trades:
+            if resting.agent_id == agent_id:
                 self.self_trade_rejections += 1
                 return None
             self._remove(resting.order_id)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -40,7 +41,7 @@ def _default_workers() -> int:
 def _experiment_manifest(out_root: Path, args, cfg: SimConfig, seeds, run_entries) -> None:
     manifest = {
         "tool_version": __version__,
-        "command": " ".join(args.argv),
+        "command": shlex.join(args.argv),
         "config_path": str(args.config) if getattr(args, "config", None) else None,
         "config_sha256": sha256_file(args.config) if getattr(args, "config", None) else None,
         "config": cfg.as_dict(),
@@ -130,15 +131,18 @@ def cmd_analyze(args) -> int:
     spp = None
     for run_dir in run_dirs:
         records, manifest = load_run_dir(run_dir)
-        run_spp = int(manifest["config"]["steps_per_period"])
+        run_spp = manifest["config"]["steps_per_period"]
         spp = run_spp if spp is None else spp
         if run_spp != spp:
             print(f"{run_dir}: steps_per_period differs across runs", file=sys.stderr)
             return 1
-        bundles.append(reduce_run(records, spp))
+        try:
+            bundles.append(reduce_run(records, spp))
+        except ValueError as exc:
+            raise ValueError(f"{run_dir}: {exc}") from None
     report = analyze_bundles(
-        bundles, spp, bin_width=args.bin_width, xmin_quantile=args.xmin_quantile,
-        min_obs=args.min_obs, burn_periods=args.burn_periods,
+        bundles, spp, bin_width=args.bin_width, min_obs=args.min_obs,
+        burn_periods=args.burn_periods,
     )
     out_root = Path(args.out)
     write_analysis(out_root, report)
@@ -238,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--in", dest="indirs", nargs="+", required=True, metavar="DIR")
     p_an.add_argument("--out", required=True)
     p_an.add_argument("--bin-width", type=float, default=0.01)
-    p_an.add_argument("--xmin-quantile", type=float, default=0.95)
     p_an.add_argument("--min-obs", type=int, default=100,
                       help="bin population needed for regime boundaries and sigma curves")
     p_an.add_argument("--burn-periods", type=int, default=0,

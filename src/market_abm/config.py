@@ -43,9 +43,6 @@ class SimConfig:
     init_cash: float = 10_000.0
     init_shares: int = 10
     switch_mode: str = "all_agents"  # "per_trade": only the step's trader reconsiders; "off": none
-    allow_self_trades: bool = False
-    sigma_window_aligned: bool = False
-    u2_trend_horizon: str = "own"  # "own": evaluator's horizon; "chartist": strategy horizon
     seed: int = 0
 
     @property
@@ -83,8 +80,6 @@ class SimConfig:
             raise ValueError("gamma_f must exceed gamma_c")
         if self.init_frac_f < 0 or self.init_frac_opt < 0 or self.init_frac_f + self.init_frac_opt > 1.0 + 1e-12:
             raise ValueError("initial composition fractions must be >= 0 and sum to <= 1")
-        if self.u2_trend_horizon not in ("own", "chartist"):
-            raise ValueError("u2_trend_horizon must be 'own' or 'chartist'")
         if self.switch_mode not in ("all_agents", "per_trade", "off"):
             raise ValueError("switch_mode must be 'all_agents', 'per_trade' or 'off'")
 
@@ -98,13 +93,6 @@ _FIELDS = {f.name: f.type for f in dataclasses.fields(SimConfig)}
 def _parse_value(key: str, raw: str):
     kind = _FIELDS[key]
     raw = raw.strip()
-    if kind == "bool":
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"config key {key!r}: cannot parse {raw!r} as bool")
     if kind == "int":
         try:
             return int(raw)

@@ -228,7 +228,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     shares = pop.shares.tolist()
     total_cash0, total_shares0 = sum(cash), sum(shares)
 
-    book = OrderBook(tick, n_agents, allow_self_trades=config.allow_self_trades)
+    book = OrderBook(tick, n_agents)
     tick_size = book.tick_size  # float; the book prices every tick with it
     pledged_cash, pledged_shares = book.pledged_cash, book.pledged_shares
     asks = book.ask_levels  # the budget filter reads the best ask off it
@@ -266,8 +266,6 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     draws = only = None
 
     switching = config.switch_mode != "off"
-    chartist_u2 = config.u2_trend_horizon == "chartist"
-    aligned = config.sigma_window_aligned
     noise_f = config.sigma_eps / config.gamma_f  # a fundamentalist's noise scale
     gamma_c = config.gamma_c
     band = config.band
@@ -283,7 +281,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
         if switching:
             trend_c = average_price_trend(price_at, t, horizon_c, dt)
-            trend_f = trend_c if chartist_u2 else average_price_trend(price_at, t, horizon_f, dt)
+            trend_f = average_price_trend(price_at, t, horizon_f, dt)
             if per_trade:
                 only = pick_agent(switch_next_uint32, switch_state, n_agents)
                 draws, offset = memoryview(rng_switch.random(n_agents)), 0
@@ -311,7 +309,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             expectation = p_f_now * (1.0 + noise_f * normal())
         else:
             horizon = horizon_c
-            sigma_tau = rolling_sigma(price, t, horizon_c, aligned)
+            sigma_tau = rolling_sigma(price, t, horizon_c)
             if agent_type == OPTIMIST:
                 expectation = p_prev + abs(sigma_tau / gamma_c * normal())
             elif agent_type == PESSIMIST:

@@ -17,15 +17,13 @@ from .config import SimConfig
 from .population import FUNDAMENTALIST, OPTIMIST, PESSIMIST
 
 
-def rolling_sigma(price, t: int, tau: int, aligned: bool) -> float:
+def rolling_sigma(price, t: int, tau: int) -> float:
     """Trailing dispersion of the prices before step t, price[0..t-1], over
     a window of tau steps.
 
     As specified, the deviation window ends one step after the window that
     sets the mean, and the squared deviations carry a sqrt(tau)/tau weight.
-    `aligned=True` evaluates the variant with both windows coincident, kept
-    for sensitivity runs. A shorter history shrinks the window, and fewer
-    than two prices give 0.
+    A shorter history shrinks the window, and fewer than two prices give 0.
     """
     if t < 2:
         return 0.0
@@ -33,7 +31,7 @@ def rolling_sigma(price, t: int, tau: int, aligned: bool) -> float:
     window = price[t - w : t]
     # np.add.reduce is the pairwise sum np.mean and np.sum use, so the
     # result is bit-identical to theirs without their wrapper cost
-    mean = np.add.reduce(window if aligned else price[t - w - 1 : t - 1]) / w
+    mean = np.add.reduce(price[t - w - 1 : t - 1]) / w
     dev = window - mean
     dev *= dev
     return math.sqrt(float(np.add.reduce(dev)) * math.sqrt(w) / w)

@@ -116,14 +116,29 @@ def write_run(out_dir: Path, run: RunOutput) -> dict:
 
 
 def load_run_dir(run_dir: Path) -> tuple[StepRecords, dict]:
-    """Step records and manifest; the manifest, written last, is read first."""
+    """Step records and manifest; the manifest, written last, is read first.
+    A manifest that is not JSON or lacks an integer `steps` or
+    `config.steps_per_period`, and a steps.csv with another row count than
+    the manifest's `steps`, raise a ValueError that names the file."""
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    path = run_dir / "steps.csv"
+    manifest_path, path = run_dir / "manifest.json", run_dir / "steps.csv"
     try:
-        return load_steps_csv(path), manifest
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: not JSON: {exc}") from None
+    try:
+        n_steps, spp = manifest["steps"], manifest["config"]["steps_per_period"]
+    except (KeyError, TypeError):
+        n_steps = spp = None
+    if not (isinstance(n_steps, int) and isinstance(spp, int)):
+        raise ValueError(f"{manifest_path}: needs integer steps and config.steps_per_period")
+    try:
+        records = load_steps_csv(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if len(records) != n_steps:
+        raise ValueError(f"{path}: {len(records)} rows, but manifest.json records {n_steps} steps")
+    return records, manifest
 
 
 def find_run_dirs(roots) -> list[Path]:

@@ -237,7 +237,7 @@ def average_price_trend_reference(price_history, horizon: int, dt: float) -> flo
     return (price_history[-1] - price_history[-1 - h]) / (h * dt)
 
 
-def rolling_sigma_reference(price_history, tau: int, aligned: bool = False) -> float:
+def rolling_sigma_reference(price_history, tau: int) -> float:
     """The price dispersion over the trailing windows of a history slice."""
     n = len(price_history)
     if n < 2:
@@ -245,7 +245,7 @@ def rolling_sigma_reference(price_history, tau: int, aligned: bool = False) -> f
     t = min(tau, n - 1)
     prices = np.asarray(price_history, dtype=float)
     window = prices[n - t : n]
-    mean = np.add.reduce(window if aligned else prices[n - t - 1 : n - 1]) / t
+    mean = np.add.reduce(prices[n - t - 1 : n - 1]) / t
     dev = window - mean
     var = float(np.add.reduce(dev * dev)) * math.sqrt(t) / t
     return math.sqrt(var)
@@ -323,8 +323,7 @@ class NaiveBook:
     expires_at); ids count resting orders from 0, as `OrderBook` numbers them.
     """
 
-    def __init__(self, allow_self_trades: bool = False):
-        self.allow_self_trades = allow_self_trades
+    def __init__(self):
         self.orders = []
         self.next_id = 0
         self.self_trade_rejections = 0
@@ -345,7 +344,7 @@ class NaiveBook:
             it.ticks >= best[1] if it.side == Side.BUY else it.ticks <= best[1]
         )
         if crossing:
-            if best[4] == it.agent_id and not self.allow_self_trades:
+            if best[4] == it.agent_id:
                 self.self_trade_rejections += 1
                 return None  # dropped
             self.orders.remove(best)
@@ -521,7 +520,7 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     shares = pop.shares.tolist()
     total_cash0, total_shares0 = sum(cash), sum(shares)
 
-    book = OrderBook(tick, n_agents, allow_self_trades=config.allow_self_trades)
+    book = OrderBook(tick, n_agents)
     tick_size = book.tick_size  # float; the book prices every tick with it
     pledged_cash, pledged_shares = book.pledged_cash, book.pledged_shares
 
@@ -558,7 +557,6 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     draws = only = None
 
     switching = config.switch_mode != "off"
-    chartist_u2 = config.u2_trend_horizon == "chartist"
     band = config.band
     lo, hi = circuit_breaker(config.p0, band)
     p_prev = float(price[0])  # price[t - 1]; a Python float computes the same values faster
@@ -572,7 +570,7 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
         if switching:
             trend_c = average_price_trend(price_at, t, horizon_c, dt)
-            trend_f = trend_c if chartist_u2 else average_price_trend(price_at, t, horizon_f, dt)
+            trend_f = average_price_trend(price_at, t, horizon_f, dt)
             if per_trade:
                 only = pick_agent(switch_bitgen.next_uint32, switch_bitgen.state, n_agents)
                 draws, offset = memoryview(rng_switch.random(n_agents)), 0
@@ -596,7 +594,7 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             sigma_tau = 0.0
             horizon = horizon_f
         else:
-            sigma_tau = rolling_sigma(price, t, horizon_c, config.sigma_window_aligned)
+            sigma_tau = rolling_sigma(price, t, horizon_c)
             horizon = horizon_c
         expectation = expected_price(agent_type, p_prev, p_f_now, sigma_tau, config, rng_trade)
         k = draw_k(rng_trade, k_scale)

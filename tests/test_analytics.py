@@ -387,14 +387,12 @@ class TestHelpers:
 
     def test_analysis_options_at_their_bounds(self):
         # the widest admissible options pass; one step past any bound fails
-        check_analysis_options(2, bin_width=1.0, xmin_quantile=0.999, min_obs=1)
+        check_analysis_options(2, bin_width=1.0, min_obs=1)
         check_analysis_options(217, 0.05, burn_periods=200)
         for n_periods, options, message in (
             (216, {"burn_periods": 200}, "too little data"),
             (100, {"bin_width": 0.0}, "bin_width"),
             (100, {"bin_width": 1.5}, "bin_width"),
-            (100, {"xmin_quantile": 1.0}, "xmin_quantile"),
-            (100, {"xmin_quantile": math.nan}, "xmin_quantile"),
             (100, {"min_obs": 0}, "min_obs"),
             (100, {"burn_periods": -1}, "burn_periods"),
         ):

@@ -24,8 +24,8 @@ def intent(agent, side, price, horizon=100):
 N_AGENTS = 60
 
 
-def make_book(allow_self_trades=False, n_agents=N_AGENTS):
-    return OrderBook(TICK, n_agents, allow_self_trades=allow_self_trades)
+def make_book(n_agents=N_AGENTS):
+    return OrderBook(TICK, n_agents)
 
 
 class TestQuotes:
@@ -89,13 +89,6 @@ class TestSubmit:
         assert book.self_trade_rejections == 1
         assert book.quote_ticks()[4] == 1  # the resting ask is untouched
         assert [o.order_id for o in resting_orders(book)] == [0]  # and the bid did not rest
-
-    def test_self_cross_allowed_when_enabled(self):
-        book = make_book(allow_self_trades=True)
-        book.submit(intent(1, Side.SELL, 301.0), 1)
-        trade = book.submit(intent(1, Side.BUY, 302.0), 2)
-        assert trade is not None
-        assert trade.buyer_id == trade.seller_id == 1
 
     def test_no_cross_invariant_random_sequence(self):
         rng = np.random.default_rng(0)
@@ -368,10 +361,10 @@ class BookAgainstNaive(RuleBasedStateMachine):
 
     N_AGENTS = 4
 
-    @initialize(allow_self=st.booleans())
-    def start(self, allow_self):
-        self.book = make_book(allow_self_trades=allow_self, n_agents=self.N_AGENTS)
-        self.naive = NaiveBook(allow_self_trades=allow_self)
+    @initialize()
+    def start(self):
+        self.book = make_book(n_agents=self.N_AGENTS)
+        self.naive = NaiveBook()
         self.t = 1
 
     @rule(agent=st.integers(0, N_AGENTS - 1), side=st.sampled_from(Side),

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import weakref
@@ -56,8 +57,6 @@ class TestConfigFormat:
         with pytest.raises(ValueError) as err:
             parse_overrides([" stepz =1"])
         assert str(err.value) == "unknown config key 'stepz'"
-        with pytest.raises(ValueError, match="cannot parse 'maybe' as bool"):
-            parse_overrides(["allow_self_trades=maybe"])
 
     def test_scientific_notation_steps(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -65,8 +64,8 @@ class TestConfigFormat:
         assert load_config(path).steps == 100_000
 
     def test_override_parsing(self):
-        overrides = parse_overrides(["steps=500", "allow_self_trades=true"])
-        assert overrides == {"steps": 500, "allow_self_trades": True}
+        overrides = parse_overrides(["steps=500", "switch_mode=per_trade"])
+        assert overrides == {"steps": 500, "switch_mode": "per_trade"}
         with pytest.raises(ValueError, match="frobnicate"):
             parse_overrides(["frobnicate=1"])
 
@@ -145,9 +144,14 @@ class TestConfigFormat:
             f"error: config field {field}: the total endowment, {total}, reaches 2**63\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("dt", "0.02"), ("switching_enabled", "false")])
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "0.02"), ("switching_enabled", "false"), ("allow_self_trades", "true"),
+        ("sigma_window_aligned", "true"), ("u2_trend_horizon", "chartist"),
+    ])
     def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
-        # dt is 1 / steps_per_period, and switch_mode = off turns switching off
+        # dt is 1 / steps_per_period and switch_mode = off turns switching off;
+        # a self-cross is always dropped, sigma has one window, and each U2
+        # trend signal uses its evaluator's own horizon
         out = tmp_path / "out"
         assert main(["run", "-O", "steps=200", "-O", f"{key}={value}", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
@@ -193,12 +197,13 @@ class TestRunCommand:
         assert manifest["runs"][0]["wall_clock_s"] >= 0
 
     def test_manifest_records_the_parsed_arguments(self, tmp_path):
-        # not the host process's sys.argv, which main(argv) never parsed
-        argv = ["run", "-O", "steps=200", "-O", "n_agents=50", "--seed", "3",
-                "--out", str(tmp_path / "out")]
+        # not the host process's sys.argv, which main(argv) never parsed; quoted
+        # so that an argument holding a space splits back whole
+        out = tmp_path / "out dir"
+        argv = ["run", "-O", "steps=200", "-O", "n_agents=50", "--seed", "3", "--out", str(out)]
         assert main(argv) == 0
-        manifest = json.loads((tmp_path / "out" / "experiment.json").read_text())
-        assert manifest["command"] == " ".join(argv)
+        manifest = json.loads((out / "experiment.json").read_text())
+        assert shlex.split(manifest["command"]) == argv
 
     def test_override_flag(self, tmp_path, config_file):
         out = tmp_path / "out"
@@ -450,13 +455,60 @@ class TestAnalyzeCommand:
         assert "number of columns changed from 14 to 6" in err
         assert not out.exists()
 
+    @staticmethod
+    def analyze_error(run_dirs, out, capsys) -> str:
+        """The stderr of an `analyze` over `run_dirs` that exits 1 and writes nothing."""
+        capsys.readouterr()
+        assert main(["analyze", "--in", *map(str, run_dirs), "--out", str(out)]) == 1
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_run_shorter_than_its_manifest_is_named(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["run", "-O", "steps=600", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
+        steps = run_dir / "steps.csv"
+        steps.write_text("\n".join(steps.read_text().splitlines()[:301]) + "\n")
+        err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
+        assert err == f"error: {steps}: 300 rows, but manifest.json records 600 steps\n"
+
+    @pytest.mark.parametrize("drop", ["steps", "config", "config.steps_per_period"])
+    def test_manifest_without_step_counts_is_named(self, tmp_path, capsys, drop):
+        run_dir = tmp_path / "run"
+        assert main(["run", "-O", "steps=300", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if drop == "config.steps_per_period":
+            del manifest["config"]["steps_per_period"]
+        else:
+            del manifest[drop]
+        path.write_text(json.dumps(manifest))
+        err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
+        assert err == f"error: {path}: needs integer steps and config.steps_per_period\n"
+
+    def test_manifest_that_is_not_json_is_named(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["run", "-O", "steps=300", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
+        path = run_dir / "manifest.json"
+        path.write_text("")
+        err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
+        assert err.startswith(f"error: {path}: not JSON: ")
+
+    def test_run_too_short_to_reduce_is_named(self, tmp_path, capsys):
+        # one full trading period is too few; the run that has it is named
+        runs = [tmp_path / "a_long", tmp_path / "b_short"]
+        for run_dir, steps in zip(runs, (600, 150)):
+            assert main(["run", "-O", f"steps={steps}", "-O", "n_agents=50",
+                         "--out", str(run_dir)]) == 0
+        err = self.analyze_error(runs, tmp_path / "analysis", capsys)
+        assert err == f"error: {runs[1]}: need at least two full trading periods\n"
+
     def test_no_runs_found(self, tmp_path, capsys):
         assert main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path / "a")]) == 1
         assert "steps.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, message", [
-        (["--xmin-quantile", "1.5"], "xmin_quantile must be in (0, 1)"),
-        (["--xmin-quantile", "0"], "xmin_quantile must be in (0, 1)"),
+        (["--bin-width", "0"], "bin_width must be in (0, 1]"),
+        (["--bin-width", "1.5"], "bin_width must be in (0, 1]"),
         (["--burn-periods", "-5"], "burn_periods must be >= 0"),
         (["--min-obs", "0"], "min_obs must be >= 1"),
     ])
@@ -467,6 +519,15 @@ class TestAnalyzeCommand:
         capsys.readouterr()
         assert main(["analyze", "--in", str(run_dir), "--out", str(out), *option]) == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
+    def test_xmin_quantile_is_not_an_option(self, tmp_path, capsys):
+        # tails are fitted above the fixed 95% sample quantile
+        out = tmp_path / "analysis"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--in", str(tmp_path), "--out", str(out), "--xmin-quantile", "0.9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --xmin-quantile 0.9" in capsys.readouterr().err
         assert not out.exists()
 
 

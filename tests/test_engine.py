@@ -85,23 +85,10 @@ class TestSelfTrade:
     ORDERS = [(Side.BUY, 100.0), (Side.SELL, 100.0)]
 
     def test_rejected_unless_allowed(self, monkeypatch):
-        out = run_scripted(monkeypatch, 100.0, self.ORDERS, n_agents=1,
-                           allow_self_trades=False)
+        out = run_scripted(monkeypatch, 100.0, self.ORDERS, n_agents=1)
         assert out.rejections["self_cross"] == 1
         assert len(out.trades) == 0
         assert out.lob_snapshots[2] == [(100.0, 1)]
-
-    def test_allowed_trade_settles_with_itself(self, monkeypatch):
-        # the run ends by checking the escrow, so returning means it balanced
-        out = run_scripted(monkeypatch, 100.0, self.ORDERS, n_agents=1,
-                           allow_self_trades=True)
-        assert out.rejections["self_cross"] == 0
-        assert len(out.trades) == 1
-        assert out.trades.buyer_id[0] == out.trades.seller_id[0] == 0
-        assert out.trades.price[0] == 100.0
-        assert out.lob_snapshots[2] == []
-        assert out.final_population.cash_ticks.tolist() == [round(10_000.0 / TICK)]
-        assert out.final_population.shares.tolist() == [10]
 
 
 class TestEnforceBudget:
@@ -210,16 +197,15 @@ class TestEscrow:
     steps=st.integers(0, 600),
     seed=st.integers(0, 2**32 - 1),
     switch_mode=st.sampled_from(["all_agents", "per_trade", "off"]),
-    allow_self_trades=st.booleans(),
     horizon=st.integers(1, 120),
     init_cash=st.sampled_from([300.0, 1000.0, 10_000.0]),
     init_shares=st.integers(0, 3),
 )
-def test_small_runs_keep_escrow(n_agents, steps, seed, switch_mode, allow_self_trades,
-                                horizon, init_cash, init_shares):
+def test_small_runs_keep_escrow(n_agents, steps, seed, switch_mode, horizon, init_cash,
+                                init_shares):
     # run_simulation checks the escrow at the end of every run
     cfg = SimConfig(
-        n_agents=n_agents, steps=steps, seed=seed, switch_mode=switch_mode, allow_self_trades=allow_self_trades,
+        n_agents=n_agents, steps=steps, seed=seed, switch_mode=switch_mode,
         horizon_c=horizon, horizon_f=2 * horizon, init_cash=init_cash, init_shares=init_shares,
     )
     out = run_simulation(cfg)

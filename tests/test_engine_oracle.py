@@ -79,9 +79,6 @@ def configs(draw):
         init_cash=p0 * draw(st.sampled_from([100.0, 5.0, 1.5, 0.5])),  # total ticks < 2**63
         init_shares=draw(st.sampled_from([10, 1, 0])),
         switch_mode=switch_mode,
-        allow_self_trades=draw(st.booleans()),
-        sigma_window_aligned=draw(st.booleans()),
-        u2_trend_horizon=draw(st.sampled_from(["own", "chartist"])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     snapshots = draw(st.lists(st.integers(1, steps), max_size=3, unique=True))

@@ -32,9 +32,9 @@ def brute_force_sigma(history, tau):
     return math.sqrt(var)
 
 
-def sigma(history, tau, aligned=False):
+def sigma(history, tau):
     """The dispersion over a whole history: the prices before step len(history)."""
-    return rolling_sigma(np.asarray(history, dtype=float), len(history), tau, aligned)
+    return rolling_sigma(np.asarray(history, dtype=float), len(history), tau)
 
 
 class TestRollingSigma:
@@ -61,14 +61,8 @@ class TestRollingSigma:
         assert sigma([300.0], 100) == 0.0
         assert sigma([], 100) == 0.0
 
-    def test_aligned_variant_differs(self):
-        rng = np.random.default_rng(1)
-        history = list(300.0 + np.cumsum(rng.normal(0, 1, 50)))
-        assert sigma(history, 10, aligned=True) != sigma(history, 10)
-
-    @pytest.mark.parametrize("aligned", [False, True])
     @pytest.mark.parametrize("tau", [1, 2, 7, 100])
-    def test_buffer_at_step_equals_history_slice(self, tau, aligned):
+    def test_buffer_at_step_equals_history_slice(self, tau):
         # the engine passes its whole price buffer and the step index; for
         # every step from the cold start through the shrinking window to the
         # full one, sigma must equal the reference over the slice bit for
@@ -78,9 +72,9 @@ class TestRollingSigma:
         price = np.round(300.0 + np.cumsum(rng.normal(0, 0.3, tau + 8)), 1)
         assert len(np.unique(price)) < len(price)
         for t in range(1, tau + 4):
-            got = rolling_sigma(price, t, tau, aligned)
+            got = rolling_sigma(price, t, tau)
             assert type(got) is float
-            assert got == rolling_sigma_reference(price[:t], tau, aligned)
+            assert got == rolling_sigma_reference(price[:t], tau)
 
 
 class _ZeroNormal:

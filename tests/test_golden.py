@@ -1,4 +1,4 @@
-"""Golden trajectory pin: exact output digests of four short recipe runs.
+"""Golden trajectory pin: exact output digests of three short recipe runs.
 
 Any change that moves a trajectory by one byte fails here. Refactors and
 speedups must keep these digests. A model change that is meant to move the
@@ -7,7 +7,7 @@ trajectory re-pins them, with a CHANGES.md entry that says why it moved.
 Besides `steps.csv` (whose `fundamental_value` column is the fundamental
 path) and `trades.csv`, the pin covers each run's rejection counters and
 final per-agent holdings, book snapshots, and every file `market-abm
-analyze` writes over the first three run directories (which reads them back
+analyze` writes over the three run directories (which reads them back
 through the loader).
 """
 
@@ -43,18 +43,7 @@ GOLDEN = {
         "f6425830740bd7ca0a0ed8bdf35ae67f9d90d5f19d4b7293efbc5397cec408b4",
         0, 0, 131,
     ),
-    # knobs no other run sets: self trades allowed, aligned sigma windows and
-    # the chartist horizon for the fundamentalist trend signal
-    "hetero_knobs": (
-        False, {"allow_self_trades": True, "sigma_window_aligned": True,
-                "u2_trend_horizon": "chartist"},
-        "2673670982bf4c617289580afd3965c062b94253d8f285e7f933071a8504ecd7",
-        "9380570d22036d37a29555dea5533b173a4b7304bd28ea27fa3ddabff847e5aa",
-        40399, 0, 466,
-    ),
 }
-# runs `analyze` reads; the knobs run is written apart so that the analysis pin holds
-ANALYZED = ("hetero_all_agents", "hetero_per_trade", "control")
 
 # name -> (manifest rejection counters, sha256 of the final (type, cash, shares) rows)
 OUTCOMES = {
@@ -70,10 +59,6 @@ OUTCOMES = {
         {"band": 1109, "budget_buy": 634, "budget_sell": 333, "no_order": 0, "self_cross": 0},
         "8c96ed90deb3c96b7c5ed1f0f06f641b452bbc319d8dee7bb691b738d28319a1",
     ),
-    "hetero_knobs": (
-        {"band": 3316, "budget_buy": 193, "budget_sell": 212, "no_order": 49, "self_cross": 0},
-        "aa62101064b3551545e461e47fdf7ff28ecda9c8906150b3b3b54c06bfd1d109",
-    ),
 }
 
 # Extra files of the hetero_all_agents run: book snapshots.
@@ -85,7 +70,7 @@ EXTRA_FILES = {
     "lob_5000.csv": "fb7f1aa6359f226e9dc948335e2a5ea287406440de8e46eb0e24bb88efd36268",
 }
 
-# `analyze` over the three ANALYZED runs; thin thresholds so every curve is written.
+# `analyze` over the three runs; thin thresholds so every curve is written.
 ANALYZE_ARGS = ["--burn-periods", "5", "--min-obs", "2"]
 ANALYSIS_FILES = {
     "analysis.json": "6072695f79c802917058766fe89a9baeb079a17e09fc69bc4e9ddd71f95de271",
@@ -121,16 +106,15 @@ def holdings_sha256(pop, tick: float) -> str:
 
 @pytest.fixture(scope="module")
 def golden_root(tmp_path_factory):
-    """The golden runs written once; returns (analysed root, run dirs, manifests,
-    holdings digests). The runs `analyze` reads sit in `<root>/<name>/`."""
+    """The golden runs written once, each in `<root>/<name>/`; returns (root,
+    run dirs, manifests, holdings digests)."""
     root = tmp_path_factory.mktemp("golden")
-    apart = tmp_path_factory.mktemp("golden_apart")
     dirs, manifests, holdings = {}, {}, {}
     for name, (homogeneous, overrides, *_pins) in GOLDEN.items():
         cfg = experiment_config(1.0, homogeneous, {"steps": STEPS, "seed": SEED, **overrides})
         snapshots = SNAPSHOT_STEPS if name == EXTRA_RUN else ()
         run = run_simulation(cfg, lob_snapshot_steps=snapshots)
-        dirs[name] = (root if name in ANALYZED else apart) / name
+        dirs[name] = root / name
         manifests[name] = write_run(dirs[name], run)
         holdings[name] = holdings_sha256(run.final_population, run.config.tick)
     return root, dirs, manifests, holdings

@@ -22,7 +22,7 @@ def test_surface_counts():
     lines = {p.name: len(p.read_bytes().splitlines()) for p in package.glob("*.py")}
     assert surface["src_lines"] == {**lines, "total": sum(lines.values())}
 
-    assert surface["simconfig_fields"] == len(dataclasses.fields(SimConfig)) == 29
+    assert surface["simconfig_fields"] == len(dataclasses.fields(SimConfig)) == 26
 
     subparsers = cli.build_parser()._subparsers._group_actions[0].choices
     assert surface["cli_arguments"] == {
@@ -30,4 +30,5 @@ def test_surface_counts():
         for name, sub in subparsers.items()
     }
     assert surface["cli_arguments"]["run"] == 5  # --config, -O, --out, --seed, --lob-snapshot
-
+    # --in, --out, --bin-width, --min-obs, --burn-periods
+    assert surface["cli_arguments"]["analyze"] == 5
