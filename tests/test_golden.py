@@ -1,4 +1,5 @@
-"""Golden trajectory pin: exact output digests of three short recipe runs.
+"""Golden trajectory pin: exact output digests of two short recipe runs,
+the heterogeneous market and the all-fundamentalist control.
 
 Any change that moves a trajectory by one byte fails here. Refactors and
 speedups must keep these digests. A model change that is meant to move the
@@ -7,7 +8,7 @@ trajectory re-pins them, with a CHANGES.md entry that says why it moved.
 Besides `steps.csv` (whose `fundamental_value` column is the fundamental
 path) and `trades.csv`, the pin covers each run's rejection counters and
 final per-agent holdings, book snapshots, and every file `market-abm
-analyze` writes over the three run directories (which reads them back
+analyze` writes over the two run directories (which reads them back
 through the loader).
 """
 
@@ -31,12 +32,6 @@ GOLDEN = {
         "b576fb9fb7dcc749a1b06c600d4ace2e3cf29ea61729b3ca33b011dde8193106",
         35264, 0, 539,
     ),
-    "hetero_per_trade": (
-        False, {"switch_mode": "per_trade"},
-        "b8781b955236e5760c8d9d7bcbf4c4e62e93ef558c02a2bcd686a08502efdc75",
-        "9f28dc0bbf72bb029c1eae3244c99671ce2002950d7a0044b705fa2bb958a8d9",
-        87, 0, 321,
-    ),
     "control": (
         True, {},
         "fece52be754da6cfe798e4d7b538e8b032765fc2d6bc859a4067a75b7ddae857",
@@ -50,10 +45,6 @@ OUTCOMES = {
     "hetero_all_agents": (
         {"band": 2728, "budget_buy": 313, "budget_sell": 329, "no_order": 49, "self_cross": 0},
         "90d05cb96299edefb24659c8ac1b3505a7621ce0e24503b8a52aa9cc056b1161",
-    ),
-    "hetero_per_trade": (
-        {"band": 2478, "budget_buy": 756, "budget_sell": 702, "no_order": 49, "self_cross": 0},
-        "3356b2248b1124dbbfa23dcd539b0c8bfdaf92c73e53341b37e6554fbb451925",
     ),
     "control": (
         {"band": 1109, "budget_buy": 634, "budget_sell": 333, "no_order": 0, "self_cross": 0},
@@ -70,26 +61,26 @@ EXTRA_FILES = {
     "lob_5000.csv": "fb7f1aa6359f226e9dc948335e2a5ea287406440de8e46eb0e24bb88efd36268",
 }
 
-# `analyze` over the three runs; thin thresholds so every curve is written.
+# `analyze` over the two runs; thin thresholds so every curve is written.
 ANALYZE_ARGS = ["--burn-periods", "5", "--min-obs", "2"]
 ANALYSIS_FILES = {
-    "analysis.json": "6072695f79c802917058766fe89a9baeb079a17e09fc69bc4e9ddd71f95de271",
-    "ccdf_first_gap.csv": "5219e8de34ebb7d51cca9cfbd8d5a1f6e50f869a628da41e5b53f70770c6e170",
-    "ccdf_return_negative.csv": "acd806a2c8598ef1ac30929ee03d3f28eb87fcc51ff208fdeb5d4eb7c74042d1",
-    "ccdf_return_positive.csv": "25df4d498951097e337c8018241eed890a3639e02a9cbc98c30fd4bcf39174e6",
-    "ccdf_spread.csv": "8614bbf338d4d183ce1cbb5a2faba93fb1e9921ae7e4a4307fe3500ace52472a",
-    "fn_first_gap.csv": "87cd9bebe143076261c5fb66547d620ee311aa659512e90161b0407eb315a0ac",
+    "analysis.json": "24addb76a85b94dab6b176453a3680ccf2f6897f9eb10d3c7406d6e7bdd40a93",
+    "ccdf_first_gap.csv": "77c575943a665d8f325bc3600e1fd82d86e621531af324ca4b6a0602101f5746",
+    "ccdf_return_negative.csv": "ae10cbb4d1c961017d8b87ed053baa11a3af9fde980e7ca258dd15a0db498f92",
+    "ccdf_return_positive.csv": "9666b3ad09f11f9ad454a9b7635d823b65d95d8552e3fff987a09efe032d8f6a",
+    "ccdf_spread.csv": "e70b9814baa45c62afd92eed593e05faff943c9a127cc5f7306c8d6184fa5f42",
+    "fn_first_gap.csv": "d65fba17bb0f2357ad8d6e6ceb99a804dbb77e9f0915ac2a8291817cc3dc4ddb",
     "fn_fv_return.csv": "9eb232667e44108e4f988dbc279892cd4a4f65a2cd9ed3526950c0f0010e81d7",
-    "fn_return.csv": "900b4fdd912a4d83fde69140f99668344d03211c0290aa9721de87188a8435cc",
-    "fn_spread.csv": "bc29cc73bccab9dd6fb86b1036e4a8af790a0a4d19e005b3094537850b667603",
-    "fn_volatility.csv": "0c7f0032ceb845a22de836c68b5835e5af6e052c30bfc4bc73a34cf8ec97f220",
-    "fn_volume.csv": "c72907d63d9fe30eb20e9e47dae8da23b607baaaf361376bace1996591d83466",
-    "ne_vs_pc_first_gap.csv": "6444a961fa21ddbf0230bf24a5acba571783bfc0d4c9cb4295122919a53a8e4b",
-    "ne_vs_pc_spread.csv": "dadc857d4e7e2bb4d9f804bf047ff530fbd8fe61253952736ded98eb0268fa47",
-    "ne_vs_pc_volatility.csv": "ee929230d61015fcc73fa4e8abc39fbafa8c241b5d5af2122b4214d4c01a47dc",
-    "sigma_vs_pc_first_gap.csv": "a4dda512a50c1b05586585478634cffaf5c36256ec7f15124d7d890a1e4053bb",
-    "sigma_vs_pc_spread.csv": "4ed6bbf43e735e5a11586f6e178346a9a52d03efd8aea2b4c183484fb789841e",
-    "sigma_vs_pc_volatility.csv": "70a72359138a3a621e0c43fe433461df0b4d5a81e94d779eaa0c0c4b2552c765",
+    "fn_return.csv": "ef65e7b2ffa7958431392d222f11738d1ceff5b9da9cd18d91d3eb63c5837e13",
+    "fn_spread.csv": "07fd89f84a32966c64d58dd0dab69a2c39e724d06a0e0efdf514c734ad3cad8d",
+    "fn_volatility.csv": "7f59a6f0d243840ca1251bb37c19e658ae82bf2cb1160a44cc5bf4bc7bccb42a",
+    "fn_volume.csv": "49827a8c5f247aa8c32a23d362b65ae49b8ea298de39d3ab2f9781f5c28f309b",
+    "ne_vs_pc_first_gap.csv": "e80e0f174887599c1025f1537ec6c57b769aba5da62a807205482dae9d37f721",
+    "ne_vs_pc_spread.csv": "94a81da1e873dca62c95ebb4f79e3e28b2d1c8a22273cbad0f1e4012bdcd6777",
+    "ne_vs_pc_volatility.csv": "fbc20c3cbb26d9aa61b65175966d95838ba8be97b1ebca2e4162436362a10eb8",
+    "sigma_vs_pc_first_gap.csv": "7e5a8549271a83b2e9b660d90fce6f795f4f0498f7a84fbe96ff1db3fc70f6cd",
+    "sigma_vs_pc_spread.csv": "5337804afb12ea4a010a0a6773ab325e64e496e0d53d2de1632ee2afb706f478",
+    "sigma_vs_pc_volatility.csv": "5e27cefe98dc46aff55a2953efa16fbbec5aaef3910573ea1a40484563c77c35",
 }
 
 
