@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+SWITCH_MODES = ("all_agents", "off")  # every agent reconsiders its opinion each step, or none
+
 
 @dataclass
 class SimConfig:
@@ -42,7 +44,7 @@ class SimConfig:
     init_frac_opt: float = 0.25
     init_cash: float = 10_000.0
     init_shares: int = 10
-    switch_mode: str = "all_agents"  # "per_trade": only the step's trader reconsiders; "off": none
+    switch_mode: str = "all_agents"  # one of SWITCH_MODES
     seed: int = 0
 
     @property
@@ -80,8 +82,8 @@ class SimConfig:
             raise ValueError("gamma_f must exceed gamma_c")
         if self.init_frac_f < 0 or self.init_frac_opt < 0 or self.init_frac_f + self.init_frac_opt > 1.0 + 1e-12:
             raise ValueError("initial composition fractions must be >= 0 and sum to <= 1")
-        if self.switch_mode not in ("all_agents", "per_trade", "off"):
-            raise ValueError("switch_mode must be 'all_agents', 'per_trade' or 'off'")
+        if self.switch_mode not in SWITCH_MODES:
+            raise ValueError(f"switch_mode must be {' or '.join(map(repr, SWITCH_MODES))}")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

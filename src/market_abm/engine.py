@@ -206,13 +206,10 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     fund_ss, switch_ss, trade_ss = seed_seq.spawn(3)
     rng_switch = np.random.default_rng(switch_ss)
     rng_trade = np.random.default_rng(trade_ss)
-    # The trader pick, and the per-trade switching pick, draw from the bit
-    # generators directly; the expectation noise and the reservation offset
-    # are scalar draws from the trade stream.
+    # The trader pick draws from the bit generator directly; the expectation
+    # noise and the reservation offset are scalar draws from the trade stream.
     trade_bitgen = rng_trade.bit_generator.ctypes
     next_uint32, trade_state = trade_bitgen.next_uint32, trade_bitgen.state
-    switch_bitgen = rng_switch.bit_generator.ctypes
-    switch_next_uint32, switch_state = switch_bitgen.next_uint32, switch_bitgen.state
     normal, exponential = rng_trade.standard_normal, rng_trade.standard_exponential
 
     fv = fundamental_path(config.pf0, config.sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
@@ -256,14 +253,11 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     rec.n_plus[:] = n_plus
     rec.n_minus[:] = n_minus
     n_plus_at, n_minus_at = memoryview(rec.n_plus), memoryview(rec.n_minus)
-    # All-agents sweeps read their uniforms at a row offset in a flat block
-    # of sweeps drawn at once; rng.random(n * k) yields the same stream as k
-    # calls of rng.random(n). Per-trade sweeps interleave an agent pick, so
-    # they draw their own.
-    per_trade = config.switch_mode == "per_trade"
+    # Sweeps read their uniforms at a row offset in a flat block of sweeps
+    # drawn at once; rng.random(n * k) yields the same stream as k calls of
+    # rng.random(n).
     block_size = max(1, _DRAW_BLOCK_DOUBLES // n_agents) * n_agents
-    offset = block_size - n_agents  # so that the first all-agents sweep draws a block
-    draws = only = None
+    offset = block_size - n_agents  # so that the first sweep draws a block
 
     switching = config.switch_mode != "off"
     noise_f = config.sigma_eps / config.gamma_f  # a fundamentalist's noise scale
@@ -282,16 +276,12 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         if switching:
             trend_c = average_price_trend(price_at, t, horizon_c, dt)
             trend_f = average_price_trend(price_at, t, horizon_f, dt)
-            if per_trade:
-                only = pick_agent(switch_next_uint32, switch_state, n_agents)
-                draws, offset = memoryview(rng_switch.random(n_agents)), 0
-            else:
-                offset += n_agents
-                if offset == block_size:
-                    draws, offset = memoryview(rng_switch.random(block_size)), 0
+            offset += n_agents
+            if offset == block_size:
+                draws, offset = memoryview(rng_switch.random(block_size)), 0
             switches, clamped, (n_f, n_plus, n_minus) = apply_switching(
                 kinds, n_f, n_plus, n_minus, p_prev, fv_at[t - 1], trend_f, trend_c,
-                config, draws, offset, only)
+                config, draws, offset)
             clamp_events += clamped
             switch_count += switches
             n_plus_at[t - 1] = n_plus

@@ -92,7 +92,6 @@ def apply_switching(
     config: SimConfig,
     draws: memoryview,
     offset: int,
-    only: int | None = None,
 ) -> tuple[int, int, tuple[int, int, int]]:
     """One synchronous switching sweep over the whole population.
 
@@ -105,10 +104,9 @@ def apply_switching(
     `kinds` views the int8 type codes, (n_f, n_plus, n_minus) counts them,
     and moves are written into it in place. `draws` views a flat float64
     numpy array of uniforms, of which agent i reads draws[offset + i], so
-    that one array serves several sweeps. `only` is the one agent that may move
-    (the per-trade variant); it reads its own draw of the sweep's n.
-    The rates read `config`'s v1, v2, alpha1, alpha2, alpha3, big_r, s and
-    dt. Returns (switches, clamp events, counts after the sweep).
+    that one array serves several sweeps. The rates read `config`'s v1, v2,
+    alpha1, alpha2, alpha3, big_r, s and dt. Returns (switches, clamp
+    events, counts after the sweep).
     """
     n = len(kinds)
     n_c = n_plus + n_minus
@@ -171,12 +169,9 @@ def apply_switching(
     # no draw at or above it can move an agent
     reach_max = reach_plus if reach_plus > reach_f else reach_f
     reach_max = reach_minus if reach_minus > reach_max else reach_max
-    if only is None:
-        # draws.obj is the array under the view: one vector test finds the
-        # few agents whose draw can move them
-        candidates = (draws.obj[offset : offset + n] < reach_max).nonzero()[0].tolist()
-    else:
-        candidates = (only,) if draws[offset + only] < reach_max else ()
+    # draws.obj is the array under the view: one vector test finds the few
+    # agents whose draw can move them
+    candidates = (draws.obj[offset : offset + n] < reach_max).nonzero()[0].tolist()
     if not candidates:
         return 0, clamped, (n_f, n_plus, n_minus)
 

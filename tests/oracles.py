@@ -292,22 +292,16 @@ def switch_sweep(
     """One sweep of `apply_switching` over `pop.types`, moved in place.
 
     `counts` are counted and the n `uniforms` drawn from `rng` when not
-    given. `only` lists the agents that may move: one agent goes through
-    the kernel's per-trade variant; any other list hides every other
-    agent's draw behind +inf, above every reach, in an all-agents sweep.
+    given. `only` lists the agents that may move: every other agent's draw
+    is hidden behind +inf, above every reach.
     """
     n_f, n_plus, n_minus = pop.counts() if counts is None else counts
     n = len(pop.types)
     u = np.asarray(rng.random(n) if uniforms is None else uniforms, dtype=float)
-    agent = None
     if only is not None:
-        allowed = sorted({int(i) for i in only})
-        if len(allowed) == 1:
-            agent = allowed[0]
-        else:
-            u = np.where(np.isin(np.arange(n), allowed), u, np.inf)
+        u = np.where(np.isin(np.arange(n), only), u, np.inf)
     switches, clamped, after = apply_switching(
-        memoryview(pop.types), n_f, n_plus, n_minus, *market, params, memoryview(u), 0, agent)
+        memoryview(pop.types), n_f, n_plus, n_minus, *market, params, memoryview(u), 0)
     return SwitchStats(switches, clamped, after)
 
 
@@ -505,7 +499,6 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     rng_switch = np.random.default_rng(switch_ss)
     rng_trade = np.random.default_rng(trade_ss)
     bitgen = rng_trade.bit_generator.ctypes  # the trader pick draws from it directly
-    switch_bitgen = rng_switch.bit_generator.ctypes  # as does the per-trade switching pick
 
     fv = fundamental_path(config.pf0, config.sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
     fv_at = memoryview(fv)
@@ -547,14 +540,11 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     rec.n_plus[:] = n_plus
     rec.n_minus[:] = n_minus
     n_plus_at, n_minus_at = memoryview(rec.n_plus), memoryview(rec.n_minus)
-    # All-agents sweeps read their uniforms at a row offset in a flat block
-    # of sweeps drawn at once; rng.random(n * k) yields the same stream as k
-    # calls of rng.random(n). Per-trade sweeps interleave an agent pick, so
-    # they draw their own.
-    per_trade = config.switch_mode == "per_trade"
+    # Sweeps read their uniforms at a row offset in a flat block of sweeps
+    # drawn at once; rng.random(n * k) yields the same stream as k calls of
+    # rng.random(n).
     block_size = max(1, _DRAW_BLOCK_DOUBLES // n_agents) * n_agents
-    offset = block_size - n_agents  # so that the first all-agents sweep draws a block
-    draws = only = None
+    offset = block_size - n_agents  # so that the first sweep draws a block
 
     switching = config.switch_mode != "off"
     band = config.band
@@ -571,16 +561,12 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         if switching:
             trend_c = average_price_trend(price_at, t, horizon_c, dt)
             trend_f = average_price_trend(price_at, t, horizon_f, dt)
-            if per_trade:
-                only = pick_agent(switch_bitgen.next_uint32, switch_bitgen.state, n_agents)
-                draws, offset = memoryview(rng_switch.random(n_agents)), 0
-            else:
-                offset += n_agents
-                if offset == block_size:
-                    draws, offset = memoryview(rng_switch.random(block_size)), 0
+            offset += n_agents
+            if offset == block_size:
+                draws, offset = memoryview(rng_switch.random(block_size)), 0
             switches, clamped, (n_f, n_plus, n_minus) = apply_switching(
                 kinds, n_f, n_plus, n_minus, p_prev, fv_at[t - 1], trend_f, trend_c,
-                config, draws, offset, only)
+                config, draws, offset)
             clamp_events += clamped
             switch_count += switches
             n_plus_at[t - 1] = n_plus

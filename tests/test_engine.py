@@ -196,7 +196,7 @@ class TestEscrow:
     n_agents=st.integers(1, 40),
     steps=st.integers(0, 600),
     seed=st.integers(0, 2**32 - 1),
-    switch_mode=st.sampled_from(["all_agents", "per_trade", "off"]),
+    switch_mode=st.sampled_from(["all_agents", "off"]),
     horizon=st.integers(1, 120),
     init_cash=st.sampled_from([300.0, 1000.0, 10_000.0]),
     init_shares=st.integers(0, 3),
@@ -300,11 +300,6 @@ class TestRunSimulation:
         assert (r.n_plus[0], r.n_minus[0]) == (125, 125)
         for counts in (r.n_f, r.n_plus, r.n_minus):
             assert (counts == counts[0]).all()
-
-    def test_per_trade_switch_mode_is_slower(self):
-        fast = run_simulation(small_config(steps=5000))
-        slow = run_simulation(small_config(steps=5000, switch_mode="per_trade"))
-        assert 0 < slow.switch_count < fast.switch_count / 20
 
     def test_lob_snapshots(self):
         out = run_simulation(small_config(steps=500), lob_snapshot_steps=[250, 500])

@@ -60,7 +60,7 @@ def configs(draw):
     p0, tick = draw(st.sampled_from([(300.0, 0.0005), (300.0, 1e-12), (1.0, 1e-15),
                                      (300.0, 0.01), (1.0, 0.01), (1.0, 0.5)]))
     frac_f = draw(st.sampled_from([1.0, 0.7, 0.3, 0.0]))
-    switch_mode = draw(st.sampled_from(["off", "all_agents", "per_trade"]))
+    switch_mode = draw(st.sampled_from(["off", "all_agents"]))
     config = SimConfig(
         n_agents=draw(st.sampled_from([40, 12, 2, 1])),
         steps=steps,

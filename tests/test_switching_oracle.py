@@ -244,26 +244,21 @@ def test_block_draws_match_per_sweep_draws():
 
 @settings(max_examples=60, deadline=None)
 @given(types=populations(), markets_=st.lists(markets, min_size=1, max_size=4), sparams=params,
-       seed=st.integers(0, 2**32 - 1), per_trade=st.booleans())
-def test_kernel_at_block_offsets_matches_row_sweeps(types, markets_, sparams, seed, per_trade):
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_at_block_offsets_matches_row_sweeps(types, markets_, sparams, seed):
     # the engine draws k sweeps of n uniforms into one flat buffer and hands
-    # the kernel a view of it with each sweep's row offset; the per-trade
-    # variant names its one agent, which reads its own draw of the row
+    # the kernel a view of it with each sweep's row offset
     n, k = len(types), len(markets_)
-    rng = np.random.default_rng(seed)
-    block = rng.random(n * k)
-    agents = rng.integers(n, size=k).tolist()
+    block = np.random.default_rng(seed).random(n * k)
     expected_pop = population(types.copy())
     kinds = types.copy()
     counts = expected_pop.counts()
     draws = memoryview(block)
     for row, market in enumerate(markets_):
-        only = [agents[row]] if per_trade else None
         expected = reference_sweep(expected_pop, market, sparams,
-                                   FixedDraws(block[row * n : (row + 1) * n]), only=only)
+                                   FixedDraws(block[row * n : (row + 1) * n]))
         switches, clamped, counts = apply_switching(
-            memoryview(kinds), *counts, *market, sparams, draws, row * n,
-            agents[row] if per_trade else None)
+            memoryview(kinds), *counts, *market, sparams, draws, row * n)
         np.testing.assert_array_equal(kinds, expected_pop.types)
         assert (switches, clamped) == (expected.switches, expected.clamped)
         assert counts == expected_pop.counts()
