@@ -134,8 +134,7 @@ def cmd_analyze(args) -> int:
         run_spp = manifest["config"]["steps_per_period"]
         spp = run_spp if spp is None else spp
         if run_spp != spp:
-            print(f"{run_dir}: steps_per_period differs across runs", file=sys.stderr)
-            return 1
+            raise ValueError(f"{run_dir}: steps_per_period {run_spp}, but {spp} in {run_dirs[0]}")
         try:
             bundles.append(reduce_run(records, spp))
         except ValueError as exc:
@@ -176,8 +175,8 @@ def cmd_reproduce_paper(args) -> int:
     from .analytics import analyze_bundles, check_analysis_options, reduce_run
 
     scale = args.scale
-    if scale <= 0:
-        print("--scale must be > 0", file=sys.stderr)
+    if not 0 < scale < float("inf"):  # NaN fails both comparisons
+        print("--scale must be finite and > 0", file=sys.stderr)
         return 2
     overrides = parse_overrides(args.override or [])
     cfg = experiment_config(scale, args.homogeneous, overrides)
@@ -277,7 +276,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    # OSError: an output path that cannot be made, such as an --out naming a file
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -64,8 +64,8 @@ class TestConfigFormat:
         assert load_config(path).steps == 100_000
 
     def test_override_parsing(self):
-        overrides = parse_overrides(["steps=500", "switch_mode=per_trade"])
-        assert overrides == {"steps": 500, "switch_mode": "per_trade"}
+        overrides = parse_overrides(["steps=500", "switch_mode=off"])
+        assert overrides == {"steps": 500, "switch_mode": "off"}
         with pytest.raises(ValueError, match="frobnicate"):
             parse_overrides(["frobnicate=1"])
 
@@ -161,6 +161,18 @@ class TestConfigFormat:
         assert capsys.readouterr().err == f"error: {path}:2: unknown config key {key!r}\n"
         assert not out.exists()
 
+    def test_per_trade_switch_mode_is_rejected(self, tmp_path, capsys):
+        # every agent reconsiders each step, or none does
+        out = tmp_path / "out"
+        message = "error: switch_mode must be 'all_agents' or 'off'\n"
+        assert main(["run", "-O", "steps=200", "-O", "switch_mode=per_trade", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        path = tmp_path / "old.cfg"
+        path.write_text("steps = 200\nswitch_mode = per_trade\n")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_non_finite_integer_is_named(self):
         for raw in ("nan", "inf", "-inf"):
             with pytest.raises(ValueError) as err:
@@ -204,6 +216,13 @@ class TestRunCommand:
         assert main(argv) == 0
         manifest = json.loads((out / "experiment.json").read_text())
         assert shlex.split(manifest["command"]) == argv
+
+    def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["run", "-O", "steps=200", "-O", "n_agents=50", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(out)!r}\n"
+        assert out.read_text() == "kept\n"
 
     def test_override_flag(self, tmp_path, config_file):
         out = tmp_path / "out"
@@ -354,6 +373,14 @@ class TestEnsembleCommand:
         assert "seed" not in captured.out
         assert not out.exists()
 
+    def test_out_naming_a_file_is_an_error(self, tmp_path, config_file, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["ensemble", "--config", str(config_file), "--seeds", "1",
+                     "--out", str(out), "--workers", "1"]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(out)!r}\n"
+        assert out.read_text() == "kept\n"
+
     def test_runs_and_manifest(self, tmp_path, config_file):
         out = tmp_path / "ens"
         assert main(["ensemble", "--config", str(config_file), "--seeds", "3",
@@ -502,6 +529,24 @@ class TestAnalyzeCommand:
         err = self.analyze_error(runs, tmp_path / "analysis", capsys)
         assert err == f"error: {runs[1]}: need at least two full trading periods\n"
 
+    def test_runs_with_different_steps_per_period_are_named(self, tmp_path, capsys):
+        runs = [tmp_path / "a_default", tmp_path / "b_spp50"]
+        for run_dir, extra in zip(runs, ([], ["-O", "steps_per_period=50"])):
+            assert main(["run", "-O", "steps=600", "-O", "n_agents=50", *extra,
+                         "--out", str(run_dir)]) == 0
+        err = self.analyze_error(runs, tmp_path / "analysis", capsys)
+        assert err == f"error: {runs[1]}: steps_per_period 50, but 100 in {runs[0]}\n"
+
+    def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["run", "-O", "steps=600", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(run_dir), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(out)!r}\n"
+        assert out.read_text() == "kept\n"
+
     def test_no_runs_found(self, tmp_path, capsys):
         assert main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path / "a")]) == 1
         assert "steps.csv" in capsys.readouterr().err
@@ -568,7 +613,12 @@ class TestReproduceCommand:
         assert manifest["config_path"] is None
 
     def test_bad_scale(self, tmp_path, capsys):
-        assert main(["reproduce-paper", "--scale", "-1", "--out", str(tmp_path / "x")]) == 2
+        # NaN and inf used to fail later, naming no flag
+        out = tmp_path / "x"
+        for scale in ("-1", "nan", "inf"):
+            assert main(["reproduce-paper", "--scale", scale, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == "--scale must be finite and > 0\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("option, message", [
         (["--scale", "0.003", "--bin-width", "0"], "bin_width must be in (0, 1]"),

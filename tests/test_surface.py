@@ -8,7 +8,7 @@ from pathlib import Path
 
 import market_abm
 from market_abm import cli
-from market_abm.config import SimConfig
+from market_abm.config import SWITCH_MODES, SimConfig
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "surface.py"
 
@@ -23,6 +23,7 @@ def test_surface_counts():
     assert surface["src_lines"] == {**lines, "total": sum(lines.values())}
 
     assert surface["simconfig_fields"] == len(dataclasses.fields(SimConfig)) == 26
+    assert surface["switch_modes"] == len(SWITCH_MODES) == 2  # all_agents, off
 
     subparsers = cli.build_parser()._subparsers._group_actions[0].choices
     assert surface["cli_arguments"] == {

@@ -4,9 +4,10 @@
 
 Prints `src_lines` (the lines of each module under `src/market_abm/`, as
 `wc -l` counts them, and their total), `simconfig_fields` (the number of
-`SimConfig` fields, each a config key) and `cli_arguments` (per subcommand
-of `market-abm`, the arguments its parser takes, `-h` aside). It imports the
-library from the `src/` next to this directory.
+`SimConfig` fields, each a config key), `switch_modes` (the values
+`switch_mode` accepts) and `cli_arguments` (per subcommand of `market-abm`,
+the arguments its parser takes, `-h` aside). It imports the library from the
+`src/` next to this directory.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ def cli_arguments(parser: argparse.ArgumentParser) -> dict[str, int]:
 def surface() -> dict:
     sys.path.insert(0, str(SRC))
     from market_abm import cli
-    from market_abm.config import SimConfig
+    from market_abm.config import SWITCH_MODES, SimConfig
 
     return {
         "src_lines": src_lines(),
         "simconfig_fields": len(dataclasses.fields(SimConfig)),
+        "switch_modes": len(SWITCH_MODES),
         "cli_arguments": cli_arguments(cli.build_parser()),
     }
 
