@@ -9,6 +9,7 @@ per-run wall clock, so re-running a manifest reproduces identical outputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import shlex
 import sys
@@ -51,7 +52,17 @@ def _experiment_manifest(out_root: Path, args, cfg: SimConfig, seeds, run_entrie
     write_json(out_root / "experiment.json", manifest)
 
 
+def _out_root(out: str) -> Path:
+    """`--out` as a path, refused before any work when it names something that is
+    not a directory. Nothing is created here."""
+    out_root = Path(out)
+    if out_root.exists() and not out_root.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
+    return out_root
+
+
 def cmd_run(args) -> int:
+    out_root = _out_root(args.out)
     overrides = parse_overrides(args.override or [])
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -60,7 +71,6 @@ def cmd_run(args) -> int:
     run = run_simulation(cfg, lob_snapshot_steps=args.lob_snapshot or ())
     elapsed = time.perf_counter() - started
     # created only now, so a rejected run leaves no empty directory behind
-    out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     write_run(out_root, run)
     (out_root / "config.txt").write_text(dump_config(cfg))
@@ -123,6 +133,7 @@ def cmd_ensemble(args) -> int:
 def cmd_analyze(args) -> int:
     from .analytics import analyze_bundles, reduce_run
 
+    out_root = _out_root(args.out)
     run_dirs = find_run_dirs(args.indirs)
     if not run_dirs:
         print(f"no steps.csv found under: {', '.join(args.indirs)}", file=sys.stderr)
@@ -139,11 +150,11 @@ def cmd_analyze(args) -> int:
             bundles.append(reduce_run(records, spp))
         except ValueError as exc:
             raise ValueError(f"{run_dir}: {exc}") from None
+        del records  # not held while the next run is loaded
     report = analyze_bundles(
         bundles, spp, bin_width=args.bin_width, min_obs=args.min_obs,
         burn_periods=args.burn_periods,
     )
-    out_root = Path(args.out)
     write_analysis(out_root, report)
     print(f"analyzed {len(bundles)} run(s) -> {out_root / 'analysis.json'}")
     return 0

@@ -10,8 +10,11 @@ Every CSV is written by one helper, `_BLOCK_ROWS` rows at a time. Each
 column of a block formats each of its distinct values once, from a table
 of that block alone (memory does not grow with the run): floats as `%.12g`
 with non-finite values left blank, flags as 0/1, integers as themselves.
-The loader parses `steps.csv` with `np.loadtxt`, reads its columns by header
-name and casts each to the dtype its field declares; blank fields load as NaN.
+The loader reads `steps.csv` back `_BLOCK_ROWS` rows at a time into step
+columns allocated once, at the dtypes their fields declare, for the row count
+the manifest records (memory follows the records, not the file). Each block's
+blank fields become NaN before `np.loadtxt` parses it, and its columns are
+stored by header name.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from itertools import islice
 from math import isfinite
 from pathlib import Path
 
@@ -62,14 +66,41 @@ def write_steps_csv(path: Path, records: StepRecords) -> None:
     _write_csv(path, STEP_COLUMNS, [getattr(records, name) for name in STEP_COLUMNS])
 
 
-def load_steps_csv(path: Path) -> StepRecords:
-    header, _, body = Path(path).read_text().partition("\n")
-    index = {name: j for j, name in enumerate(header.split(","))}
-    if body:
-        data = np.loadtxt(_BLANK_FIELD.sub(",nan", body).splitlines(), delimiter=",", ndmin=2)
-    else:
-        data = np.empty((0, len(index)))
-    return StepRecords(**{name: data[:, index[name]].astype(dtype) for name, dtype in STEP_SCHEMA})
+def _parse_block(lines: list[str], width: int) -> np.ndarray:
+    """Rows of steps.csv as a float matrix of `width` columns; blanks load as NaN.
+    The first row is held to the header's width, as `np.loadtxt` holds the rest
+    to the first."""
+    found = lines[0].count(",") + 1
+    if found != width:
+        raise ValueError(f"the number of columns changed from {width} to {found} at row 1")
+    return np.loadtxt(_BLANK_FIELD.sub(",nan", "".join(lines)).splitlines(),
+                      delimiter=",", ndmin=2)
+
+
+def load_steps_csv(path: Path, n_rows: int) -> StepRecords:
+    """The `n_rows` step records of a steps.csv, parsed one block at a time.
+    Another row count raises a ValueError with the rows the file holds. No
+    more rows are allocated than the file could hold at one byte per field."""
+    path = Path(path)
+    capacity = min(n_rows, path.stat().st_size // len(STEP_SCHEMA))
+    columns = {name: np.empty(capacity, dtype) for name, dtype in STEP_SCHEMA}
+    rows = 0
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        index = {name: j for j, name in enumerate(header)}
+        while lines := list(islice(fh, _BLOCK_ROWS)):
+            try:
+                block = _parse_block(lines, len(header))
+            except ValueError as exc:
+                raise ValueError(f"rows {rows + 1}-{rows + len(lines)}: {exc}") from None
+            if rows + len(block) <= capacity:
+                for name, column in columns.items():
+                    column[rows:rows + len(block)] = block[:, index[name]]
+            rows += len(block)
+            del lines, block  # not held while the next block is read
+    if rows != n_rows:
+        raise ValueError(f"{rows} rows, but manifest.json records {n_rows} steps")
+    return StepRecords(**columns)
 
 
 def write_trades_csv(path: Path, trades: TradeRecords) -> None:
@@ -130,15 +161,12 @@ def load_run_dir(run_dir: Path) -> tuple[StepRecords, dict]:
         n_steps, spp = manifest["steps"], manifest["config"]["steps_per_period"]
     except (KeyError, TypeError):
         n_steps = spp = None
-    if not (isinstance(n_steps, int) and isinstance(spp, int)):
+    if not (type(n_steps) is int and n_steps >= 0 and type(spp) is int):  # bool is no count
         raise ValueError(f"{manifest_path}: needs integer steps and config.steps_per_period")
     try:
-        records = load_steps_csv(path)
+        return load_steps_csv(path, n_steps), manifest
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if len(records) != n_steps:
-        raise ValueError(f"{path}: {len(records)} rows, but manifest.json records {n_steps} steps")
-    return records, manifest
 
 
 def find_run_dirs(roots) -> list[Path]:

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -217,7 +219,9 @@ class TestRunCommand:
         manifest = json.loads((out / "experiment.json").read_text())
         assert shlex.split(manifest["command"]) == argv
 
-    def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
+    def test_out_naming_a_file_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # refused before the run starts
+        monkeypatch.setattr(cli, "run_simulation", _no_run)
         out = tmp_path / "taken"
         out.write_text("kept\n")
         assert main(["run", "-O", "steps=200", "-O", "n_agents=50", "--out", str(out)]) == 1
@@ -272,6 +276,10 @@ _measured_run = engine._run_seed
 
 def _no_run(config, lob_snapshot_steps=()):
     raise AssertionError("a run started")
+
+
+def _no_load(run_dir):
+    raise AssertionError("a run was loaded")
 
 
 def _fixed_time_run(config, seed):
@@ -512,6 +520,46 @@ class TestAnalyzeCommand:
         err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
         assert err == f"error: {path}: needs integer steps and config.steps_per_period\n"
 
+    @pytest.mark.parametrize("steps", [True, -1])
+    def test_manifest_steps_that_are_no_count_are_named(self, tmp_path, capsys, steps):
+        # a bool is an int to Python, and a negative count cannot be allocated
+        run_dir = tmp_path / "run"
+        assert main(["run", "-O", "steps=600", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "steps": steps}))
+        err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
+        assert err == f"error: {path}: needs integer steps and config.steps_per_period\n"
+
+    def test_manifest_steps_beyond_the_file_report_its_rows(self, tmp_path, capsys):
+        # no more rows are allocated than steps.csv could hold
+        run_dir = tmp_path / "run"
+        assert main(["run", "-O", "steps=600", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "steps": 10**15}))
+        err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
+        assert err == (f"error: {run_dir / 'steps.csv'}: 600 rows, "
+                       f"but manifest.json records {10**15} steps\n")
+
+    def test_peak_memory_does_not_grow_with_the_runs(self, tmp_path):
+        # each run's records are let go before the next is loaded
+        runs = [tmp_path / f"seed_{k}" for k in range(3)]
+        assert main(["run", "-O", "steps=20000", "-O", "n_agents=50", "--out", str(runs[0])]) == 0
+        for run_dir in runs[1:]:
+            shutil.copytree(runs[0], run_dir)
+
+        def peak(run_dirs, out):
+            tracemalloc.start()
+            try:
+                assert main(["analyze", "--in", *map(str, run_dirs), "--out", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(runs[:1], tmp_path / "one")
+        assert peak(runs, tmp_path / "three") <= 1.1 * one
+
     def test_manifest_that_is_not_json_is_named(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(["run", "-O", "steps=300", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
@@ -537,9 +585,10 @@ class TestAnalyzeCommand:
         err = self.analyze_error(runs, tmp_path / "analysis", capsys)
         assert err == f"error: {runs[1]}: steps_per_period 50, but 100 in {runs[0]}\n"
 
-    def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
+    def test_out_naming_a_file_is_an_error(self, tmp_path, monkeypatch, capsys):
         run_dir = tmp_path / "run"
         assert main(["run", "-O", "steps=600", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
+        monkeypatch.setattr(cli, "load_run_dir", _no_load)  # refused before any run is loaded
         out = tmp_path / "taken"
         out.write_text("kept\n")
         capsys.readouterr()

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from market_abm.config import SimConfig
-from market_abm.engine import STEP_COLUMNS, run_simulation
+from market_abm.engine import STEP_COLUMNS, StepRecords, run_simulation
 from market_abm.runio import (
+    _BLOCK_ROWS,
     find_run_dirs,
     load_run_dir,
     load_steps_csv,
@@ -27,13 +28,40 @@ def test_steps_csv_roundtrip(tmp_path, run_output):
     write_steps_csv(path, run_output.records)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(STEP_COLUMNS)
-    loaded = load_steps_csv(path)
+    loaded = load_steps_csv(path, len(run_output.records))
     assert len(loaded) == len(run_output.records)
     np.testing.assert_allclose(loaded.price, run_output.records.price, rtol=1e-11)
     np.testing.assert_array_equal(loaded.depth, run_output.records.depth)
     np.testing.assert_array_equal(loaded.traded, run_output.records.traded)
     # NaN quote fields survive as NaN
     np.testing.assert_array_equal(np.isnan(loaded.spread), np.isnan(run_output.records.spread))
+
+
+def cut_row(path, row):
+    """Cut data row `row` (1-based) of a CSV to its first 6 fields."""
+    lines = path.read_text().splitlines()
+    lines[row] = ",".join(lines[row].split(",")[:6])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("row", [5, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2])
+def test_row_cut_short_fails_wherever_it_falls(tmp_path, row):
+    # a block's first row is held to the header's width, as the rest are to it
+    path = tmp_path / "steps.csv"
+    write_steps_csv(path, StepRecords.allocate(_BLOCK_ROWS + 10))
+    cut_row(path, row)
+    with pytest.raises(ValueError, match="number of columns changed from 14 to 6"):
+        load_steps_csv(path, _BLOCK_ROWS + 10)
+
+
+@pytest.mark.parametrize("rows, n_rows", [(10, 7), (_BLOCK_ROWS + 3, _BLOCK_ROWS - 1),
+                                          (_BLOCK_ROWS + 3, 2 * _BLOCK_ROWS), (0, 1), (1, 0)])
+def test_row_count_other_than_the_manifest_reports_the_rows(tmp_path, rows, n_rows):
+    path = tmp_path / "steps.csv"
+    write_steps_csv(path, StepRecords.allocate(rows))
+    with pytest.raises(ValueError) as err:
+        load_steps_csv(path, n_rows)
+    assert str(err.value) == f"{rows} rows, but manifest.json records {n_rows} steps"
 
 
 def test_write_run_directory(tmp_path, run_output):

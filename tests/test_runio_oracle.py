@@ -1,10 +1,10 @@
 """The column-wise run writers and the loader against row-wise oracles.
 
 `oracles.py` keeps the original row-at-a-time writers (one f-string and a
-`format(v, ".12g")` per field) and the `np.genfromtxt` loader. The library
-formats each distinct value of a block of `_BLOCK_ROWS` rows once and parses
-with `np.loadtxt`; it must write the same bytes and load the same arrays,
-with the same dtypes. The pooled tests draw every column from a few values,
+`format(v, ".12g")` per field) and the whole-file `np.genfromtxt` loader.
+The library formats each distinct value of a block of `_BLOCK_ROWS` rows
+once and parses the same blocks with `np.loadtxt` into preallocated columns;
+it must write the same bytes and load the same arrays, with the same dtypes. The pooled tests draw every column from a few values,
 so that values repeat within a block and across block boundaries.
 """
 
@@ -118,7 +118,7 @@ def test_steps_csv_matches_oracle(tmp_path_factory, n, seed, pool):
     write_steps_csv(tmp / "new.csv", records)
     oracles.write_steps_csv(tmp / "old.csv", records)
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
-    loaded = load_steps_csv(tmp / "new.csv")
+    loaded = load_steps_csv(tmp / "new.csv", n)
     assert len(loaded) == n
     assert_same_records(loaded, oracles.load_steps_csv(tmp / "old.csv"))
 
@@ -166,7 +166,7 @@ def test_pooled_columns_match_oracles(tmp_path_factory, n, seed, floats, ints, f
     write_steps_csv(tmp / "steps_new.csv", records)
     oracles.write_steps_csv(tmp / "steps_old.csv", records)
     assert (tmp / "steps_new.csv").read_bytes() == (tmp / "steps_old.csv").read_bytes()
-    assert_same_records(load_steps_csv(tmp / "steps_new.csv"),
+    assert_same_records(load_steps_csv(tmp / "steps_new.csv", n),
                         oracles.load_steps_csv(tmp / "steps_old.csv"))
 
     rng = np.random.default_rng(seed)
@@ -203,3 +203,24 @@ def test_write_peak_does_not_grow_with_the_row_count(tmp_path):
     one = write_peak(tmp_path / "one.csv", make_records(B, 5, [1.0]))
     three = write_peak(tmp_path / "three.csv", make_records(3 * B, 5, [1.0]))
     assert three <= 1.1 * one
+
+
+def load_peak(path, n_rows: int) -> int:
+    """tracemalloc's peak while `load_steps_csv` loads `n_rows` rows, less the
+    bytes of the records it returns."""
+    tracemalloc.start()
+    try:
+        records = load_steps_csv(path, n_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(getattr(records, name).nbytes for name in STEP_COLUMNS)
+
+
+def test_load_peak_beyond_the_records_does_not_grow_with_the_row_count(tmp_path):
+    """The loader holds one block's text and matrix besides the records: mostly
+    distinct values over 3 blocks peak within 1.1x of 1 block."""
+    write_steps_csv(tmp_path / "one.csv", make_records(B, 5, [1.0]))
+    write_steps_csv(tmp_path / "three.csv", make_records(3 * B, 5, [1.0]))
+    one = load_peak(tmp_path / "one.csv", B)
+    assert load_peak(tmp_path / "three.csv", 3 * B) <= 1.1 * one
