@@ -66,17 +66,6 @@ def write_steps_csv(path: Path, records: StepRecords) -> None:
     _write_csv(path, STEP_COLUMNS, [getattr(records, name) for name in STEP_COLUMNS])
 
 
-def _parse_block(lines: list[str], width: int) -> np.ndarray:
-    """Rows of steps.csv as a float matrix of `width` columns; blanks load as NaN.
-    The first row is held to the header's width, as `np.loadtxt` holds the rest
-    to the first."""
-    found = lines[0].count(",") + 1
-    if found != width:
-        raise ValueError(f"the number of columns changed from {width} to {found} at row 1")
-    return np.loadtxt(_BLANK_FIELD.sub(",nan", "".join(lines)).splitlines(),
-                      delimiter=",", ndmin=2)
-
-
 def load_steps_csv(path: Path, n_rows: int) -> StepRecords:
     """The `n_rows` step records of a steps.csv, parsed one block at a time.
     Another row count raises a ValueError with the rows the file holds. No
@@ -90,7 +79,12 @@ def load_steps_csv(path: Path, n_rows: int) -> StepRecords:
         index = {name: j for j, name in enumerate(header)}
         while lines := list(islice(fh, _BLOCK_ROWS)):
             try:
-                block = _parse_block(lines, len(header))
+                found = lines[0].count(",") + 1  # np.loadtxt holds the other rows to the first
+                if found != len(header):
+                    raise ValueError(f"the number of columns changed from {len(header)} to "
+                                     f"{found} at row 1")
+                block = np.loadtxt(_BLANK_FIELD.sub(",nan", "".join(lines)).splitlines(),
+                                   delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise ValueError(f"rows {rows + 1}-{rows + len(lines)}: {exc}") from None
             if rows + len(block) <= capacity:
@@ -148,9 +142,10 @@ def write_run(out_dir: Path, run: RunOutput) -> dict:
 
 def load_run_dir(run_dir: Path) -> tuple[StepRecords, dict]:
     """Step records and manifest; the manifest, written last, is read first.
-    A manifest that is not JSON or lacks an integer `steps` or
-    `config.steps_per_period`, and a steps.csv with another row count than
-    the manifest's `steps`, raise a ValueError that names the file."""
+    A manifest that is not JSON or lacks a non-negative integer `steps` or an
+    integer `config.steps_per_period` (a bool is neither), and a steps.csv with
+    another row count than the manifest's `steps`, raise a ValueError that
+    names the file."""
     run_dir = Path(run_dir)
     manifest_path, path = run_dir / "manifest.json", run_dir / "steps.csv"
     try:
@@ -161,7 +156,7 @@ def load_run_dir(run_dir: Path) -> tuple[StepRecords, dict]:
         n_steps, spp = manifest["steps"], manifest["config"]["steps_per_period"]
     except (KeyError, TypeError):
         n_steps = spp = None
-    if not (type(n_steps) is int and n_steps >= 0 and type(spp) is int):  # bool is no count
+    if not (type(n_steps) is int and n_steps >= 0 and type(spp) is int):
         raise ValueError(f"{manifest_path}: needs integer steps and config.steps_per_period")
     try:
         return load_steps_csv(path, n_steps), manifest

@@ -506,28 +506,22 @@ class TestAnalyzeCommand:
         err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
         assert err == f"error: {steps}: 300 rows, but manifest.json records 600 steps\n"
 
-    @pytest.mark.parametrize("drop", ["steps", "config", "config.steps_per_period"])
-    def test_manifest_without_step_counts_is_named(self, tmp_path, capsys, drop):
+    @pytest.mark.parametrize("edit", ["steps", "config", "config.steps_per_period",
+                                      "steps=true", "steps=-1"])
+    def test_manifest_without_step_counts_is_named(self, tmp_path, capsys, edit):
+        # a bool is an int to Python, and a negative count cannot be allocated
         run_dir = tmp_path / "run"
         assert main(["run", "-O", "steps=300", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
         path = run_dir / "manifest.json"
         manifest = json.loads(path.read_text())
-        if drop == "config.steps_per_period":
+        if edit == "config.steps_per_period":
             del manifest["config"]["steps_per_period"]
+        elif "=" in edit:
+            key, value = edit.split("=")
+            manifest[key] = json.loads(value)
         else:
-            del manifest[drop]
+            del manifest[edit]
         path.write_text(json.dumps(manifest))
-        err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
-        assert err == f"error: {path}: needs integer steps and config.steps_per_period\n"
-
-    @pytest.mark.parametrize("steps", [True, -1])
-    def test_manifest_steps_that_are_no_count_are_named(self, tmp_path, capsys, steps):
-        # a bool is an int to Python, and a negative count cannot be allocated
-        run_dir = tmp_path / "run"
-        assert main(["run", "-O", "steps=600", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
-        path = run_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
-        path.write_text(json.dumps({**manifest, "steps": steps}))
         err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
         assert err == f"error: {path}: needs integer steps and config.steps_per_period\n"
 

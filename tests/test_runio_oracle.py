@@ -4,8 +4,9 @@
 `format(v, ".12g")` per field) and the whole-file `np.genfromtxt` loader.
 The library formats each distinct value of a block of `_BLOCK_ROWS` rows
 once and parses the same blocks with `np.loadtxt` into preallocated columns;
-it must write the same bytes and load the same arrays, with the same dtypes. The pooled tests draw every column from a few values,
-so that values repeat within a block and across block boundaries.
+it must write the same bytes and load the same arrays, with the same dtypes.
+The pooled tests draw every column from a few values, so that values repeat
+within a block and across block boundaries.
 """
 
 import tracemalloc
