@@ -35,6 +35,9 @@ N_BOXES = 20  # log-spaced DFA box sizes
 LAGS = (1, 4, 16, 64)  # aggregation lags, in periods, of the kurtosis decay
 MIN_TAIL = 50  # fewest tail samples a power-law fit accepts
 XMIN_QUANTILE = 0.95  # tails are fitted above this sample quantile
+BIN_WIDTH = 0.05  # chartist-fraction bin width of the regime tables
+BURN_PERIODS = 200  # initial trading periods left out of temporal statistics
+MIN_OBS = 100  # bin population a regime boundary or sigma curve needs
 LOW_CONFIDENCE_BELOW = 1000  # bins with fewer observations are flagged
 
 
@@ -474,8 +477,8 @@ class AnalysisReport:
                 if f.name != "plots"}
 
 
-def check_analysis_options(n_periods: int, bin_width: float, min_obs: int = 100,
-                           burn_periods: int = 0) -> None:
+def check_analysis_options(n_periods: int, bin_width: float = BIN_WIDTH, min_obs: int = MIN_OBS,
+                           burn_periods: int = BURN_PERIODS) -> None:
     """Reject options no report can be built with, given the fewest trading
     periods of any run, so that a caller can check them before any run exists."""
     if not 0.0 < bin_width <= 1.0:
@@ -485,15 +488,17 @@ def check_analysis_options(n_periods: int, bin_width: float, min_obs: int = 100,
     if burn_periods < 0:
         raise ValueError("burn_periods must be >= 0")
     if burn_periods and n_periods <= burn_periods + 16:
-        raise ValueError("burn_periods leaves too little data")
+        raise ValueError(f"burn_periods {burn_periods} leaves too little data: the shortest "
+                         f"run has {n_periods} trading periods, more than {burn_periods + 16} "
+                         "are needed")
 
 
 def analyze_bundles(
     bundles: list[RunBundle],
     steps_per_period: int,
-    bin_width: float = 0.01,
-    min_obs: int = 100,
-    burn_periods: int = 0,
+    bin_width: float = BIN_WIDTH,
+    min_obs: int = MIN_OBS,
+    burn_periods: int = BURN_PERIODS,
 ) -> AnalysisReport:
     """Statistics report over reduced runs.
 

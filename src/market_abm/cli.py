@@ -17,6 +17,8 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .analytics import (BIN_WIDTH, BURN_PERIODS, MIN_OBS, analyze_bundles,
+                        check_analysis_options, reduce_run)
 from .config import SimConfig, dump_config, load_config, parse_overrides
 from .engine import run_seeds, run_simulation
 from .runio import (
@@ -131,12 +133,10 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analytics import analyze_bundles, reduce_run
-
     out_root = _out_root(args.out)
     run_dirs = find_run_dirs(args.indirs)
     if not run_dirs:
-        print(f"no steps.csv found under: {', '.join(args.indirs)}", file=sys.stderr)
+        print(f"error: no steps.csv found under: {', '.join(args.indirs)}", file=sys.stderr)
         return 1
     bundles = []
     spp = None
@@ -183,8 +183,6 @@ def experiment_seeds(scale: float, first_seed: int = 0) -> list[int]:
 
 
 def cmd_reproduce_paper(args) -> int:
-    from .analytics import analyze_bundles, check_analysis_options, reduce_run
-
     scale = args.scale
     if not 0 < scale < float("inf"):  # NaN fails both comparisons
         print("--scale must be finite and > 0", file=sys.stderr)
@@ -251,10 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="statistics report over finished runs")
     p_an.add_argument("--in", dest="indirs", nargs="+", required=True, metavar="DIR")
     p_an.add_argument("--out", required=True)
-    p_an.add_argument("--bin-width", type=float, default=0.01)
-    p_an.add_argument("--min-obs", type=int, default=100,
+    p_an.add_argument("--bin-width", type=float, default=BIN_WIDTH)
+    p_an.add_argument("--min-obs", type=int, default=MIN_OBS,
                       help="bin population needed for regime boundaries and sigma curves")
-    p_an.add_argument("--burn-periods", type=int, default=0,
+    p_an.add_argument("--burn-periods", type=int, default=BURN_PERIODS,
                       help="initial trading periods excluded from temporal statistics")
     p_an.set_defaults(func=cmd_analyze)
 
@@ -270,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--homogeneous", action="store_true",
                        help="all-fundamentalist control market with switching disabled")
     p_rep.add_argument("--workers", type=int, default=_default_workers())
-    p_rep.add_argument("--bin-width", type=float, default=0.05,
+    p_rep.add_argument("--bin-width", type=float, default=BIN_WIDTH,
                        help="chartist-fraction bin width for the regime tables")
-    p_rep.add_argument("--burn-periods", type=int, default=200,
+    p_rep.add_argument("--burn-periods", type=int, default=BURN_PERIODS,
                        help="initial trading periods excluded from temporal statistics")
     p_rep.set_defaults(func=cmd_reproduce_paper)
     return parser

@@ -68,8 +68,9 @@ def write_steps_csv(path: Path, records: StepRecords) -> None:
 
 def load_steps_csv(path: Path, n_rows: int) -> StepRecords:
     """The `n_rows` step records of a steps.csv, parsed one block at a time.
-    Another row count raises a ValueError with the rows the file holds. No
-    more rows are allocated than the file could hold at one byte per field."""
+    Another row count raises a ValueError with the rows the file holds, and a
+    header without every step column one that names those it lacks. No more
+    rows are allocated than the file could hold at one byte per field."""
     path = Path(path)
     capacity = min(n_rows, path.stat().st_size // len(STEP_SCHEMA))
     columns = {name: np.empty(capacity, dtype) for name, dtype in STEP_SCHEMA}
@@ -77,6 +78,8 @@ def load_steps_csv(path: Path, n_rows: int) -> StepRecords:
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         index = {name: j for j, name in enumerate(header)}
+        if missing := [name for name in columns if name not in index]:
+            raise ValueError(f"header lacks step columns: {', '.join(missing)}")
         while lines := list(islice(fh, _BLOCK_ROWS)):
             try:
                 found = lines[0].count(",") + 1  # np.loadtxt holds the other rows to the first
@@ -143,9 +146,9 @@ def write_run(out_dir: Path, run: RunOutput) -> dict:
 def load_run_dir(run_dir: Path) -> tuple[StepRecords, dict]:
     """Step records and manifest; the manifest, written last, is read first.
     A manifest that is not JSON or lacks a non-negative integer `steps` or an
-    integer `config.steps_per_period` (a bool is neither), and a steps.csv with
-    another row count than the manifest's `steps`, raise a ValueError that
-    names the file."""
+    integer `config.steps_per_period` (a bool is neither), and a steps.csv that
+    lacks a step column or has another row count than the manifest's `steps`,
+    raise a ValueError that names the file."""
     run_dir = Path(run_dir)
     manifest_path, path = run_dir / "manifest.json", run_dir / "steps.csv"
     try:

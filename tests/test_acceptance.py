@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from market_abm.analytics import (
+    BIN_WIDTH,
+    BURN_PERIODS,
     MEMH,
+    MIN_OBS,
     MRFM,
     analyze_bundles,
     ensemble_dfa,
@@ -30,9 +33,6 @@ from market_abm.runio import write_steps_csv
 from oracles import NaiveBook
 
 DESK_SCALE = 0.1
-BIN_WIDTH = 0.05
-MIN_OBS = 100
-BURN_PERIODS = 200
 WORKERS = 2
 
 

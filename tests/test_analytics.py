@@ -387,10 +387,13 @@ class TestHelpers:
 
     def test_analysis_options_at_their_bounds(self):
         # the widest admissible options pass; one step past any bound fails
-        check_analysis_options(2, bin_width=1.0, min_obs=1)
+        check_analysis_options(2, bin_width=1.0, min_obs=1, burn_periods=0)
         check_analysis_options(217, 0.05, burn_periods=200)
+        with pytest.raises(ValueError) as exc:
+            check_analysis_options(216, 0.05, burn_periods=200)
+        assert str(exc.value) == ("burn_periods 200 leaves too little data: the shortest run "
+                                  "has 216 trading periods, more than 216 are needed")
         for n_periods, options, message in (
-            (216, {"burn_periods": 200}, "too little data"),
             (100, {"bin_width": 0.0}, "bin_width"),
             (100, {"bin_width": 1.5}, "bin_width"),
             (100, {"min_obs": 0}, "min_obs"),
@@ -403,7 +406,7 @@ class TestHelpers:
 class TestRunBundles:
     @pytest.fixture(scope="class")
     def records(self):
-        # 60 periods: enough for a DFA fit (44) after the default burn of 0
+        # 60 periods: enough for a DFA fit (44) with no burn-in
         return run_simulation(experiment_config(1.0, False, {"steps": 6000, "seed": 3})).records
 
     def test_period_series_own_their_data(self, records):
@@ -417,7 +420,7 @@ class TestRunBundles:
         flat = copy.deepcopy(records)
         flat.price[:] = 300.0
         bundles = [reduce_run(flat, 100), reduce_run(flat, 100)]
-        report = analyze_bundles(bundles, 100)
+        report = analyze_bundles(bundles, 100, bin_width=0.01, burn_periods=0)
         assert report.aggregational_gaussianity["lags"] == [1, 4, 16, 64]
         assert report.aggregational_gaussianity["excess_kurtosis"] == [None] * 4
         # 60 closes leave differences at lags 1, 4 and 16 but none at 64
@@ -432,7 +435,8 @@ class TestRunBundles:
         # entries carry the rejection, the other kinds still get an exponent
         flat = copy.deepcopy(records)
         flat.price[:] = 300.0
-        report = analyze_bundles([reduce_run(flat, 100), reduce_run(flat, 100)], 100)
+        report = analyze_bundles([reduce_run(flat, 100), reduce_run(flat, 100)], 100,
+                                 bin_width=0.01, burn_periods=0)
         for kind in ("return", "volatility"):
             assert report.hurst[kind] == {
                 "error": "constant series: fluctuation function is identically zero"}

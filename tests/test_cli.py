@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import os
@@ -17,6 +18,8 @@ import pytest
 
 import market_abm
 from market_abm import cli, engine
+from market_abm.analytics import (BIN_WIDTH, BURN_PERIODS, MIN_OBS, analyze_bundles,
+                                  check_analysis_options)
 from market_abm.cli import main
 from market_abm.config import SimConfig, dump_config, load_config, parse_overrides
 
@@ -525,6 +528,15 @@ class TestAnalyzeCommand:
         err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
         assert err == f"error: {path}: needs integer steps and config.steps_per_period\n"
 
+    def test_steps_csv_without_a_step_column_is_named(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["run", "-O", "steps=300", "-O", "n_agents=50", "--out", str(run_dir)]) == 0
+        steps = run_dir / "steps.csv"
+        header, body = steps.read_text().split("\n", 1)
+        steps.write_text(header.replace("depth", "depht") + "\n" + body)
+        err = self.analyze_error([run_dir], tmp_path / "analysis", capsys)
+        assert err == f"error: {steps}: header lacks step columns: depth\n"
+
     def test_manifest_steps_beyond_the_file_report_its_rows(self, tmp_path, capsys):
         # no more rows are allocated than steps.csv could hold
         run_dir = tmp_path / "run"
@@ -545,8 +557,9 @@ class TestAnalyzeCommand:
 
         def peak(run_dirs, out):
             tracemalloc.start()
-            try:
-                assert main(["analyze", "--in", *map(str, run_dirs), "--out", str(out)]) == 0
+            try:  # 200 periods: too few for the default burn-in
+                assert main(["analyze", "--in", *map(str, run_dirs), "--out", str(out),
+                             "--bin-width", "0.01", "--burn-periods", "0"]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -592,7 +605,7 @@ class TestAnalyzeCommand:
 
     def test_no_runs_found(self, tmp_path, capsys):
         assert main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path / "a")]) == 1
-        assert "steps.csv" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: no steps.csv found under: {tmp_path}\n"
 
     @pytest.mark.parametrize("option, message", [
         (["--bin-width", "0"], "bin_width must be in (0, 1]"),
@@ -666,7 +679,8 @@ class TestReproduceCommand:
     @pytest.mark.parametrize("option, message", [
         (["--scale", "0.003", "--bin-width", "0"], "bin_width must be in (0, 1]"),
         # 1e4 steps are 100 periods, too few for the default 200-period burn-in
-        (["--scale", "0.01"], "burn_periods leaves too little data"),
+        (["--scale", "0.01"], "burn_periods 200 leaves too little data: the shortest run has "
+                              "100 trading periods, more than 216 are needed"),
         (["--scale", "0.003", "--burn-periods", "-1"], "burn_periods must be >= 0"),
     ])
     def test_bad_analysis_option_fails_before_any_run(self, tmp_path, capsys, option, message):
@@ -676,6 +690,19 @@ class TestReproduceCommand:
         assert captured.err.strip() == f"error: {message}"
         assert "seed" not in captured.out
         assert not (out / "runs").exists()
+
+
+def test_analysis_defaults_are_the_analytics_constants():
+    # analyze, reproduce-paper and the library default to the recipe's analysis
+    recipe = {"bin_width": BIN_WIDTH, "burn_periods": BURN_PERIODS, "min_obs": MIN_OBS}
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    for command, names in (("analyze", ("bin_width", "burn_periods", "min_obs")),
+                           ("reproduce-paper", ("bin_width", "burn_periods"))):
+        defaults = {name: subparsers[command].get_default(name) for name in names}
+        assert defaults == {name: recipe[name] for name in names}, command
+    for function in (analyze_bundles, check_analysis_options):
+        parameters = inspect.signature(function).parameters
+        assert {name: parameters[name].default for name in recipe} == recipe, function.__name__
 
 
 def test_version_flag(capsys):

@@ -61,7 +61,7 @@ EXTRA_FILES = {
     "lob_5000.csv": "fb7f1aa6359f226e9dc948335e2a5ea287406440de8e46eb0e24bb88efd36268",
 }
 
-# `analyze` over the two runs; thin thresholds so every curve is written.
+# `analyze` over the two runs, with thin thresholds, at the default bin width.
 ANALYZE_ARGS = ["--burn-periods", "5", "--min-obs", "2"]
 ANALYSIS_FILES = {
     "analysis.json": "24addb76a85b94dab6b176453a3680ccf2f6897f9eb10d3c7406d6e7bdd40a93",
@@ -75,6 +75,18 @@ ANALYSIS_FILES = {
     "fn_spread.csv": "07fd89f84a32966c64d58dd0dab69a2c39e724d06a0e0efdf514c734ad3cad8d",
     "fn_volatility.csv": "7f59a6f0d243840ca1251bb37c19e658ae82bf2cb1160a44cc5bf4bc7bccb42a",
     "fn_volume.csv": "49827a8c5f247aa8c32a23d362b65ae49b8ea298de39d3ab2f9781f5c28f309b",
+    "ne_vs_pc_first_gap.csv": "e80e0f174887599c1025f1537ec6c57b769aba5da62a807205482dae9d37f721",
+    "ne_vs_pc_spread.csv": "94a81da1e873dca62c95ebb4f79e3e28b2d1c8a22273cbad0f1e4012bdcd6777",
+    "ne_vs_pc_volatility.csv": "fbc20c3cbb26d9aa61b65175966d95838ba8be97b1ebca2e4162436362a10eb8",
+    "sigma_vs_pc_first_gap.csv": "7e5a8549271a83b2e9b660d90fce6f795f4f0498f7a84fbe96ff1db3fc70f6cd",
+    "sigma_vs_pc_spread.csv": "5337804afb12ea4a010a0a6773ab325e64e496e0d53d2de1632ee2afb706f478",
+    "sigma_vs_pc_volatility.csv": "5e27cefe98dc46aff55a2953efa16fbbec5aaef3910573ea1a40484563c77c35",
+}
+# The files that differ at `--bin-width 0.01`, fine enough that every sigma
+# curve is written.
+FINE_BINS = ["--bin-width", "0.01"]
+FINE_BIN_FILES = {
+    "analysis.json": "24addb76a85b94dab6b176453a3680ccf2f6897f9eb10d3c7406d6e7bdd40a93",
     "ne_vs_pc_first_gap.csv": "e80e0f174887599c1025f1537ec6c57b769aba5da62a807205482dae9d37f721",
     "ne_vs_pc_spread.csv": "94a81da1e873dca62c95ebb4f79e3e28b2d1c8a22273cbad0f1e4012bdcd6777",
     "ne_vs_pc_volatility.csv": "fbc20c3cbb26d9aa61b65175966d95838ba8be97b1ebca2e4162436362a10eb8",
@@ -137,10 +149,16 @@ def test_golden_snapshot_and_fundamental(filename, golden_root):
     assert sha256_file(dirs[EXTRA_RUN] / filename) == EXTRA_FILES[filename]
 
 
-def test_golden_analysis(golden_root, tmp_path, capsys):
-    root = golden_root[0]
-    out = tmp_path / "analysis"
-    assert main(["analyze", "--in", str(root), "--out", str(out), *ANALYZE_ARGS]) == 0
-    capsys.readouterr()
-    written = {p.name: sha256_file(p) for p in out.iterdir()}
-    assert written == ANALYSIS_FILES
+def analysis_digests(root, out, *extra_args) -> dict:
+    """sha256 of each file `analyze` writes over the golden runs."""
+    assert main(["analyze", "--in", str(root), "--out", str(out), *ANALYZE_ARGS, *extra_args]) == 0
+    return {p.name: sha256_file(p) for p in out.iterdir()}
+
+
+def test_golden_analysis(golden_root, tmp_path):
+    assert analysis_digests(golden_root[0], tmp_path / "analysis") == ANALYSIS_FILES
+
+
+def test_golden_analysis_fine_bins(golden_root, tmp_path):
+    written = analysis_digests(golden_root[0], tmp_path / "analysis", *FINE_BINS)
+    assert written == {**ANALYSIS_FILES, **FINE_BIN_FILES}
