@@ -64,7 +64,7 @@ EXTRA_FILES = {
 # `analyze` over the two runs, with thin thresholds, at the default bin width.
 ANALYZE_ARGS = ["--burn-periods", "5", "--min-obs", "2"]
 ANALYSIS_FILES = {
-    "analysis.json": "24addb76a85b94dab6b176453a3680ccf2f6897f9eb10d3c7406d6e7bdd40a93",
+    "analysis.json": "3eb926a2f36b4062e3f61c56f5610da8ecf8dc38da568515637661031209a5d0",
     "ccdf_first_gap.csv": "77c575943a665d8f325bc3600e1fd82d86e621531af324ca4b6a0602101f5746",
     "ccdf_return_negative.csv": "ae10cbb4d1c961017d8b87ed053baa11a3af9fde980e7ca258dd15a0db498f92",
     "ccdf_return_positive.csv": "9666b3ad09f11f9ad454a9b7635d823b65d95d8552e3fff987a09efe032d8f6a",
@@ -75,12 +75,9 @@ ANALYSIS_FILES = {
     "fn_spread.csv": "07fd89f84a32966c64d58dd0dab69a2c39e724d06a0e0efdf514c734ad3cad8d",
     "fn_volatility.csv": "7f59a6f0d243840ca1251bb37c19e658ae82bf2cb1160a44cc5bf4bc7bccb42a",
     "fn_volume.csv": "49827a8c5f247aa8c32a23d362b65ae49b8ea298de39d3ab2f9781f5c28f309b",
-    "ne_vs_pc_first_gap.csv": "e80e0f174887599c1025f1537ec6c57b769aba5da62a807205482dae9d37f721",
-    "ne_vs_pc_spread.csv": "94a81da1e873dca62c95ebb4f79e3e28b2d1c8a22273cbad0f1e4012bdcd6777",
-    "ne_vs_pc_volatility.csv": "fbc20c3cbb26d9aa61b65175966d95838ba8be97b1ebca2e4162436362a10eb8",
-    "sigma_vs_pc_first_gap.csv": "7e5a8549271a83b2e9b660d90fce6f795f4f0498f7a84fbe96ff1db3fc70f6cd",
-    "sigma_vs_pc_spread.csv": "5337804afb12ea4a010a0a6773ab325e64e496e0d53d2de1632ee2afb706f478",
-    "sigma_vs_pc_volatility.csv": "5e27cefe98dc46aff55a2953efa16fbbec5aaef3910573ea1a40484563c77c35",
+    "ne_vs_pc_first_gap.csv": "d8bb6e495b94813e2ce523e067f96e1d557e2626804746a2587e041994c7b33c",
+    "ne_vs_pc_spread.csv": "c6812fd13c047dad793cc0a1673d75ec956823121da3aaa0f20ac0ed8a77ec3d",
+    "ne_vs_pc_volatility.csv": "b201c9855718fd9d2a09bf1e34a657ab8d510b8fb924e2969af27177adf784e1",
 }
 # The files that differ at `--bin-width 0.01`, fine enough that every sigma
 # curve is written.
