@@ -29,7 +29,8 @@ import numpy as np
 # benchmark's tracer wraps them, and tests run the loop against them.
 from .book import BUY, NO_TICK, OrderBook, OrderIntent, Trade, current_price  # noqa: F401
 from .config import SimConfig
-from .expectations import decide_order, draw_k, expected_price, rolling_sigma  # noqa: F401
+from .expectations import decide_order, rolling_sigma, sigma_bounds
+from .expectations import draw_k, expected_price  # noqa: F401
 from .fundamental import fundamental_path
 from .population import (
     FUNDAMENTALIST, OPTIMIST, PESSIMIST, Population, apply_switching, average_price_trend,
@@ -37,6 +38,7 @@ from .population import (
 
 _BAND_EPS = 1e-12  # relative slack so exact boundary prices stay inside the band
 _DRAW_BLOCK_DOUBLES = 32_768  # switching uniforms drawn at once: 256 KiB, 64 sweeps of 500 agents
+_TRADE_BLOCK = 4_096  # steps of trader picks, noises and offsets drawn at once: 32 KiB each
 
 
 def _column(dtype) -> dataclasses.Field:
@@ -171,16 +173,6 @@ def settle_trade(cash_ticks, shares, trade: Trade) -> None:
         raise RuntimeError(f"settle at step {trade.step}: negative holdings after settle")
 
 
-def pick_agent(next_uint32, state, n: int) -> int:
-    """`rng.integers(n)`, 1 <= n <= 2**32, as numpy draws it from the ctypes
-    `next_uint32` and `state` of rng's bit generator (Lemire's method, no draw
-    for n = 1), without the argument handling that is most of numpy's cost."""
-    m = next_uint32(state) * n if n > 1 else 0
-    while m & 0xFFFFFFFF < (2**32 - n) % n:
-        m = next_uint32(state) * n
-    return m >> 32
-
-
 def check_escrow(book: OrderBook) -> None:
     """The book's running escrow must equal what its resting orders pledge,
     per agent: the ticks of its bids in cash and one share per ask."""
@@ -202,15 +194,11 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     horizon_f, horizon_c = config.horizon_f, config.horizon_c
     k_scale = config.k_scale
 
-    seed_seq = np.random.SeedSequence(config.seed)
-    fund_ss, switch_ss, trade_ss = seed_seq.spawn(3)
+    fund_ss, switch_ss, trade_ss = np.random.SeedSequence(config.seed).spawn(3)
     rng_switch = np.random.default_rng(switch_ss)
-    rng_trade = np.random.default_rng(trade_ss)
-    # The trader pick draws from the bit generator directly; the expectation
-    # noise and the reservation offset are scalar draws from the trade stream.
-    trade_bitgen = rng_trade.bit_generator.ctypes
-    next_uint32, trade_state = trade_bitgen.next_uint32, trade_bitgen.state
-    normal, exponential = rng_trade.standard_normal, rng_trade.standard_exponential
+    # a stream each for the trader pick, the expectation noise and the reservation offset
+    rng_pick, rng_noise, rng_offset = map(np.random.default_rng, trade_ss.spawn(3))
+    block = _TRADE_BLOCK
 
     fv = fundamental_path(config.pf0, config.sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
     fv_at = memoryview(fv)
@@ -264,6 +252,12 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     gamma_c = config.gamma_c
     band = config.band
     lo, hi = circuit_breaker(config.p0, band)
+    sigma_at = sigma_bounds(price, horizon_c, spp, rolling_sigma)
+
+    def chartist_order(agent, sign, sigma_tau, z, p, k):  # sign: 1.0 optimist, -1.0 pessimist
+        expectation = p + sign * abs(sigma_tau / gamma_c * z)
+        return decide_order(agent, horizon_c, max(expectation, tick), p, k, tick)
+
     p_prev = float(price[0])  # price[t - 1]; a Python float computes the same values faster
     for t in range(1, n_steps + 1):
         # new trading period: the band anchor moved, purge stale out-of-band orders
@@ -289,26 +283,33 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
         # The trader's expectation (floored at one tick) and its reservation
         # offset, computed as expected_price and draw_k compute them.
-        agent = pick_agent(next_uint32, trade_state, n_agents)
+        j = (t - 1) % block
+        if j == 0:
+            picks = memoryview(rng_pick.integers(n_agents, size=block))
+            noise = memoryview(rng_noise.standard_normal(block))
+            offsets = memoryview(rng_offset.standard_exponential(block))
+        agent = picks[j]
         agent_type = kinds[agent]
         p_f_now = fv_at[t]
         if p_f_now <= 0.0:
             raise ValueError("prices must be > 0")
+        k = k_scale * offsets[j]
         if agent_type == FUNDAMENTALIST:
-            horizon = horizon_f
-            expectation = p_f_now * (1.0 + noise_f * normal())
+            expectation = p_f_now * (1.0 + noise_f * noise[j])
+            if tick > expectation:  # max(expectation, tick), NaN passing through
+                expectation = tick
+            intent = decide_order(agent, horizon_f, expectation, p_prev, k, tick)
+        elif agent_type == OPTIMIST or agent_type == PESSIMIST:
+            # The order is monotone in sigma: where both bounds on rolling_sigma's
+            # value give one order, so does that value.
+            sign, z = 1.0 if agent_type == OPTIMIST else -1.0, noise[j]
+            low, high = sigma_at(t)
+            intent = chartist_order(agent, sign, low, z, p_prev, k)
+            if high != low and chartist_order(agent, sign, high, z, p_prev, k) != intent:
+                sigma_tau = rolling_sigma(price, t, horizon_c)
+                intent = chartist_order(agent, sign, sigma_tau, z, p_prev, k)
         else:
-            horizon = horizon_c
-            sigma_tau = rolling_sigma(price, t, horizon_c)
-            if agent_type == OPTIMIST:
-                expectation = p_prev + abs(sigma_tau / gamma_c * normal())
-            elif agent_type == PESSIMIST:
-                expectation = p_prev - abs(sigma_tau / gamma_c * normal())
-            else:
-                raise ValueError(f"unknown agent type {agent_type}")
-        if tick > expectation:  # max(expectation, tick), NaN passing through
-            expectation = tick
-        intent = decide_order(agent, horizon, expectation, p_prev, k_scale * exponential(), tick)
+            raise ValueError(f"unknown agent type {agent_type}")
 
         # The band, then the budget as enforce_budget checks it: a buy needs
         # cash for what it would pay (the best ask when it crosses, else its

@@ -43,7 +43,6 @@ from market_abm.engine import (
     check_escrow,
     circuit_breaker,
     enforce_budget,
-    pick_agent,
     settle_trade,
 )
 from market_abm.expectations import decide_order, draw_k, expected_price, rolling_sigma
@@ -478,9 +477,11 @@ def scan_purge(book: OrderBook, lo: float, hi: float) -> None:
 
 def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     """`run_simulation`'s step loop before it inlined its step helpers: it
-    calls expected_price, draw_k, decide_order, enforce_budget and
-    current_price once per step, and purges out-of-band levels by
-    `scan_purge`. The library's run must match it bit for bit."""
+    draws the trader, the expectation noise and the reservation offset one
+    step at a time, calls rolling_sigma on every chartist step and
+    expected_price, draw_k, decide_order, enforce_budget and current_price
+    once per step, and purges out-of-band levels by `scan_purge`. The
+    library's run must match it bit for bit."""
     config.validate()
     n_steps = config.steps
     snapshot_at = set(int(s) for s in lob_snapshot_steps)
@@ -497,8 +498,9 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     seed_seq = np.random.SeedSequence(config.seed)
     fund_ss, switch_ss, trade_ss = seed_seq.spawn(3)
     rng_switch = np.random.default_rng(switch_ss)
-    rng_trade = np.random.default_rng(trade_ss)
-    bitgen = rng_trade.bit_generator.ctypes  # the trader pick draws from it directly
+    # one stream each for the trader pick, the expectation noise and the
+    # reservation offset, drawn one step at a time
+    rng_pick, rng_noise, rng_offset = map(np.random.default_rng, trade_ss.spawn(3))
 
     fv = fundamental_path(config.pf0, config.sigma_eps, dt, n_steps, np.random.default_rng(fund_ss))
     fv_at = memoryview(fv)
@@ -574,7 +576,7 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
 
         p_f_now = fv_at[t]
 
-        agent = pick_agent(bitgen.next_uint32, bitgen.state, n_agents)
+        agent = int(rng_pick.integers(n_agents))
         agent_type = kinds[agent]
         if agent_type == FUNDAMENTALIST:
             sigma_tau = 0.0
@@ -582,8 +584,8 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         else:
             sigma_tau = rolling_sigma(price, t, horizon_c)
             horizon = horizon_c
-        expectation = expected_price(agent_type, p_prev, p_f_now, sigma_tau, config, rng_trade)
-        k = draw_k(rng_trade, k_scale)
+        expectation = expected_price(agent_type, p_prev, p_f_now, sigma_tau, config, rng_noise)
+        k = draw_k(rng_offset, k_scale)
         intent = decide_order(agent, horizon, expectation, p_prev, k, tick)
 
         trade = None

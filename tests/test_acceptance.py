@@ -34,11 +34,21 @@ from oracles import NaiveBook
 
 DESK_SCALE = 0.1
 WORKERS = 2
+QUANTITIES = ("volatility", "spread", "first_gap")  # the regime and peak checks' quantities
+
+
+def check_each(lines) -> None:
+    """Print each (label, ok, detail) line's [PASS]/[FAIL], then fail on
+    those that failed, so one failure hides no other quantity's line."""
+    lines = list(lines)
+    for label, ok, detail in lines:
+        print(f"[{'PASS' if ok else 'FAIL'}] {label}" + (f" ({detail})" if detail else ""))
+    failed = [f"{label}: {detail}" for label, ok, detail in lines if not ok]
+    assert not failed, "; ".join(failed)
 
 
 def check(label: str, ok: bool, detail: str = "") -> None:
-    print(f"[{'PASS' if ok else 'FAIL'}] {label}" + (f" ({detail})" if detail else ""))
-    assert ok, f"{label}: {detail}"
+    check_each([(label, ok, detail)])
 
 
 def desk_runs(cfg):
@@ -83,21 +93,25 @@ def qualified_bins(report, quantity):
 
 def test_c1_hurst_near_half(homog):
     _, _, report, _ = homog
+    lines = []
     for kind in ("return", "volatility", "spread", "first_gap", "volume"):
         h = report.hurst[kind].get("h")
-        check(f"C1 homogeneous Hurst[{kind}] in 0.5 +- 0.07", h is not None and 0.43 <= h <= 0.57,
-              f"h={h:.3f}" if h is not None else "undefined")
+        lines.append((f"C1 homogeneous Hurst[{kind}] in 0.5 +- 0.07",
+                      h is not None and 0.43 <= h <= 0.57,
+                      f"h={h:.3f}" if h is not None else "undefined"))
+    check_each(lines)
 
 
 def test_c1_no_heavy_tails(homog):
     _, runs, report, _ = homog
     # the fitted exponent's error band must exclude every heterogeneous-market
     # table value (1.53 - 2.03): these tails are far steeper
+    lines = []
     for name, fit in report.tails.items():
         assert "alpha" in fit, f"tail fit failed for {name}: {fit}"
         low = fit["alpha"] - 2 * fit["stderr"]
-        check(f"C1 {name} tail steeper than any heavy-tail table value", low > 2.03,
-              f"alpha={fit['alpha']:.2f} -2se={low:.2f}")
+        lines.append((f"C1 {name} tail steeper than any heavy-tail table value", low > 2.03,
+                      f"alpha={fit['alpha']:.2f} -2se={low:.2f}"))
     # CCDF consistency with (at most) exponential decay: beyond the top-5%
     # threshold, exceedances must not outlive the fitted exponential bound
     from market_abm.analytics import period_series
@@ -114,8 +128,9 @@ def test_c1_no_heavy_tails(homog):
         scale = excess.mean()
         observed = np.mean(x > x0 + 3 * scale)
         bound = 5 * 0.05 * math.exp(-3)
-        check(f"C1 {key} CCDF consistent with exponential decay", observed <= bound,
-              f"P(X>q95+3m)={observed:.2e} bound={bound:.2e}")
+        lines.append((f"C1 {key} CCDF consistent with exponential decay", observed <= bound,
+                      f"P(X>q95+3m)={observed:.2e} bound={bound:.2e}"))
+    check_each(lines)
 
 
 def test_c1_runtime_target(homog):
@@ -134,9 +149,9 @@ def test_c2_return_hurst(hetero):
 
 def test_c2_long_memory_hurst(hetero):
     _, _, report = hetero
-    for kind in ("volatility", "spread", "first_gap", "volume"):
-        h = report.hurst[kind]["h"]
-        check(f"C2 {kind} Hurst > 0.65", h > 0.65, f"h={h:.3f}")
+    check_each((f"C2 {kind} Hurst > 0.65", h > 0.65, f"h={h:.3f}")
+               for kind in ("volatility", "spread", "first_gap", "volume")
+               for h in [report.hurst[kind]["h"]])
 
 
 def test_c2_tail_spread(hetero):
@@ -153,9 +168,9 @@ def test_c2_tail_first_gap(hetero):
 
 def test_c2_tail_returns(hetero):
     _, _, report = hetero
-    for name in ("return_positive", "return_negative"):
-        alpha = report.tails[name]["alpha"]
-        check(f"C2 {name} tail alpha in [1.5, 2.5]", 1.5 <= alpha <= 2.5, f"alpha={alpha:.2f}")
+    check_each((f"C2 {name} tail alpha in [1.5, 2.5]", 1.5 <= alpha <= 2.5, f"alpha={alpha:.2f}")
+               for name in ("return_positive", "return_negative")
+               for alpha in [report.tails[name]["alpha"]])
 
 
 # -- criterion 3: regime structure -------------------------------------------
@@ -163,30 +178,32 @@ def test_c2_tail_returns(hetero):
 
 def test_c3_memh_contiguous_at_low_pc(hetero):
     _, _, report = hetero
-    for quantity in ("volatility", "spread", "first_gap"):
+    lines = []
+    for quantity in QUANTITIES:
         bins = qualified_bins(report, quantity)
         first_mrfm = next((i for i, b in enumerate(bins) if b["label"] == MRFM), None)
         ok = first_mrfm is not None and first_mrfm >= 3 and all(
             b["label"] == MEMH for b in bins[:first_mrfm]
         )
-        check(f"C3 {quantity}: contiguous MEMH below the MRFM band", ok,
-              f"first MRFM index={first_mrfm}")
+        lines.append((f"C3 {quantity}: contiguous MEMH below the MRFM band", ok,
+                      f"first MRFM index={first_mrfm}"))
+    check_each(lines)
 
 
 def test_c3_mrfm_onset_window(hetero):
     _, _, report = hetero
-    for quantity in ("volatility", "spread", "first_gap"):
-        onset = report.regimes[quantity]["mrfm_start"]
-        ok = onset is not None and 0.35 <= onset <= 0.50
-        check(f"C3 {quantity}: MRFM onset in [0.35, 0.50]", ok, f"onset={onset}")
+    check_each((f"C3 {quantity}: MRFM onset in [0.35, 0.50]",
+                onset is not None and 0.35 <= onset <= 0.50, f"onset={onset}")
+               for quantity in QUANTITIES
+               for onset in [report.regimes[quantity]["mrfm_start"]])
 
 
 def test_c3_mmc_onset_window(hetero):
     _, _, report = hetero
-    for quantity in ("volatility", "spread", "first_gap"):
-        onset = report.regimes[quantity]["mmc_start"]
-        ok = onset is not None and 0.80 <= onset <= 0.90
-        check(f"C3 {quantity}: MMC onset in 0.85 +- 0.05", ok, f"onset={onset}")
+    check_each((f"C3 {quantity}: MMC onset in 0.85 +- 0.05",
+                onset is not None and 0.80 <= onset <= 0.90, f"onset={onset}")
+               for quantity in QUANTITIES
+               for onset in [report.regimes[quantity]["mmc_start"]])
 
 
 def test_c3_depth_monotone_spearman(hetero):
@@ -201,18 +218,18 @@ def test_c3_depth_monotone_spearman(hetero):
 
 def test_c4_sigma_peak_position(hetero):
     _, _, report = hetero
-    for quantity in ("volatility", "spread", "first_gap"):
-        peak = report.sigma_peaks[quantity].get("argmax_pc")
-        ok = peak is not None and 0.78 <= peak <= 0.92
-        check(f"C4 {quantity}: sigma curve peaks in 0.85 +- 0.07", ok, f"argmax={peak}")
+    check_each((f"C4 {quantity}: sigma curve peaks in 0.85 +- 0.07",
+                peak is not None and 0.78 <= peak <= 0.92, f"argmax={peak}")
+               for quantity in QUANTITIES
+               for peak in [report.sigma_peaks[quantity].get("argmax_pc")])
 
 
 def test_c4_sigma_drop_above_peak(hetero):
     _, _, report = hetero
-    for quantity in ("volatility", "spread", "first_gap"):
-        drop = report.sigma_peaks[quantity].get("drop_above_peak")
-        ok = drop is not None and drop > 0.80
-        check(f"C4 {quantity}: sigma drops > 80% above the peak", ok, f"drop={drop}")
+    check_each((f"C4 {quantity}: sigma drops > 80% above the peak",
+                drop is not None and drop > 0.80, f"drop={drop}")
+               for quantity in QUANTITIES
+               for drop in [report.sigma_peaks[quantity].get("drop_above_peak")])
 
 
 # -- criterion 5: aggregational Gaussianity -----------------------------------
@@ -223,11 +240,13 @@ def test_c5_kurtosis_decays_toward_fundamental(hetero):
     kurt = report.aggregational_gaussianity["excess_kurtosis"]
     fv_kurt = report.aggregational_gaussianity["fv_excess_kurtosis"]
     inversions = sum(1 for a, b in zip(kurt, kurt[1:]) if b > a)
-    check("C5 kurtosis decreasing over lags {1,4,16,64} (<= 1 inversion)", inversions <= 1,
-          f"kurt={[round(k, 2) for k in kurt]}")
     gap = abs(kurt[-1] - fv_kurt[-1])
-    check("C5 largest-lag kurtosis within 1.0 of fundamental-value kurtosis", gap <= 1.0,
-          f"|{kurt[-1]:.2f} - {fv_kurt[-1]:.2f}| = {gap:.2f}")
+    check_each([
+        ("C5 kurtosis decreasing over lags {1,4,16,64} (<= 1 inversion)", inversions <= 1,
+         f"kurt={[round(k, 2) for k in kurt]}"),
+        ("C5 largest-lag kurtosis within 1.0 of fundamental-value kurtosis", gap <= 1.0,
+         f"|{kurt[-1]:.2f} - {fv_kurt[-1]:.2f}| = {gap:.2f}"),
+    ])
 
 
 # -- criterion 6: analytics oracles -------------------------------------------

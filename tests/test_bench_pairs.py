@@ -72,6 +72,29 @@ def test_digests_equal(summary):
     assert summary["runs"]["control-seed1-trace0"]["digests_equal"] is False
 
 
+def test_digests_stable(summary):
+    # control's change moves its digest between pairs; a re-pin moves it in every pair
+    assert summary["runs"]["hetero-seed1-trace0"]["digests_stable"] == {"parent": True,
+                                                                       "change": True}
+    assert summary["runs"]["control-seed1-trace0"]["digests_stable"] == {"parent": True,
+                                                                        "change": False}
+
+
+def test_a_repin_is_stable_but_not_equal(tmp_path):
+    archive = tmp_path / "archive"
+    archive.mkdir()
+    for side, digest in (("parent", "old"), ("change", "new")):
+        for pair in (0, 1):
+            path = archive / f"{side}-control-seed1-trace0-pair{pair}.json"
+            path.write_text(json.dumps(report(side, "control", pair, digest)))
+    out = tmp_path / "BENCH_repin.json"
+    bench_pairs.main(["summarize", "--archive", str(archive), "--label", "repin",
+                      "--out", str(out)])
+    entry = json.loads(out.read_text())["runs"]["control-seed1-trace0"]
+    assert entry["digests_equal"] is False
+    assert entry["digests_stable"] == {"parent": True, "change": True}
+
+
 def test_higher_is_better_metric(summary):
     m = summary["runs"]["hetero-seed1-trace0"]["metrics"]["sim_steps_per_s"]
     assert m["better"] == "higher" and m["unit"] == "steps/s"

@@ -17,7 +17,6 @@ from market_abm.engine import (
     check_escrow,
     circuit_breaker,
     enforce_budget,
-    pick_agent,
     run_seeds,
     run_simulation,
     settle_trade,
@@ -212,21 +211,44 @@ def test_small_runs_keep_escrow(n_agents, steps, seed, switch_mode, horizon, ini
     assert len(out.records) == steps
 
 
-class TestPickAgent:
+class TestTradeStreams:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 500, 2**31 + 1, 2**32 - 1, 2**32])
-    def test_draws_what_rng_integers_draws(self, n):
-        # each step draws its trader, then a normal and an exponential, from
-        # one generator; the pick must leave that stream as rng.integers
-        # leaves it. n = 2**31 + 1 rejects about half of its 32-bit draws,
-        # 2**32 takes them whole and 1 takes none.
-        expected, got = np.random.default_rng(n), np.random.default_rng(n)
-        bitgen = got.bit_generator.ctypes
-        for _ in range(2000):
-            agent = pick_agent(bitgen.next_uint32, bitgen.state, n)
-            assert type(agent) is int
-            assert agent == expected.integers(n)
-            assert got.standard_normal() == expected.standard_normal()
-            assert got.standard_exponential() == expected.standard_exponential()
+    def test_block_draws_equal_scalar_draws(self, n):
+        # the trader pick, the expectation noise and the reservation offset
+        # come from three streams spawned off the trade stream; drawn in
+        # blocks, each must read as one scalar draw per step. n = 2**31 + 1
+        # rejects about half of its 32-bit draws, 2**32 takes them whole and
+        # 1 takes none.
+        def streams():
+            trade_ss = np.random.SeedSequence(n).spawn(3)[2]
+            return [np.random.default_rng(ss) for ss in trade_ss.spawn(3)]
+
+        for block in (1, 7, engine._TRADE_BLOCK):
+            (pick, noise, offset), (pick1, noise1, offset1) = streams(), streams()
+            steps, blocks = 2 * block + 3, range(2 + -(-3 // block))  # ends inside a block
+            picks = np.concatenate([pick.integers(n, size=block) for _ in blocks])[:steps]
+            normals = np.concatenate([noise.standard_normal(block) for _ in blocks])[:steps]
+            exps = np.concatenate([offset.standard_exponential(block) for _ in blocks])[:steps]
+            assert picks.tolist() == [pick1.integers(n) for _ in range(steps)]
+            assert normals.tolist() == [noise1.standard_normal() for _ in range(steps)]
+            assert exps.tolist() == [offset1.standard_exponential() for _ in range(steps)]
+
+    def test_run_does_not_depend_on_the_block_length(self, monkeypatch):
+        # two blocks of the default length and a part of a third
+        cfg = small_config(steps=2 * engine._TRADE_BLOCK + 300, init_frac_f=0.15,
+                           init_frac_opt=0.425, init_cash=450.0, init_shares=1)
+        runs = []
+        for block in (1, 7, engine._TRADE_BLOCK):
+            monkeypatch.setattr(engine, "_TRADE_BLOCK", block)
+            runs.append(run_simulation(cfg))
+        assert len(runs[0].trades) > 0
+        for other in runs[1:]:
+            for name in engine.STEP_COLUMNS:
+                assert getattr(other.records, name).tobytes() == \
+                    getattr(runs[0].records, name).tobytes(), name
+            for name in engine.TRADE_COLUMNS:
+                assert getattr(other.trades, name).tobytes() == \
+                    getattr(runs[0].trades, name).tobytes(), name
 
 
 class TestRunSimulation:

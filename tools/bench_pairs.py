@@ -15,7 +15,11 @@ non-zero, or whose result says `correct: false`, stops the pairs with an
 error that names its side and pair; its report is not archived.
 
 `summarize` reads every archived report. For each workload, seed and trace
-mode, and for each metric, it writes the per-side median and quartiles,
+mode it writes whether each pair's two reports carry the same digests
+(`digests_equal`) and, per side, whether every report repeats that side's
+first digests (`digests_stable`): a change that moves the trajectories on
+purpose shows `digests_equal` false and `digests_stable` true. For each
+metric it writes the per-side median and quartiles,
 the per-pair change/parent ratios, and how many pairs the change won. Which
 direction wins comes from `BENCHMARK.json`; a per-layer metric counts as
 won when the change is lower, except for the ratios the benchmark marks
@@ -107,6 +111,8 @@ def summarize(args) -> None:
             "failed": {s: sum(r["failed"] for r in reports[s]) for s in SIDES},
             "digests_equal": all(p["digests"] == c["digests"]
                                  for p, c in zip(reports["parent"], reports["change"])),
+            "digests_stable": {s: all(r["digests"] == reports[s][0]["digests"] for r in reports[s])
+                               for s in SIDES},
             "metrics": {},
         }
         for name, meta in first["metrics"].items():
