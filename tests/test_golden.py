@@ -28,27 +28,27 @@ SEED = 100
 GOLDEN = {
     "hetero_all_agents": (
         False, {},
-        "a7647b84e00cd7c8625e3e7facc031696674c4eeacbb3fb6561528a1feeeeee0",
-        "b576fb9fb7dcc749a1b06c600d4ace2e3cf29ea61729b3ca33b011dde8193106",
-        35264, 0, 539,
+        "46ab5eac3b819a5bde233be94bc5c7abac68572441175e3af19ddfc93b5c8023",
+        "904a48374ed89e72a3b9b707bed808330a4575c44a073e02036e7f99e2e5b877",
+        36595, 0, 526,
     ),
     "control": (
         True, {},
-        "fece52be754da6cfe798e4d7b538e8b032765fc2d6bc859a4067a75b7ddae857",
-        "f6425830740bd7ca0a0ed8bdf35ae67f9d90d5f19d4b7293efbc5397cec408b4",
-        0, 0, 131,
+        "8d15797133cb9c93e2dd3e024ab269ac4f807c63ea7c7ea1ed47c66ac13e8d41",
+        "11161fa9c5db9854c72a831fccbf5f9fc9995a5d37391a0e7345001654cd98d6",
+        0, 0, 141,
     ),
 }
 
 # name -> (manifest rejection counters, sha256 of the final (type, cash, shares) rows)
 OUTCOMES = {
     "hetero_all_agents": (
-        {"band": 2728, "budget_buy": 313, "budget_sell": 329, "no_order": 49, "self_cross": 0},
-        "90d05cb96299edefb24659c8ac1b3505a7621ce0e24503b8a52aa9cc056b1161",
+        {"band": 2886, "budget_buy": 299, "budget_sell": 255, "no_order": 55, "self_cross": 0},
+        "de2255700f31975d782118799765fb7911c2e3150a5358fe23653fe53e5ba880",
     ),
     "control": (
-        {"band": 1109, "budget_buy": 634, "budget_sell": 333, "no_order": 0, "self_cross": 0},
-        "8c96ed90deb3c96b7c5ed1f0f06f641b452bbc319d8dee7bb691b738d28319a1",
+        {"band": 1110, "budget_buy": 577, "budget_sell": 386, "no_order": 1, "self_cross": 0},
+        "9e2f98be25191c3faa5327f2a6f3b65b5b3fd6dae49b04b572a34cdc21fc679d",
     ),
 }
 
@@ -56,40 +56,40 @@ OUTCOMES = {
 EXTRA_RUN = "hetero_all_agents"
 SNAPSHOT_STEPS = (1000, 2500, 5000)
 EXTRA_FILES = {
-    "lob_1000.csv": "e962a9af61ccb053fb2841e9d2b4327334f07c74333a91e5e41b8706cb5bef2b",
-    "lob_2500.csv": "e6a9c7bca96355f49100dd1680474057f98790e10c35d79892dcb462e2499d6c",
-    "lob_5000.csv": "fb7f1aa6359f226e9dc948335e2a5ea287406440de8e46eb0e24bb88efd36268",
+    "lob_1000.csv": "06cab8389efcb17fe7cc0688bb4c9f6133ab6cc2107226ccf548fc1301655142",
+    "lob_2500.csv": "aa6c5f34ef024fc467b9bc203726a3f14c3e233924cc6b9a0c9b6c26e79ceef2",
+    "lob_5000.csv": "55ff51206be5575f48ca3d1ec887256e35417e39b503b67b0db563d507b40c55",
 }
 
 # `analyze` over the two runs, with thin thresholds, at the default bin width.
 ANALYZE_ARGS = ["--burn-periods", "5", "--min-obs", "2"]
 ANALYSIS_FILES = {
-    "analysis.json": "3eb926a2f36b4062e3f61c56f5610da8ecf8dc38da568515637661031209a5d0",
-    "ccdf_first_gap.csv": "77c575943a665d8f325bc3600e1fd82d86e621531af324ca4b6a0602101f5746",
-    "ccdf_return_negative.csv": "ae10cbb4d1c961017d8b87ed053baa11a3af9fde980e7ca258dd15a0db498f92",
-    "ccdf_return_positive.csv": "9666b3ad09f11f9ad454a9b7635d823b65d95d8552e3fff987a09efe032d8f6a",
-    "ccdf_spread.csv": "e70b9814baa45c62afd92eed593e05faff943c9a127cc5f7306c8d6184fa5f42",
-    "fn_first_gap.csv": "d65fba17bb0f2357ad8d6e6ceb99a804dbb77e9f0915ac2a8291817cc3dc4ddb",
+    "analysis.json": "388d37dee259faf23537ea17a721d59d1b79e45776ef942d8cb436901a7f717d",
+    "ccdf_first_gap.csv": "40aa4a60c4bba2ca2207786e00af5c7c9a75581222a4c988f7c8ea47405c286f",
+    "ccdf_return_negative.csv": "0f8c93dc498d4afd2f5846b6fdaf37e20feec440a4a5b656d58471290d0ff208",
+    "ccdf_return_positive.csv": "f45b2fe8426c5900797f9b08aeb45a3a4ec9ef76517669d2ceb5c24b0e234e48",
+    "ccdf_spread.csv": "36b2b7fa122d66456dba20a2ce9182ce104f95c024792412015fdab5a9e80124",
+    "fn_first_gap.csv": "4d4d3bff88b5f2bfac8546cf61f7b7c8d1351cc3b7362550e6f47d592e87de56",
     "fn_fv_return.csv": "9eb232667e44108e4f988dbc279892cd4a4f65a2cd9ed3526950c0f0010e81d7",
-    "fn_return.csv": "ef65e7b2ffa7958431392d222f11738d1ceff5b9da9cd18d91d3eb63c5837e13",
-    "fn_spread.csv": "07fd89f84a32966c64d58dd0dab69a2c39e724d06a0e0efdf514c734ad3cad8d",
-    "fn_volatility.csv": "7f59a6f0d243840ca1251bb37c19e658ae82bf2cb1160a44cc5bf4bc7bccb42a",
-    "fn_volume.csv": "49827a8c5f247aa8c32a23d362b65ae49b8ea298de39d3ab2f9781f5c28f309b",
-    "ne_vs_pc_first_gap.csv": "d8bb6e495b94813e2ce523e067f96e1d557e2626804746a2587e041994c7b33c",
-    "ne_vs_pc_spread.csv": "c6812fd13c047dad793cc0a1673d75ec956823121da3aaa0f20ac0ed8a77ec3d",
-    "ne_vs_pc_volatility.csv": "b201c9855718fd9d2a09bf1e34a657ab8d510b8fb924e2969af27177adf784e1",
+    "fn_return.csv": "20db8029743ec9182621dc433dcdf0d07986dcd78b527b1600729c06b1fc80e3",
+    "fn_spread.csv": "29a83e7215025fb0e34cfbd7e4af091d8752aec1d02c51b76d4b4739cfdee401",
+    "fn_volatility.csv": "1d4faa4b74c23080866e4d3e85b1bbfe65a67c91cda65f3d1cf86f094960b8fb",
+    "fn_volume.csv": "35519c3b0caa5f0e7e197610e99311c9790ea1577b8bc00dcc1a38dae7920d16",
+    "ne_vs_pc_first_gap.csv": "d84844c79856d1c0e631678f24fa5b8601d2905256ceddb19da808fadcf2044a",
+    "ne_vs_pc_spread.csv": "d84844c79856d1c0e631678f24fa5b8601d2905256ceddb19da808fadcf2044a",
+    "ne_vs_pc_volatility.csv": "59ea78d87967821591f2eda0b1d2994bec676f99989e7f927ed8cfc8c0e472d1",
 }
-# The files that differ at `--bin-width 0.01`, fine enough that every sigma
+# The files that differ at `--bin-width 0.005`, fine enough that every sigma
 # curve is written.
-FINE_BINS = ["--bin-width", "0.01"]
+FINE_BINS = ["--bin-width", "0.005"]
 FINE_BIN_FILES = {
-    "analysis.json": "24addb76a85b94dab6b176453a3680ccf2f6897f9eb10d3c7406d6e7bdd40a93",
-    "ne_vs_pc_first_gap.csv": "e80e0f174887599c1025f1537ec6c57b769aba5da62a807205482dae9d37f721",
-    "ne_vs_pc_spread.csv": "94a81da1e873dca62c95ebb4f79e3e28b2d1c8a22273cbad0f1e4012bdcd6777",
-    "ne_vs_pc_volatility.csv": "fbc20c3cbb26d9aa61b65175966d95838ba8be97b1ebca2e4162436362a10eb8",
-    "sigma_vs_pc_first_gap.csv": "7e5a8549271a83b2e9b660d90fce6f795f4f0498f7a84fbe96ff1db3fc70f6cd",
-    "sigma_vs_pc_spread.csv": "5337804afb12ea4a010a0a6773ab325e64e496e0d53d2de1632ee2afb706f478",
-    "sigma_vs_pc_volatility.csv": "5e27cefe98dc46aff55a2953efa16fbbec5aaef3910573ea1a40484563c77c35",
+    "analysis.json": "cb2af1e3a784ed23a4e0d48530ea95931972b6f4b24c1afb93937edaaf4170eb",
+    "ne_vs_pc_first_gap.csv": "d8c3928c9adcd744dc6c481a6bfcbfccc1093405f9b0c1d5a387222877ee2a02",
+    "ne_vs_pc_spread.csv": "d8c3928c9adcd744dc6c481a6bfcbfccc1093405f9b0c1d5a387222877ee2a02",
+    "ne_vs_pc_volatility.csv": "67f27461f00e3cd18e51708686dd4cd40188e2db3d8afcb8e2e050766e0f22b9",
+    "sigma_vs_pc_first_gap.csv": "57f7ef55f548dfccda06f7d28231bfcdae8fc651661548028303b75e0dba5060",
+    "sigma_vs_pc_spread.csv": "cb4010b790670f24f2224775458f9e66bf58b041fcd77d536994dc9a9e5f8af8",
+    "sigma_vs_pc_volatility.csv": "01b5411f42d623ecb46434f4b2c6800b363016c62635c8c77e04cec344526f96",
 }
 
 
