@@ -37,7 +37,7 @@ from .population import (
 )
 
 _BAND_EPS = 1e-12  # relative slack so exact boundary prices stay inside the band
-_DRAW_BLOCK_DOUBLES = 32_768  # switching uniforms drawn at once: 256 KiB, 64 sweeps of 500 agents
+_DRAW_BLOCK_DOUBLES = 32_768  # switching uniforms drawn at once: 65 sweeps of 500 agents, 254 KiB
 _TRADE_BLOCK = 4_096  # steps of trader picks, noises and offsets drawn at once: 32 KiB each
 
 
@@ -252,7 +252,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     gamma_c = config.gamma_c
     band = config.band
     lo, hi = circuit_breaker(config.p0, band)
-    sigma_at = sigma_bounds(price, horizon_c, spp, rolling_sigma)
+    sigma_at = sigma_bounds(price, horizon_c, spp, rolling_sigma)  # the name the tracer wraps
 
     def chartist_order(agent, sign, sigma_tau, z, p, k):  # sign: 1.0 optimist, -1.0 pessimist
         expectation = p + sign * abs(sigma_tau / gamma_c * z)

@@ -40,7 +40,6 @@ QUANTITIES = ("volatility", "spread", "first_gap")  # the regime and peak checks
 def check_each(lines) -> None:
     """Print each (label, ok, detail) line's [PASS]/[FAIL], then fail on
     those that failed, so one failure hides no other quantity's line."""
-    lines = list(lines)
     for label, ok, detail in lines:
         print(f"[{'PASS' if ok else 'FAIL'}] {label}" + (f" ({detail})" if detail else ""))
     failed = [f"{label}: {detail}" for label, ok, detail in lines if not ok]
@@ -149,9 +148,11 @@ def test_c2_return_hurst(hetero):
 
 def test_c2_long_memory_hurst(hetero):
     _, _, report = hetero
-    check_each((f"C2 {kind} Hurst > 0.65", h > 0.65, f"h={h:.3f}")
-               for kind in ("volatility", "spread", "first_gap", "volume")
-               for h in [report.hurst[kind]["h"]])
+    lines = []
+    for kind in ("volatility", "spread", "first_gap", "volume"):
+        h = report.hurst[kind]["h"]
+        lines.append((f"C2 {kind} Hurst > 0.65", h > 0.65, f"h={h:.3f}"))
+    check_each(lines)
 
 
 def test_c2_tail_spread(hetero):
@@ -168,9 +169,12 @@ def test_c2_tail_first_gap(hetero):
 
 def test_c2_tail_returns(hetero):
     _, _, report = hetero
-    check_each((f"C2 {name} tail alpha in [1.5, 2.5]", 1.5 <= alpha <= 2.5, f"alpha={alpha:.2f}")
-               for name in ("return_positive", "return_negative")
-               for alpha in [report.tails[name]["alpha"]])
+    lines = []
+    for name in ("return_positive", "return_negative"):
+        alpha = report.tails[name]["alpha"]
+        lines.append((f"C2 {name} tail alpha in [1.5, 2.5]", 1.5 <= alpha <= 2.5,
+                      f"alpha={alpha:.2f}"))
+    check_each(lines)
 
 
 # -- criterion 3: regime structure -------------------------------------------
@@ -192,18 +196,22 @@ def test_c3_memh_contiguous_at_low_pc(hetero):
 
 def test_c3_mrfm_onset_window(hetero):
     _, _, report = hetero
-    check_each((f"C3 {quantity}: MRFM onset in [0.35, 0.50]",
-                onset is not None and 0.35 <= onset <= 0.50, f"onset={onset}")
-               for quantity in QUANTITIES
-               for onset in [report.regimes[quantity]["mrfm_start"]])
+    lines = []
+    for quantity in QUANTITIES:
+        onset = report.regimes[quantity]["mrfm_start"]
+        ok = onset is not None and 0.35 <= onset <= 0.50
+        lines.append((f"C3 {quantity}: MRFM onset in [0.35, 0.50]", ok, f"onset={onset}"))
+    check_each(lines)
 
 
 def test_c3_mmc_onset_window(hetero):
     _, _, report = hetero
-    check_each((f"C3 {quantity}: MMC onset in 0.85 +- 0.05",
-                onset is not None and 0.80 <= onset <= 0.90, f"onset={onset}")
-               for quantity in QUANTITIES
-               for onset in [report.regimes[quantity]["mmc_start"]])
+    lines = []
+    for quantity in QUANTITIES:
+        onset = report.regimes[quantity]["mmc_start"]
+        ok = onset is not None and 0.80 <= onset <= 0.90
+        lines.append((f"C3 {quantity}: MMC onset in 0.85 +- 0.05", ok, f"onset={onset}"))
+    check_each(lines)
 
 
 def test_c3_depth_monotone_spearman(hetero):
@@ -218,18 +226,22 @@ def test_c3_depth_monotone_spearman(hetero):
 
 def test_c4_sigma_peak_position(hetero):
     _, _, report = hetero
-    check_each((f"C4 {quantity}: sigma curve peaks in 0.85 +- 0.07",
-                peak is not None and 0.78 <= peak <= 0.92, f"argmax={peak}")
-               for quantity in QUANTITIES
-               for peak in [report.sigma_peaks[quantity].get("argmax_pc")])
+    lines = []
+    for quantity in QUANTITIES:
+        peak = report.sigma_peaks[quantity].get("argmax_pc")
+        ok = peak is not None and 0.78 <= peak <= 0.92
+        lines.append((f"C4 {quantity}: sigma curve peaks in 0.85 +- 0.07", ok, f"argmax={peak}"))
+    check_each(lines)
 
 
 def test_c4_sigma_drop_above_peak(hetero):
     _, _, report = hetero
-    check_each((f"C4 {quantity}: sigma drops > 80% above the peak",
-                drop is not None and drop > 0.80, f"drop={drop}")
-               for quantity in QUANTITIES
-               for drop in [report.sigma_peaks[quantity].get("drop_above_peak")])
+    lines = []
+    for quantity in QUANTITIES:
+        drop = report.sigma_peaks[quantity].get("drop_above_peak")
+        ok = drop is not None and drop > 0.80
+        lines.append((f"C4 {quantity}: sigma drops > 80% above the peak", ok, f"drop={drop}"))
+    check_each(lines)
 
 
 # -- criterion 5: aggregational Gaussianity -----------------------------------
