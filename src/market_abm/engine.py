@@ -29,8 +29,7 @@ import numpy as np
 # benchmark's tracer wraps them, and tests run the loop against them.
 from .book import BUY, NO_TICK, OrderBook, OrderIntent, Trade, current_price  # noqa: F401
 from .config import SimConfig
-from .expectations import decide_order, rolling_sigma, sigma_bounds
-from .expectations import draw_k, expected_price  # noqa: F401
+from .expectations import decide_order, draw_k, expected_price, rolling_sigma  # noqa: F401
 from .fundamental import fundamental_path
 from .population import (
     FUNDAMENTALIST, OPTIMIST, PESSIMIST, Population, apply_switching, average_price_trend,
@@ -252,12 +251,6 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     gamma_c = config.gamma_c
     band = config.band
     lo, hi = circuit_breaker(config.p0, band)
-    sigma_at = sigma_bounds(price, horizon_c, spp, rolling_sigma)  # the name the tracer wraps
-
-    def chartist_order(agent, sign, sigma_tau, z, p, k):  # sign: 1.0 optimist, -1.0 pessimist
-        expectation = p + sign * abs(sigma_tau / gamma_c * z)
-        return decide_order(agent, horizon_c, max(expectation, tick), p, k, tick)
-
     p_prev = float(price[0])  # price[t - 1]; a Python float computes the same values faster
     for t in range(1, n_steps + 1):
         # new trading period: the band anchor moved, purge stale out-of-band orders
@@ -293,23 +286,21 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         p_f_now = fv_at[t]
         if p_f_now <= 0.0:
             raise ValueError("prices must be > 0")
-        k = k_scale * offsets[j]
         if agent_type == FUNDAMENTALIST:
+            horizon = horizon_f
             expectation = p_f_now * (1.0 + noise_f * noise[j])
-            if tick > expectation:  # max(expectation, tick), NaN passing through
-                expectation = tick
-            intent = decide_order(agent, horizon_f, expectation, p_prev, k, tick)
-        elif agent_type == OPTIMIST or agent_type == PESSIMIST:
-            # The order is monotone in sigma: where both bounds on rolling_sigma's
-            # value give one order, so does that value.
-            sign, z = 1.0 if agent_type == OPTIMIST else -1.0, noise[j]
-            low, high = sigma_at(t)
-            intent = chartist_order(agent, sign, low, z, p_prev, k)
-            if high != low and chartist_order(agent, sign, high, z, p_prev, k) != intent:
-                sigma_tau = rolling_sigma(price, t, horizon_c)
-                intent = chartist_order(agent, sign, sigma_tau, z, p_prev, k)
         else:
-            raise ValueError(f"unknown agent type {agent_type}")
+            horizon = horizon_c
+            sigma_tau = rolling_sigma(price, t, horizon_c)
+            if agent_type == OPTIMIST:
+                expectation = p_prev + abs(sigma_tau / gamma_c * noise[j])
+            elif agent_type == PESSIMIST:
+                expectation = p_prev - abs(sigma_tau / gamma_c * noise[j])
+            else:
+                raise ValueError(f"unknown agent type {agent_type}")
+        if tick > expectation:  # max(expectation, tick), NaN passing through
+            expectation = tick
+        intent = decide_order(agent, horizon, expectation, p_prev, k_scale * offsets[j], tick)
 
         # The band, then the budget as enforce_budget checks it: a buy needs
         # cash for what it would pay (the best ask when it crosses, else its

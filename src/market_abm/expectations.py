@@ -37,50 +37,6 @@ def rolling_sigma(price, t: int, tau: int) -> float:
     return math.sqrt(float(np.add.reduce(dev)) * math.sqrt(w) / w)
 
 
-def sigma_bounds(price, tau: int, period: int, exact=rolling_sigma):
-    """A reader of bounds (low, high) on rolling_sigma(price, t, tau) at
-    increasing t, as `price` fills up to step t - 1: `exact`'s value at cold
-    start (t <= tau + 1), after a gap of more than tau steps and once per
-    `period` steps, else a running sum and square sum, shifted by the last
-    exact read's last price to cancel little (Chan, Golub & LeVeque, Am.
-    Stat. 37:242, 1983), with room for both computations' rounding."""
-    at, root, eps = memoryview(price), math.sqrt(tau), 2.0**-52
-    # Rounding error bounds. The running sums' grows by grow * m a step, m =
-    # acc + d * d bounding the square sums; rolling_sigma's mean may be off by
-    # mean_eps * |price|, which moves its square sum by 2 * d and tau times that.
-    base, grow, mean_eps = (64 * (tau + 2) + 8 * (tau + 3)) * eps, 128 * eps, (tau + 1) * eps
-    # steps read at and exact at, the shift, the window's sum and square sum, all squares added
-    read = start = shift = s = q = acc = 0
-
-    def bounds(t: int) -> tuple[float, float]:
-        nonlocal read, start, shift, s, q, acc
-        if t <= tau + 1 or t - read > tau or t - start >= period:
-            if t > tau:
-                read, start, shift = t, t, at[t - 1]
-                y = price[t - tau : t] - shift
-                s, q = float(np.add.reduce(y)), float(np.dot(y, y))
-                acc = q
-            return (exact(price, t, tau),) * 2
-        for i in range(read, t):
-            new, old = at[i] - shift, at[i - tau] - shift
-            s += new - old
-            new, old = new * new, old * old
-            q += new - old
-            acc += new + old
-        read = t
-        d = at[t - 1] - at[t - tau - 1]
-        var = q - s * s / tau + d * d / tau
-        sigma = math.sqrt(var * root / tau) if var > 0.0 else 0.0
-        m = acc + d * d
-        mean_err = (abs(shift) + 2 * math.sqrt(m)) * mean_eps  # 2 * sqrt(m) >= |price - shift|
-        err = m * (base + grow * (t - start)) + mean_err * (3 * abs(d) + 2 * tau * mean_err)
-        err /= root
-        slack = err / max(sigma, math.sqrt(err)) + 1e-15 * sigma
-        return max(sigma - slack, 0.0), sigma + slack
-
-    return bounds
-
-
 def expected_price(
     agent_type: int,
     p: float,

@@ -15,7 +15,6 @@ from market_abm.expectations import (
     draw_k,
     expected_price,
     rolling_sigma,
-    sigma_bounds,
 )
 from market_abm.population import FUNDAMENTALIST, OPTIMIST, PESSIMIST
 
@@ -76,82 +75,6 @@ class TestRollingSigma:
             got = rolling_sigma(price, t, tau)
             assert type(got) is float
             assert got == rolling_sigma_reference(price[:t], tau)
-
-
-# The running sigma's drift from rolling_sigma, relative, and its bounds,
-# which must hold rolling_sigma's value on every read with no tolerance.
-DRIFT = 1e-9
-
-
-def read_steps(rng, n_steps, tau):
-    """Increasing read steps: cold start, about every other step, and gaps of
-    more than tau steps."""
-    steps, t = [], 1
-    while t <= n_steps:
-        steps.append(t)
-        t += int(rng.integers(tau + 2, 3 * tau + 3)) if rng.random() < 0.01 else int(rng.integers(1, 4))
-    return steps
-
-
-class TestSigmaBounds:
-    @pytest.mark.parametrize("p0, tau, period", [(100.0, 100, 100), (1.0, 100, 100),
-                                                 (1e4, 100, 100), (100.0, 17, 25),
-                                                 (100.0, 1, 3), (100.0, 40, 1000)])
-    def test_bounds_hold_and_drift_is_small(self, p0, tau, period):
-        rng = np.random.default_rng(tau + period)
-        n_steps = 12_000
-        price = p0 * np.exp(np.cumsum(np.r_[0.0, rng.normal(0, 1e-3, n_steps)]))
-        exact_reads = []
-
-        def exact(price_, t, tau_):
-            exact_reads.append(t)
-            return rolling_sigma(price_, t, tau_)
-
-        bounds = sigma_bounds(price, tau, period, exact)
-        steps = read_steps(rng, n_steps, tau)
-        worst = 0.0
-        for t in steps:
-            want = rolling_sigma(price, t, tau)
-            low, high = bounds(t)
-            assert low <= want <= high, t
-            if low > 0.0:
-                worst = max(worst, abs((low + high) / 2 - want) / want)
-        assert worst <= DRIFT
-        # exact at cold start, after a gap of more than tau steps, and once
-        # per period otherwise
-        cold = {t for t in steps if t <= tau + 1}
-        gaps = {t for prev, t in zip(steps, steps[1:]) if t - prev > tau}
-        assert cold | gaps <= set(exact_reads)
-        assert len(exact_reads) <= len(cold) + len(gaps) + n_steps // period + 1
-        assert all(b - a <= period + 2 or b in gaps for a, b in zip(exact_reads, exact_reads[1:]))
-        last_exact = {t: max(e for e in exact_reads if e <= t) for t in steps}
-        assert all(t - last_exact[t] < period for t in steps)
-
-    def test_flat_and_nearly_flat_windows(self):
-        # a grid price that stalls for longer than the window, then moves
-        # by one step of the grid or by one unit in the last place
-        tau = 20
-        price = np.full(400, 300.0)
-        price[100:] = 300.0005
-        price[200:] = np.nextafter(300.0005, 400.0)
-        price[300:] = 300.0005
-        rng = np.random.default_rng(1)
-        for period in (tau, 1000):
-            bounds = sigma_bounds(price, tau, period)
-            for t in np.cumsum(rng.integers(1, 3, size=250)).tolist():
-                if t < 400:
-                    low, high = bounds(t)
-                    assert low <= rolling_sigma(price, t, tau) <= high, t
-
-    @given(st.lists(st.sampled_from([300.0, 300.0005, 299.9995, 300.25, 1e-3]), min_size=3,
-                    max_size=300), st.integers(1, 30), st.integers(1, 60))
-    @settings(max_examples=200, deadline=None)
-    def test_bounds_hold_on_grid_paths(self, prices, tau, period):
-        price = np.array(prices)
-        bounds = sigma_bounds(price, tau, period)
-        for t in range(1, len(price) + 1):
-            low, high = bounds(t)
-            assert low <= rolling_sigma(price, t, tau) <= high, t
 
 
 class _ZeroNormal:
