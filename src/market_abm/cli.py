@@ -1,9 +1,9 @@
 """Command-line entry point: run, ensemble, analyze, reproduce-paper.
 
 All outputs live under a single --out root. Ensembles run their seeds
-concurrently up to --workers (default from MARKET_ABM_WORKERS, else 1) and
-write an experiment manifest recording the config hash, seed list and
-per-run wall clock, so re-running a manifest reproduces identical outputs.
+concurrently up to --workers (default 1) and write an experiment manifest
+recording the config hash, seed list and per-run wall clock, so re-running a
+manifest reproduces identical outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .analytics import (BIN_WIDTH, BURN_PERIODS, MIN_OBS, analyze_bundles,
                         check_analysis_options, reduce_run)
-from .config import SimConfig, dump_config, load_config, parse_overrides
+from .config import SimConfig, load_config, parse_overrides
 from .engine import run_seeds, run_simulation
 from .runio import (
     find_run_dirs,
@@ -29,17 +29,6 @@ from .runio import (
     write_json,
     write_run,
 )
-
-WORKERS_ENV = "MARKET_ABM_WORKERS"
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def _experiment_manifest(out_root: Path, args, cfg: SimConfig, seeds, run_entries) -> None:
     manifest = {
@@ -65,17 +54,13 @@ def _out_root(out: str) -> Path:
 
 def cmd_run(args) -> int:
     out_root = _out_root(args.out)
-    overrides = parse_overrides(args.override or [])
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, parse_overrides(args.override or []))
     started = time.perf_counter()
     run = run_simulation(cfg, lob_snapshot_steps=args.lob_snapshot or ())
     elapsed = time.perf_counter() - started
     # created only now, so a rejected run leaves no empty directory behind
     out_root.mkdir(parents=True, exist_ok=True)
     write_run(out_root, run)
-    (out_root / "config.txt").write_text(dump_config(cfg))
     _experiment_manifest(
         out_root, args, cfg, [cfg.seed],
         [{"seed": cfg.seed, "path": str(out_root), "wall_clock_s": round(elapsed, 3)}],
@@ -121,6 +106,9 @@ def _run_seeds_to_dirs(
 def cmd_ensemble(args) -> int:
     if args.seeds < 1:
         print("--seeds must be >= 1", file=sys.stderr)
+        return 2
+    if args.workers < 1:
+        print("--workers must be >= 1", file=sys.stderr)
         return 2
     cfg = load_config(args.config, parse_overrides(args.override or []))
     seeds = list(range(cfg.seed, cfg.seed + args.seeds))
@@ -187,6 +175,9 @@ def cmd_reproduce_paper(args) -> int:
     if not 0 < scale < float("inf"):  # NaN fails both comparisons
         print("--scale must be finite and > 0", file=sys.stderr)
         return 2
+    if args.workers < 1:
+        print("--workers must be >= 1", file=sys.stderr)
+        return 2
     overrides = parse_overrides(args.override or [])
     cfg = experiment_config(scale, args.homogeneous, overrides)
     check_analysis_options(cfg.steps // cfg.steps_per_period, bin_width=args.bin_width,
@@ -233,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="single simulation run")
     add_common(p_run)
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument(
         "--lob-snapshot", action="append", type=int, metavar="STEP",
         help="write a book snapshot CSV at this step, 1..steps (repeatable)",
@@ -243,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens = sub.add_parser("ensemble", help="independent runs over consecutive seeds")
     add_common(p_ens)
     p_ens.add_argument("--seeds", type=int, required=True, help="number of seeds")
-    p_ens.add_argument("--workers", type=int, default=_default_workers())
+    p_ens.add_argument("--workers", type=int, default=1)
     p_ens.set_defaults(func=cmd_ensemble)
 
     p_an = sub.add_parser("analyze", help="statistics report over finished runs")
@@ -267,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument("--homogeneous", action="store_true",
                        help="all-fundamentalist control market with switching disabled")
-    p_rep.add_argument("--workers", type=int, default=_default_workers())
+    p_rep.add_argument("--workers", type=int, default=1)
     p_rep.add_argument("--bin-width", type=float, default=BIN_WIDTH,
                        help="chartist-fraction bin width for the regime tables")
     p_rep.add_argument("--burn-periods", type=int, default=BURN_PERIODS,

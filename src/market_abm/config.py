@@ -3,8 +3,8 @@
 The kernels read their parameters from the SimConfig itself, so each
 parameter's default and check live here and nowhere else.
 
-Configs round-trip through a flat `key = value` text format whose keys match
-the SimConfig field names exactly, so experiment files stay greppable and
+Configs are read from a flat `key = value` text format whose keys match the
+SimConfig field names exactly, so experiment files stay greppable and
 diffable.
 """
 
@@ -159,8 +159,3 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> SimCo
     cfg = SimConfig(**values)
     cfg.validate()
     return cfg
-
-
-def dump_config(cfg: SimConfig) -> str:
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in dataclasses.fields(SimConfig)]
-    return "\n".join(lines) + "\n"

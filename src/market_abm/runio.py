@@ -175,13 +175,7 @@ def find_run_dirs(roots) -> list[Path]:
         if (root / "steps.csv").exists():
             dirs.append(root)
         dirs.extend(sorted(p.parent for p in root.glob("**/steps.csv") if p.parent != root))
-    seen = set()
-    unique = []
-    for d in dirs:
-        if d not in seen:
-            seen.add(d)
-            unique.append(d)
-    return unique
+    return list(dict.fromkeys(dirs))
 
 
 def sha256_file(path: Path) -> str:

@@ -21,7 +21,7 @@ from market_abm import cli, engine
 from market_abm.analytics import (BIN_WIDTH, BURN_PERIODS, MIN_OBS, analyze_bundles,
                                   check_analysis_options)
 from market_abm.cli import main
-from market_abm.config import SimConfig, dump_config, load_config, parse_overrides
+from market_abm.config import SimConfig, load_config, parse_overrides
 
 
 @pytest.fixture()
@@ -35,7 +35,8 @@ class TestConfigFormat:
     def test_roundtrip(self, tmp_path):
         cfg = SimConfig(steps=123, seed=9, init_cash=450.0)
         path = tmp_path / "c.cfg"
-        path.write_text(dump_config(cfg))
+        path.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n"
+                                for f in dataclasses.fields(cfg)))
         assert load_config(path) == cfg
 
     def test_unknown_key_named_in_error(self, tmp_path):
@@ -197,10 +198,19 @@ class TestRunCommand:
         lines = (out / "steps.csv").read_text().splitlines()
         assert len(lines) == 1001  # header + one row per step
 
+    def test_run_directory_holds_its_files(self, tmp_path, config_file):
+        # the records, both manifests and the snapshots asked for; nothing else
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "-O", "steps=200", "--out", str(out),
+                     "--lob-snapshot", "50", "--lob-snapshot", "200"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "experiment.json", "lob_200.csv", "lob_50.csv", "manifest.json", "steps.csv",
+            "trades.csv"]
+
     def test_seed_determinism_byte_identical(self, tmp_path, config_file):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
-            assert main(["run", "--config", str(config_file), "--seed", "7",
+            assert main(["run", "--config", str(config_file), "-O", "seed=7",
                          "--out", str(out)]) == 0
         assert (out1 / "steps.csv").read_bytes() == (out2 / "steps.csv").read_bytes()
         assert (out1 / "trades.csv").read_bytes() == (out2 / "trades.csv").read_bytes()
@@ -217,7 +227,7 @@ class TestRunCommand:
         # not the host process's sys.argv, which main(argv) never parsed; quoted
         # so that an argument holding a space splits back whole
         out = tmp_path / "out dir"
-        argv = ["run", "-O", "steps=200", "-O", "n_agents=50", "--seed", "3", "--out", str(out)]
+        argv = ["run", "-O", "steps=200", "-O", "n_agents=50", "-O", "seed=3", "--out", str(out)]
         assert main(argv) == 0
         manifest = json.loads((out / "experiment.json").read_text())
         assert shlex.split(manifest["command"]) == argv
@@ -258,10 +268,13 @@ class TestRunCommand:
         assert err == "error: math range error\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["-O", "seed=-1"], ["--seed", "-1"]], ids=["O", "seed"])
-    def test_negative_seed_is_a_config_error(self, tmp_path, monkeypatch, capsys, argv):
+    @pytest.mark.parametrize("source", ["O", "config"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, monkeypatch, capsys, source):
         # numpy used to reject it mid-run, naming no key
         monkeypatch.setattr(cli, "run_simulation", _no_run)
+        config = tmp_path / "neg.cfg"
+        config.write_text("seed = -1\n")
+        argv = ["-O", "seed=-1"] if source == "O" else ["--config", str(config)]
         out = tmp_path / "out"
         assert main(["run", "-O", "steps=300", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: config field seed must be >= 0\n"
@@ -349,6 +362,25 @@ class TestEnsembleCommand:
         assert "every run failed" in err
         assert not (out / "experiment.json").exists()
 
+    def test_dead_worker_fails_its_seeds(self, tmp_path, config_file, monkeypatch, capsys):
+        # seed 8's worker dies, breaking the pool; each seed it lost is named
+        real = engine.run_simulation
+
+        def dying(config, lob_snapshot_steps=()):
+            if config.seed == 8:
+                os._exit(3)
+            return real(config, lob_snapshot_steps=lob_snapshot_steps)
+
+        monkeypatch.setattr(engine, "run_simulation", dying)
+        out = tmp_path / "ens"
+        assert main(["ensemble", "--config", str(config_file), "-O", "steps=300", "--seeds", "3",
+                     "--out", str(out), "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "seed 8 FAILED: A process in the process pool was terminated abruptly" in err
+        for seed in (7, 9):
+            written = (out / "runs" / f"seed_{seed}" / "manifest.json").exists()
+            assert written != (f"seed {seed} FAILED" in err)
+
     def test_each_run_is_let_go_before_the_next(self, tmp_path, config_file, monkeypatch):
         real = engine.run_simulation
         made = []
@@ -398,8 +430,11 @@ class TestEnsembleCommand:
                      "--out", str(out), "--workers", "1"]) == 0
         manifest = json.loads((out / "experiment.json").read_text())
         assert manifest["seeds"] == [7, 8, 9]
+        assert sorted(p.name for p in out.iterdir()) == ["experiment.json", "runs"]
         for seed in (7, 8, 9):
-            assert (out / "runs" / f"seed_{seed}" / "steps.csv").exists()
+            run_dir = out / "runs" / f"seed_{seed}"
+            assert sorted(p.name for p in run_dir.iterdir()) == [
+                "manifest.json", "steps.csv", "trades.csv"]
 
     def test_manifest_roundtrip_reproduces_outputs(self, tmp_path, config_file):
         import dataclasses
@@ -420,16 +455,16 @@ class TestEnsembleCommand:
             assert (redo / "steps.csv").read_bytes() == original
 
 
-@pytest.mark.parametrize("raw, workers", [("3", 3), ("0", 1), ("junk", 1), (None, 1)])
-def test_workers_default_from_environment(monkeypatch, raw, workers):
-    if raw is None:
-        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    else:
-        monkeypatch.setenv(cli.WORKERS_ENV, raw)
-    assert cli._default_workers() == workers
-    for command in (["ensemble", "--seeds", "1"], ["reproduce-paper"]):
-        args = cli.build_parser().parse_args([*command, "--out", "x"])
-        assert args.workers == workers
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys, workers):
+    # refused before any run or output; when not given it is 1
+    monkeypatch.setattr(engine, "run_simulation", _no_run)
+    for command in (["ensemble", "--seeds", "1"], ["reproduce-paper", "--scale", "0.003"]):
+        out = tmp_path / command[0]
+        assert cli.build_parser().parse_args([*command, "--out", str(out)]).workers == 1
+        assert main([*command, "--workers", workers, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "--workers must be >= 1\n"
+        assert not out.exists()
 
 
 class TestAnalyzeCommand:
@@ -716,7 +751,7 @@ def test_python_m_runs_the_cli(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = tmp_path / "run"
     proc = subprocess.run(
-        [sys.executable, "-m", "market_abm", "run", "--out", str(out), "--seed", "3",
+        [sys.executable, "-m", "market_abm", "run", "--out", str(out), "-O", "seed=3",
          "-O", "steps=200", "-O", "n_agents=50"],
         capture_output=True, text=True, env=env, check=False,
     )

@@ -3,7 +3,10 @@
 import concurrent.futures
 import dataclasses
 import gc
+import os
+import threading
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -397,6 +400,32 @@ class TestRunEnsemble:
             assert isinstance(outcomes[2], FloatingPointError)
             assert str(outcomes[2]) == "seed 2 broke"
             assert outcomes[1].seed == 1 and outcomes[3].seed == 3
+
+    def test_dead_worker_fails_its_seeds(self, monkeypatch):
+        # a worker that dies breaks the pool: every seed still comes back
+        # once, those the pool lost as BrokenProcessPool with no time, and the
+        # generator ends instead of waiting on the lost runs
+        real = engine.run_simulation
+
+        def dying(config, lob_snapshot_steps=()):
+            if config.seed == 2:
+                os._exit(3)
+            return real(config, lob_snapshot_steps)
+
+        monkeypatch.setattr(engine, "run_simulation", dying)
+        outcomes = []
+        consumer = threading.Thread(daemon=True, target=lambda: outcomes.extend(
+            run_seeds(small_config(steps=300), [1, 2, 3], workers=2)))
+        consumer.start()
+        consumer.join(timeout=60)
+        assert not consumer.is_alive(), "run_seeds still waits on the broken pool"
+        assert sorted(seed for seed, _, _ in outcomes) == [1, 2, 3]
+        failed = {seed for seed, run, seconds in outcomes
+                  if isinstance(run, BrokenProcessPool) and seconds is None}
+        assert 2 in failed
+        for seed, run, seconds in outcomes:
+            if seed not in failed:
+                assert run.seed == seed and seconds > 0.0
 
     def test_pool_holds_no_run_once_yielded(self):
         # each run must be freed as soon as its caller lets it go, before the

@@ -1,6 +1,7 @@
 """`tools/surface.py`: its counts against the library's own declarations."""
 
 import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
@@ -30,6 +31,18 @@ def test_surface_counts():
         name: len({action.dest for action in sub._actions} - {"help"})
         for name, sub in subparsers.items()
     }
-    assert surface["cli_arguments"]["run"] == 5  # --config, -O, --out, --seed, --lob-snapshot
+    # the first seed is -O seed=N, as for ensemble and reproduce-paper
+    assert surface["cli_arguments"]["run"] == 4  # --config, -O, --out, --lob-snapshot
     # --in, --out, --bin-width, --min-obs, --burn-periods
     assert surface["cli_arguments"]["analyze"] == 5
+    # --workers defaults to 1; no setting comes from the environment
+    assert surface["env_reads"] == 0
+
+
+def test_env_reads_counts_each_use(tmp_path):
+    spec = importlib.util.spec_from_file_location("surface", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (tmp_path / "a.py").write_text('import os\nx = os.environ.get("X", os.getenv("Y"))\n')
+    (tmp_path / "b.py").write_text('w = os.environ["W"]\nenviron = "not a read"\n')
+    assert tool.env_reads(tmp_path) == 3

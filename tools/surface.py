@@ -5,9 +5,10 @@
 Prints `src_lines` (the lines of each module under `src/market_abm/`, as
 `wc -l` counts them, and their total), `simconfig_fields` (the number of
 `SimConfig` fields, each a config key), `switch_modes` (the values
-`switch_mode` accepts) and `cli_arguments` (per subcommand of `market-abm`,
-the arguments its parser takes, `-h` aside). It imports the library from the
-`src/` next to this directory.
+`switch_mode` accepts), `cli_arguments` (per subcommand of `market-abm`,
+the arguments its parser takes, `-h` aside) and `env_reads` (the uses of
+`os.environ` and `os.getenv` in the package's modules). It imports the
+library from the `src/` next to this directory.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -26,6 +28,11 @@ def src_lines() -> dict[str, int]:
              for path in sorted((SRC / "market_abm").glob("*.py"))}
     lines["total"] = sum(lines.values())
     return lines
+
+
+def env_reads(package: Path) -> int:
+    return sum(len(re.findall(r"\bos\.(?:environ|getenv)\b", path.read_text()))
+               for path in package.glob("*.py"))
 
 
 def cli_arguments(parser: argparse.ArgumentParser) -> dict[str, int]:
@@ -47,6 +54,7 @@ def surface() -> dict:
         "simconfig_fields": len(dataclasses.fields(SimConfig)),
         "switch_modes": len(SWITCH_MODES),
         "cli_arguments": cli_arguments(cli.build_parser()),
+        "env_reads": env_reads(SRC / "market_abm"),
     }
 
 
