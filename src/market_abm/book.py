@@ -135,8 +135,9 @@ class OrderBook:
         expires_at = t + horizon
         order = LimitOrder(order_id, agent_id, side, ticks, t, expires_at)
         self._orders[order_id] = order
-        level = self._levels[side].setdefault(ticks, deque())
-        if not level:
+        level = self._levels[side].get(ticks)
+        if level is None:  # _remove drops a level once it is empty
+            level = self._levels[side][ticks] = deque()
             bisect.insort(self._ticks[side], ticks)
         level.append(order_id)
         heapq.heappush(self._expiry, (expires_at, order_id))

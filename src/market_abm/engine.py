@@ -25,11 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # The step loop computes expected_price, draw_k, enforce_budget and
-# current_price inline. The names stay bound in this module, where the
-# benchmark's tracer wraps them, and tests run the loop against them.
-from .book import BUY, NO_TICK, OrderBook, OrderIntent, Trade, current_price  # noqa: F401
+# current_price inline: per block of steps the draws and the fundamentalists'
+# expectations and reservations, per step the rest. The names stay bound in
+# this module, where the benchmark's tracer wraps them, and tests run the
+# loop against them.
+from .book import BUY, NO_TICK, SELL, OrderBook, OrderIntent, Trade, current_price  # noqa: F401
 from .config import SimConfig
-from .expectations import decide_order, draw_k, expected_price, rolling_sigma  # noqa: F401
+from .expectations import (  # noqa: F401
+    decide_order, draw_k, expected_price, reservation_ticks, rolling_sigma,
+)
 from .fundamental import fundamental_path
 from .population import (
     FUNDAMENTALIST, OPTIMIST, PESSIMIST, Population, apply_switching, average_price_trend,
@@ -230,7 +234,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     depth_at = memoryview(rec.depth)
     trade_rows = array("q")  # (step, ticks, buyer, seller, aggressor) per trade
 
-    rejections = {"band": 0, "budget_buy": 0, "budget_sell": 0, "self_cross": 0, "no_order": 0}
+    no_order = band_rejects = budget_buys = budget_sells = 0
     clamp_events = 0
     switch_count = 0
     snapshots = {}
@@ -274,21 +278,34 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             n_plus_at[t - 1] = n_plus
             n_minus_at[t - 1] = n_minus
 
-        # The trader's expectation (floored at one tick) and its reservation
-        # offset, computed as expected_price and draw_k compute them.
+        # Per block: the draws of its steps (the reservation offset as draw_k
+        # computes it) and, since they read no market state, every step's
+        # fundamentalist expectation (as expected_price computes it, floored
+        # at one tick) and its buy and sell reservations in ticks.
         j = (t - 1) % block
         if j == 0:
             picks = memoryview(rng_pick.integers(n_agents, size=block))
-            noise = memoryview(rng_noise.standard_normal(block))
-            offsets = memoryview(rng_offset.standard_exponential(block))
+            z = rng_noise.standard_normal(block)
+            k = k_scale * rng_offset.standard_exponential(block)
+            p_f = fv[t : t + block]
+            e_f = np.maximum(p_f * (1.0 + noise_f * z[: len(p_f)]), tick)  # NaN passes through
+            buy_f, sell_f = map(memoryview, reservation_ticks(e_f, k[: len(p_f)], tick))
+            noise, ks, e_f = memoryview(z), memoryview(k), memoryview(e_f)
+        # Per step: the trader's side and reservation, as decide_order sets
+        # them; ticks <= 0 means no order.
         agent = picks[j]
         agent_type = kinds[agent]
-        p_f_now = fv_at[t]
-        if p_f_now <= 0.0:
+        if fv_at[t] <= 0.0:
             raise ValueError("prices must be > 0")
         if agent_type == FUNDAMENTALIST:
             horizon = horizon_f
-            expectation = p_f_now * (1.0 + noise_f * noise[j])
+            expectation = e_f[j]
+            if expectation > p_prev:
+                side, ticks = BUY, buy_f[j]
+            elif expectation < p_prev:
+                side, ticks = SELL, sell_f[j]
+            else:
+                ticks = 0
         else:
             horizon = horizon_c
             sigma_tau = rolling_sigma(price, t, horizon_c)
@@ -298,32 +315,29 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                 expectation = p_prev - abs(sigma_tau / gamma_c * noise[j])
             else:
                 raise ValueError(f"unknown agent type {agent_type}")
-        if tick > expectation:  # max(expectation, tick), NaN passing through
-            expectation = tick
-        intent = decide_order(agent, horizon, expectation, p_prev, k_scale * offsets[j], tick)
+            if tick > expectation:  # max(expectation, tick), NaN passing through
+                expectation = tick
+            intent = decide_order(agent, horizon, expectation, p_prev, ks[j], tick)
+            side, ticks = (intent.side, intent.ticks) if intent else (None, 0)
 
         # The band, then the budget as enforce_budget checks it: a buy needs
         # cash for what it would pay (the best ask when it crosses, else its
         # own reservation), a sell one share, both beyond what is pledged.
         trade = None
-        if intent is None:
-            rejections["no_order"] += 1
-        elif not lo <= intent.ticks * tick <= hi:
-            rejections["band"] += 1
+        if ticks <= 0:
+            no_order += 1
+        elif not lo <= ticks * tick <= hi:
+            band_rejects += 1
+        elif side == BUY and cash[agent] - pledged_cash[agent] < (
+                asks[0] if asks and ticks >= asks[0] else ticks):
+            budget_buys += 1
+        elif side == SELL and shares[agent] - pledged_shares[agent] < 1:
+            budget_sells += 1
         else:
-            if intent.side == BUY:
-                ticks = intent.ticks
-                cost = asks[0] if asks and ticks >= asks[0] else ticks
-                refused = cash[agent] - pledged_cash[agent] < cost
-            else:
-                refused = shares[agent] - pledged_shares[agent] < 1
-            if refused:
-                rejections["budget_buy" if intent.side == BUY else "budget_sell"] += 1
-            else:
-                trade = book.submit(intent, t)
-                if trade is not None:
-                    settle_trade(cash, shares, trade)
-                    trade_rows.extend(trade)
+            trade = book.submit(OrderIntent(agent, side, int(ticks), horizon), t)
+            if trade is not None:
+                settle_trade(cash, shares, trade)
+                trade_rows.extend(trade)
 
         # The price proxy, as current_price takes it: the trade's price, else
         # the mid-quote of a two-sided book, else the previous price.
@@ -349,7 +363,8 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             snapshots[t] = book.snapshot_levels()
         p_prev = p_now
 
-    rejections["self_cross"] = book.self_trade_rejections
+    rejections = {"band": band_rejects, "budget_buy": budget_buys, "budget_sell": budget_sells,
+                  "self_cross": book.self_trade_rejections, "no_order": no_order}
 
     pop.cash_ticks[:] = cash
     pop.shares[:] = shares

@@ -108,3 +108,18 @@ def decide_order(
     if ticks <= 0:
         return None
     return OrderIntent(agent_id, side, ticks, horizon)
+
+
+def reservation_ticks(expectation: np.ndarray, k: np.ndarray, tick: float):
+    """decide_order's buy and sell reservations for arrays of expectations
+    and offsets: two float64 arrays of tick counts, each element the count
+    decide_order gives that side for a finite reservation, and <= 0 where it
+    gives no order. The expressions are decide_order's, in its order, so
+    each element is the same IEEE result; np.rint rounds half to even as
+    round does."""
+    def snap(q, off_grid):
+        ticks = np.rint(q)
+        return np.where(np.abs(q - ticks) > 1e-6, off_grid(q), ticks)
+
+    return (snap(expectation * (1.0 - k) / tick, np.floor),
+            snap(expectation * (1.0 + k) / tick, np.ceil))

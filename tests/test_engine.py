@@ -41,8 +41,10 @@ def intent(agent, side, price, horizon=100):
 
 
 def run_scripted(monkeypatch, p0, orders, **config):
-    """A short run whose trader at step t submits the t-th (side, price) of
-    `orders` in place of its own decision; the band stays anchored at p0."""
+    """A short run of a chartist-only market whose trader at step t submits
+    the t-th (side, price) of `orders` in place of its own decision; the band
+    stays anchored at p0. Chartists price their orders through decide_order,
+    which the script replaces."""
     script = iter(orders)
 
     def scripted(agent, horizon, expectation, p, k, tick):
@@ -50,9 +52,12 @@ def run_scripted(monkeypatch, p0, orders, **config):
         return intent(agent, side, price, horizon)
 
     monkeypatch.setattr(engine, "decide_order", scripted)
-    cfg = small_config(steps=len(orders), p0=p0, switch_mode="off", **config)
+    cfg = small_config(steps=len(orders), p0=p0, switch_mode="off", init_frac_f=0.0,
+                       init_frac_opt=1.0, **config)
     assert cfg.steps < cfg.steps_per_period
-    return run_simulation(cfg, lob_snapshot_steps=[cfg.steps])
+    out = run_simulation(cfg, lob_snapshot_steps=[cfg.steps])
+    assert next(script, None) is None  # every step traded from the script
+    return out
 
 
 class TestCircuitBreaker:
@@ -236,10 +241,15 @@ class TestTradeStreams:
             assert normals.tolist() == [noise1.standard_normal() for _ in range(steps)]
             assert exps.tolist() == [offset1.standard_exponential() for _ in range(steps)]
 
-    def test_run_does_not_depend_on_the_block_length(self, monkeypatch):
-        # two blocks of the default length and a part of a third
-        cfg = small_config(steps=2 * engine._TRADE_BLOCK + 300, init_frac_f=0.15,
-                           init_frac_opt=0.425, init_cash=450.0, init_shares=1)
+    @pytest.mark.parametrize("market", [
+        dict(init_frac_f=0.15, init_frac_opt=0.425),  # switching, mostly chartists early on
+        dict(init_frac_f=1.0, init_frac_opt=0.0, switch_mode="off"),  # fundamentalists only
+    ], ids=["hetero", "control"])
+    def test_run_does_not_depend_on_the_block_length(self, monkeypatch, market):
+        # two blocks of the default length and a part of a third, which also
+        # ends the block's fundamentalist pricing tables short
+        cfg = small_config(steps=2 * engine._TRADE_BLOCK + 300, init_cash=450.0,
+                           init_shares=1, **market)
         runs = []
         for block in (1, 7, engine._TRADE_BLOCK):
             monkeypatch.setattr(engine, "_TRADE_BLOCK", block)

@@ -14,6 +14,7 @@ from market_abm.expectations import (
     decide_order,
     draw_k,
     expected_price,
+    reservation_ticks,
     rolling_sigma,
 )
 from market_abm.population import FUNDAMENTALIST, OPTIMIST, PESSIMIST
@@ -175,6 +176,25 @@ def test_draws_are_bit_identical_to_numpy_normal_and_exponential(seed, sigma, k_
     assert rng.integers(500) == ref.integers(500)
 
 
+# (expectation - 601 / 2, buy ticks, sell ticks) at tick 0.5 and k = 0, where
+# the reservation is 2 * expectation ticks
+SNAP_CASES = [
+    (-5e-7, 601, 601),  # within 1e-6 ticks of the grid: snapped, either side
+    (5e-7, 601, 601),
+    (-2e-6, 600, 601),  # beyond it: buys round down, sells up
+    (2e-6, 601, 602),
+]
+
+
+def random_orders():
+    """2,000 (expectation, p, k) draws of a market's range of prices and offsets."""
+    rng = np.random.default_rng(10)
+    for _ in range(2000):
+        expectation = float(rng.uniform(1.0, 600.0))
+        p = float(rng.uniform(1.0, 600.0))
+        yield expectation, p, float(rng.exponential(0.1))
+
+
 class TestDecideOrder:
     def test_no_order_when_expectation_equals_price(self):
         assert decide_order(1, 100, 300.0, 300.0, 0.05, 0.0005) is None
@@ -192,12 +212,8 @@ class TestDecideOrder:
         assert intent.ticks == 580000
 
     def test_reservations_on_grid_and_ordered(self):
-        rng = np.random.default_rng(10)
         tick = 0.0005
-        for _ in range(2000):
-            expectation = float(rng.uniform(1.0, 600.0))
-            p = float(rng.uniform(1.0, 600.0))
-            k = float(rng.exponential(0.1))
+        for expectation, p, k in random_orders():
             intent = decide_order(3, 100, expectation, p, k, tick)
             if intent is None:
                 continue
@@ -211,14 +227,8 @@ class TestDecideOrder:
             assert type(intent.ticks) is int and intent.ticks > 0
             assert abs(price / tick - round(price / tick)) < 1e-6
 
-    @pytest.mark.parametrize("off, buy_ticks, sell_ticks", [
-        (-5e-7, 601, 601),  # within 1e-6 ticks of the grid: snapped, either side
-        (5e-7, 601, 601),
-        (-2e-6, 600, 601),  # beyond it: buys round down, sells up
-        (2e-6, 601, 602),
-    ])
+    @pytest.mark.parametrize("off, buy_ticks, sell_ticks", SNAP_CASES)
     def test_snap_tolerance(self, off, buy_ticks, sell_ticks):
-        # tick 0.5 and k = 0 make the reservation 2 * expectation ticks
         expectation = (601 + off) / 2
         assert decide_order(6, 100, expectation, 1.0, 0.0, 0.5).ticks == buy_ticks
         assert decide_order(6, 100, expectation, 1000.0, 0.0, 0.5).ticks == sell_ticks
@@ -230,3 +240,25 @@ class TestDecideOrder:
     def test_horizon_carried_through(self):
         intent = decide_order(5, 300, 310.0, 300.0, 0.1, 0.0005)
         assert intent.horizon == 300
+
+    def test_reservation_table_matches_decide_order(self):
+        # per tick, (expectation, k) rows: the snap cases; the random draws
+        # on the usual grid and on one of 1e-12, where a price's last bits
+        # reach its ticks; counts far above 2**63; and offsets of 1 and more,
+        # which leave no buy
+        draws = [(expectation, k) for expectation, _, k in random_orders()]
+        cases = {
+            0.5: [((601 + off) / 2, 0.0) for off, _, _ in SNAP_CASES],
+            0.0005: draws + [(310.0, k) for k in (1.0, 1.5, 40.0)],
+            1e-12: draws + [(1e10, 0.05), (1e200, 0.05), (310.0, 1.0)],
+        }
+        for tick, rows in cases.items():
+            expectation, k = np.array(rows).T
+            for side, table in zip((Side.BUY, Side.SELL), reservation_ticks(expectation, k, tick)):
+                assert table.dtype == np.float64
+                for e, k_, ticks in zip(expectation.tolist(), k.tolist(), table.tolist()):
+                    p = e / 2 if side == Side.BUY else e * 2  # the side decide_order takes
+                    intent = decide_order(0, 1, e, p, k_, tick)
+                    assert intent is None or intent.side == side
+                    assert (int(ticks) if ticks > 0 else None) == (intent and intent.ticks), \
+                        (tick, side, e, k_)
