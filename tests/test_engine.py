@@ -241,27 +241,27 @@ class TestTradeStreams:
             assert normals.tolist() == [noise1.standard_normal() for _ in range(steps)]
             assert exps.tolist() == [offset1.standard_exponential() for _ in range(steps)]
 
-    @pytest.mark.parametrize("market", [
-        dict(init_frac_f=0.15, init_frac_opt=0.425),  # switching, mostly chartists early on
-        dict(init_frac_f=1.0, init_frac_opt=0.0, switch_mode="off"),  # fundamentalists only
-    ], ids=["hetero", "control"])
-    def test_run_does_not_depend_on_the_block_length(self, monkeypatch, market):
+    def test_run_does_not_depend_on_the_block_length(self, monkeypatch):
         # two blocks of the default length and a part of a third, which also
-        # ends the block's fundamentalist pricing tables short
-        cfg = small_config(steps=2 * engine._TRADE_BLOCK + 300, init_cash=450.0,
-                           init_shares=1, **market)
-        runs = []
-        for block in (1, 7, engine._TRADE_BLOCK):
-            monkeypatch.setattr(engine, "_TRADE_BLOCK", block)
-            runs.append(run_simulation(cfg))
-        assert len(runs[0].trades) > 0
-        for other in runs[1:]:
-            for name in engine.STEP_COLUMNS:
-                assert getattr(other.records, name).tobytes() == \
-                    getattr(runs[0].records, name).tobytes(), name
-            for name in engine.TRADE_COLUMNS:
-                assert getattr(other.trades, name).tobytes() == \
-                    getattr(runs[0].trades, name).tobytes(), name
+        # ends the block's fundamentalist pricing tables short; in the
+        # switching market and in the fundamentalist-only one
+        default = engine._TRADE_BLOCK
+        for market in (dict(init_frac_f=0.15, init_frac_opt=0.425),
+                       dict(init_frac_f=1.0, init_frac_opt=0.0, switch_mode="off")):
+            cfg = small_config(steps=2 * default + 300, init_cash=450.0, init_shares=1,
+                               **market)
+            runs = []
+            for block in (1, 7, default):
+                monkeypatch.setattr(engine, "_TRADE_BLOCK", block)
+                runs.append(run_simulation(cfg))
+            assert len(runs[0].trades) > 0
+            for other in runs[1:]:
+                for name in engine.STEP_COLUMNS:
+                    assert getattr(other.records, name).tobytes() == \
+                        getattr(runs[0].records, name).tobytes(), (market, name)
+                for name in engine.TRADE_COLUMNS:
+                    assert getattr(other.trades, name).tobytes() == \
+                        getattr(runs[0].trades, name).tobytes(), (market, name)
 
 
 class TestRunSimulation:
