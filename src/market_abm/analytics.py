@@ -561,8 +561,8 @@ def analyze_bundles(
             np.concatenate([p["volatility"] for p in per_run]),
             np.concatenate([p["depth"][1:] for p in per_run]),
         ),
-        "spread": (pc_all, np.concatenate([p["spread"] for p in per_run]), depth_all),
-        "first_gap": (pc_all, np.concatenate([p["first_gap"] for p in per_run]), depth_all),
+        "spread": (pc_all, tail_samples["spread"], depth_all),
+        "first_gap": (pc_all, tail_samples["first_gap"], depth_all),
     }
     regimes: dict = {}
     sigma_peaks: dict = {}

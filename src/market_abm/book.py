@@ -28,15 +28,8 @@ class Side(IntEnum):
 BUY, SELL = Side.BUY, Side.SELL
 
 
-# The order records are named tuples: immutable, built positionally on the
-# hot path, read by field name elsewhere.
-class OrderIntent(NamedTuple):
-    agent_id: int
-    side: Side
-    ticks: int  # reservation price in tick units, > 0; the price is ticks * tick_size
-    horizon: int  # lifetime in steps once resting
-
-
+# A submission is plain values; what the book stores or returns (a resting
+# order, a trade) is a named tuple, built positionally, read by field name.
 class LimitOrder(NamedTuple):
     order_id: int
     agent_id: int
@@ -101,13 +94,13 @@ class OrderBook:
 
     # -- mutation ----------------------------------------------------------
 
-    def submit(self, intent: OrderIntent, t: int) -> Trade | None:
-        """Match or rest one intent; the trade it makes, else None.
+    def submit(self, agent_id: int, side: Side, ticks: int, horizon: int, t: int) -> Trade | None:
+        """Match or rest one agent's one-unit order at `ticks` (> 0), resting
+        for `horizon` steps; the trade it makes, else None.
 
-        An intent whose only match candidate is the submitter's own resting
+        An order whose only match candidate is the submitter's own resting
         order is dropped and counted in `self_trade_rejections`.
         """
-        agent_id, side, ticks, horizon = intent
         if ticks <= 0:
             raise ValueError("reservation price must be positive")
         if side == BUY:

@@ -78,6 +78,11 @@ class SimConfig:
         if self.n_agents * self.init_shares >= 2**63:
             raise ValueError("config field init_shares: the total endowment, "
                              "n_agents * init_shares shares, reaches 2**63")
+        # the run holds quotes and reservations as tick counts in float64 columns
+        for name in ("p0", "pf0"):
+            if getattr(self, name) / self.tick >= 2**53:
+                raise ValueError(f"config field {name}: {name} / tick reaches 2**53, "
+                                 "past which a float64 holds no exact tick count")
         if not (self.gamma_f > self.gamma_c):
             raise ValueError("gamma_f must exceed gamma_c")
         if self.init_frac_f < 0 or self.init_frac_opt < 0 or self.init_frac_f + self.init_frac_opt > 1.0 + 1e-12:

@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # The step loop computes expected_price, draw_k, enforce_budget and
-# current_price inline: per block of steps the draws and the fundamentalists'
-# expectations and reservations, per step the rest. The names stay bound in
-# this module, where the benchmark's tracer wraps them, and tests run the
-# loop against them.
-from .book import BUY, NO_TICK, SELL, OrderBook, OrderIntent, Trade, current_price  # noqa: F401
+# current_price inline (per block of steps the draws and the fundamentalists'
+# expectations and reservations, per step the rest) and calls decide_order on
+# chartist steps only. The names stay bound in this module, where the
+# benchmark's tracer wraps them, and tests run the loop against them.
+from .book import BUY, NO_TICK, SELL, OrderBook, Side, Trade, current_price  # noqa: F401
 from .config import SimConfig
 from .expectations import (  # noqa: F401
     decide_order, draw_k, expected_price, reservation_ticks, rolling_sigma,
@@ -128,7 +128,7 @@ class RunOutput:
 
 def circuit_breaker(reference_close: float, band: float) -> tuple[float, float]:
     """Price limits (lo, hi) of the +-band around the previous period close:
-    intents outside them are dropped, resting orders outside them purged."""
+    new orders outside them are dropped, resting orders outside them purged."""
     if reference_close <= 0.0:
         raise ValueError("reference_close must be > 0")
     return (
@@ -137,27 +137,19 @@ def circuit_breaker(reference_close: float, band: float) -> tuple[float, float]:
     )
 
 
-def enforce_budget(
-    intent: OrderIntent,
-    book: OrderBook,
-    available_cash_ticks: int,
-    available_shares: int,
-) -> OrderIntent | None:
-    """Drop intents the agent cannot settle.
+def enforce_budget(side: Side, ticks: int, book: OrderBook, available_cash_ticks: int,
+                   available_shares: int) -> bool:
+    """Whether the agent can settle a one-unit order on `side` at `ticks`.
 
     A buy needs cash for its actual cost: the best ask when it would cross,
     otherwise its own reservation. A sell needs one unencumbered share
     (short sales are forbidden).
     """
-    if intent.side == BUY:
+    if side == BUY:
         best_ask = book.best_ask_ticks()
-        required = best_ask if (best_ask is not None and intent.ticks >= best_ask) else intent.ticks
-        if available_cash_ticks < required:
-            return None
-    else:
-        if available_shares < 1:
-            return None
-    return intent
+        return available_cash_ticks >= (
+            best_ask if best_ask is not None and ticks >= best_ask else ticks)
+    return available_shares >= 1
 
 
 def settle_trade(cash_ticks, shares, trade: Trade) -> None:
@@ -291,8 +283,8 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             e_f = np.maximum(p_f * (1.0 + noise_f * z[: len(p_f)]), tick)  # NaN passes through
             buy_f, sell_f = map(memoryview, reservation_ticks(e_f, k[: len(p_f)], tick))
             noise, ks, e_f = memoryview(z), memoryview(k), memoryview(e_f)
-        # Per step: the trader's side and reservation, as decide_order sets
-        # them; ticks <= 0 means no order.
+        # Per step: the trader's side and reservation in ticks, as
+        # decide_order returns them; ticks <= 0 means no order.
         agent = picks[j]
         agent_type = kinds[agent]
         if fv_at[t] <= 0.0:
@@ -317,8 +309,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                 raise ValueError(f"unknown agent type {agent_type}")
             if tick > expectation:  # max(expectation, tick), NaN passing through
                 expectation = tick
-            intent = decide_order(agent, horizon, expectation, p_prev, ks[j], tick)
-            side, ticks = (intent.side, intent.ticks) if intent else (None, 0)
+            side, ticks = decide_order(expectation, p_prev, ks[j], tick)
 
         # The band, then the budget as enforce_budget checks it: a buy needs
         # cash for what it would pay (the best ask when it crosses, else its
@@ -334,7 +325,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         elif side == SELL and shares[agent] - pledged_shares[agent] < 1:
             budget_sells += 1
         else:
-            trade = book.submit(OrderIntent(agent, side, int(ticks), horizon), t)
+            trade = book.submit(agent, side, int(ticks), horizon, t)
             if trade is not None:
                 settle_trade(cash, shares, trade)
                 trade_rows.extend(trade)

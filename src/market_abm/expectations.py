@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .book import BUY, SELL, OrderIntent
+from .book import BUY, SELL, Side
 from .config import SimConfig
 from .population import FUNDAMENTALIST, OPTIMIST, PESSIMIST
 
@@ -75,20 +75,15 @@ def draw_k(rng: np.random.Generator, scale: float) -> float:
     return scale * rng.standard_exponential()
 
 
-def decide_order(
-    agent_id: int,
-    horizon: int,
-    expectation: float,
-    p: float,
-    k: float,
-    tick: float,
-) -> OrderIntent | None:
-    """Turn an expectation into a one-unit priced intent, or no order.
+def decide_order(expectation: float, p: float, k: float, tick: float) -> tuple[Side | None, int]:
+    """(side, ticks) of the one-unit order an expectation makes: its side and
+    reservation in ticks. Ticks <= 0 mean no order; an expectation equal to
+    the price gives (None, 0).
 
     Expecting a rise makes the agent bid below the expectation; expecting a
     fall makes it ask above. A reservation within 1e-6 ticks of the grid
     snaps to it; otherwise buy reservations round down to the grid and sell
-    reservations up. A reservation at or below zero means no order.
+    reservations up.
     """
     if expectation <= 0.0 or p <= 0.0:
         raise ValueError("expectation and price must be > 0")
@@ -101,22 +96,19 @@ def decide_order(
         side = SELL
         q = expectation * (1.0 + k) / tick
     else:
-        return None
+        return None, 0
     ticks = round(q)
     if abs(q - ticks) > 1e-6:  # off the grid by more than float noise
         ticks = math.floor(q) if side == BUY else math.ceil(q)
-    if ticks <= 0:
-        return None
-    return OrderIntent(agent_id, side, ticks, horizon)
+    return side, ticks
 
 
 def reservation_ticks(expectation: np.ndarray, k: np.ndarray, tick: float):
     """decide_order's buy and sell reservations for arrays of expectations
     and offsets: two float64 arrays of tick counts, each element the count
-    decide_order gives that side for a finite reservation, and <= 0 where it
-    gives no order. The expressions are decide_order's, in its order, so
-    each element is the same IEEE result; np.rint rounds half to even as
-    round does."""
+    decide_order gives that side for a finite reservation (<= 0: no order).
+    The expressions are decide_order's, in its order, so each element is the
+    same IEEE result; np.rint rounds half to even as round does."""
     def snap(q, off_grid):
         ticks = np.rint(q)
         return np.where(np.abs(q - ticks) > 1e-6, off_grid(q), ticks)

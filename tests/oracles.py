@@ -11,6 +11,8 @@ None of this is used by the library itself:
   reads from the price buffer at a step index and from the step's quotes;
 - `switch_sweep`, the switching sweep over a population and a market view,
   which adapts tests to the flat `apply_switching` kernel;
+- an order's fields as one tuple, `Order`, which a test unpacks into
+  `OrderBook.submit` and hands whole to the naive book;
 - a naive order book that rescans a flat list of resting orders on every
   operation, and a listing of a book's resting orders and an order's price
   in currency;
@@ -309,6 +311,15 @@ def switch_sweep(
 # ---------------------------------------------------------------------------
 
 
+class Order(NamedTuple):
+    """One submission: `OrderBook.submit(*order, t)` takes its fields in order."""
+
+    agent_id: int
+    side: Side
+    ticks: int  # reservation price in tick units, > 0
+    horizon: int  # lifetime in steps once resting
+
+
 class NaiveBook:
     """Reference book: a flat list of resting orders rescanned on every operation.
 
@@ -329,8 +340,8 @@ class NaiveBook:
             return max(rows, key=lambda o: (o[1], -o[2], -o[3]))
         return min(rows, key=lambda o: (o[1], o[2], o[3]))
 
-    def submit(self, it, t):
-        """(ticks, buyer, seller) of the trade `it` makes, else None."""
+    def submit(self, it: Order, t):
+        """(ticks, buyer, seller) of the trade order `it` makes, else None."""
         opposite = Side.SELL if it.side == Side.BUY else Side.BUY
         best = self.best(opposite)
         crossing = best is not None and (
@@ -586,24 +597,22 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             horizon = horizon_c
         expectation = expected_price(agent_type, p_prev, p_f_now, sigma_tau, config, rng_noise)
         k = draw_k(rng_offset, k_scale)
-        intent = decide_order(agent, horizon, expectation, p_prev, k, tick)
+        side, ticks = decide_order(expectation, p_prev, k, tick)
 
         trade = None
-        if intent is None:
+        if ticks <= 0:
             rejections["no_order"] += 1
-        elif not lo <= intent.ticks * tick <= hi:
+        elif not lo <= ticks * tick <= hi:
             rejections["band"] += 1
+        elif not enforce_budget(side, ticks, book, cash[agent] - pledged_cash[agent],
+                                shares[agent] - pledged_shares[agent]):
+            rejections["budget_buy" if side == BUY else "budget_sell"] += 1
         else:
-            checked = enforce_budget(intent, book, cash[agent] - pledged_cash[agent],
-                                     shares[agent] - pledged_shares[agent])
-            if checked is None:
-                rejections["budget_buy" if intent.side == BUY else "budget_sell"] += 1
-            else:
-                trade = book.submit(checked, t)
-                if trade is not None:
-                    settle_trade(cash, shares, trade)
-                    trade_rows.extend(
-                        (t, trade.ticks, trade.buyer_id, trade.seller_id, trade.aggressor))
+            trade = book.submit(agent, side, ticks, horizon, t)
+            if trade is not None:
+                settle_trade(cash, shares, trade)
+                trade_rows.extend(
+                    (t, trade.ticks, trade.buyer_id, trade.seller_id, trade.aggressor))
 
         bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
         p_now = current_price(trade, bid, ask, tick_size, p_prev)

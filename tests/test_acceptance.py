@@ -24,13 +24,13 @@ from market_abm.analytics import (
     fit_power_law,
     reduce_run,
 )
-from market_abm.book import OrderBook, OrderIntent, Side
+from market_abm.book import OrderBook, Side
 from market_abm.cli import experiment_config, experiment_seeds
 from market_abm.config import SimConfig
 from market_abm.engine import run_seeds, run_simulation
 from market_abm.runio import write_steps_csv
 
-from oracles import NaiveBook
+from oracles import NaiveBook, Order
 
 DESK_SCALE = 0.1
 WORKERS = 2
@@ -317,13 +317,13 @@ def test_c7_book_matches_naive_reference():
         fast.expire(t)
         naive.expire(t)
         ticks = int(round(rng.uniform(285, 315) / tick))
-        it = OrderIntent(
+        it = Order(
             agent_id=int(rng.integers(60)),
             side=Side.BUY if rng.random() < 0.5 else Side.SELL,
             ticks=ticks,
             horizon=int(rng.integers(5, 120)),
         )
-        trade = fast.submit(it, t)
+        trade = fast.submit(*it, t)
         ref = naive.submit(it, t)
         if trade is None:
             assert ref is None, f"step {t}: reference traded, book did not"
@@ -331,7 +331,7 @@ def test_c7_book_matches_naive_reference():
             trades += 1
             assert ref is not None, f"step {t}: book traded, reference did not"
             assert (trade.ticks, trade.buyer_id, trade.seller_id) == ref, f"step {t}"
-    check("C7 1e5 random intents match naive reference book trade-for-trade", True,
+    check("C7 1e5 random orders match naive reference book trade-for-trade", True,
           f"{trades} trades compared")
 
 

@@ -8,17 +8,17 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from market_abm.book import NO_TICK, BookStats, OrderBook, OrderIntent, Side, current_price
+from market_abm.book import NO_TICK, BookStats, OrderBook, Side, current_price
 from market_abm.engine import check_escrow
 
-from oracles import NaiveBook, current_price_reference, order_price, resting_orders
+from oracles import NaiveBook, Order, current_price_reference, order_price, resting_orders
 
 TICK = 0.0005
 
 
-def intent(agent, side, price, horizon=100):
+def order_at(agent, side, price, horizon=100):
     ticks = int(round(price / TICK))
-    return OrderIntent(agent_id=agent, side=side, ticks=ticks, horizon=horizon)
+    return Order(agent_id=agent, side=side, ticks=ticks, horizon=horizon)
 
 
 N_AGENTS = 60
@@ -36,16 +36,16 @@ class TestQuotes:
 
     def test_best_of_explicit_set(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0), 1)
-        book.submit(intent(2, Side.BUY, 298.0), 1)
-        book.submit(intent(3, Side.SELL, 301.0), 1)
+        book.submit(*order_at(1, Side.BUY, 299.0), 1)
+        book.submit(*order_at(2, Side.BUY, 298.0), 1)
+        book.submit(*order_at(3, Side.SELL, 301.0), 1)
         assert book.best_bid() == pytest.approx(299.0)
         assert book.best_ask() == pytest.approx(301.0)
 
     def test_emptied_side(self):
         book = make_book()
-        book.submit(intent(1, Side.SELL, 301.0), 1)
-        trade = book.submit(intent(2, Side.BUY, 301.0), 2)
+        book.submit(*order_at(1, Side.SELL, 301.0), 1)
+        trade = book.submit(*order_at(2, Side.BUY, 301.0), 2)
         assert trade is not None
         assert book.best_ask() is None
 
@@ -53,8 +53,8 @@ class TestQuotes:
 class TestSubmit:
     def test_marketable_buy_executes_at_ask(self):
         book = make_book()
-        book.submit(intent(1, Side.SELL, 301.0), 1)
-        trade = book.submit(intent(2, Side.BUY, 301.0), 2)
+        book.submit(*order_at(1, Side.SELL, 301.0), 1)
+        trade = book.submit(*order_at(2, Side.BUY, 301.0), 2)
         assert resting_orders(book) == []
         assert trade.ticks * TICK == pytest.approx(301.0)
         assert trade.buyer_id == 2 and trade.seller_id == 1
@@ -62,30 +62,30 @@ class TestSubmit:
 
     def test_non_crossing_buy_rests(self):
         book = make_book()
-        book.submit(intent(1, Side.SELL, 301.0), 1)
-        trade = book.submit(intent(2, Side.BUY, 300.5), 2)
+        book.submit(*order_at(1, Side.SELL, 301.0), 1)
+        trade = book.submit(*order_at(2, Side.BUY, 300.5), 2)
         assert trade is None
         assert resting_orders(book)[-1] == (1, 2, Side.BUY, 601_000, 2, 102)
         assert book.best_bid() == pytest.approx(300.5)
 
     def test_time_priority_at_same_price(self):
         book = make_book()
-        book.submit(intent(1, Side.SELL, 301.0), 5)
-        book.submit(intent(2, Side.SELL, 301.0), 9)
-        trade = book.submit(intent(3, Side.BUY, 302.0), 10)
+        book.submit(*order_at(1, Side.SELL, 301.0), 5)
+        book.submit(*order_at(2, Side.SELL, 301.0), 9)
+        trade = book.submit(*order_at(3, Side.BUY, 302.0), 10)
         assert trade.seller_id == 1  # the older order matches first
 
     def test_marketable_sell_executes_at_bid(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0), 1)
-        trade = book.submit(intent(2, Side.SELL, 298.0), 2)
+        book.submit(*order_at(1, Side.BUY, 299.0), 1)
+        trade = book.submit(*order_at(2, Side.SELL, 298.0), 2)
         assert trade.ticks * TICK == pytest.approx(299.0)
         assert trade.aggressor == Side.SELL
 
     def test_self_cross_is_dropped_by_default(self):
         book = make_book()
-        book.submit(intent(1, Side.SELL, 301.0), 1)
-        assert book.submit(intent(1, Side.BUY, 302.0), 2) is None
+        book.submit(*order_at(1, Side.SELL, 301.0), 1)
+        assert book.submit(*order_at(1, Side.BUY, 302.0), 2) is None
         assert book.self_trade_rejections == 1
         assert book.quote_ticks()[4] == 1  # the resting ask is untouched
         assert [o.order_id for o in resting_orders(book)] == [0]  # and the bid did not rest
@@ -95,13 +95,13 @@ class TestSubmit:
         book = make_book()
         for t in range(1, 3000):
             book.expire(t)
-            it = intent(
+            it = order_at(
                 int(rng.integers(50)),
                 Side.BUY if rng.random() < 0.5 else Side.SELL,
                 float(rng.uniform(280, 320)),
                 horizon=int(rng.integers(10, 300)),
             )
-            book.submit(it, t)
+            book.submit(*it, t)
             bid, ask = book.best_bid(), book.best_ask()
             if bid is not None and ask is not None:
                 assert bid < ask
@@ -110,9 +110,9 @@ class TestSubmit:
         rng = np.random.default_rng(1)
         book = make_book()
         for t in range(1, 500):
-            it = intent(int(rng.integers(50)), Side.BUY if rng.random() < 0.5 else Side.SELL,
+            it = order_at(int(rng.integers(50)), Side.BUY if rng.random() < 0.5 else Side.SELL,
                         float(rng.uniform(280, 320)))
-            book.submit(it, t)
+            book.submit(*it, t)
         for order in resting_orders(book):
             assert order.ticks > 0
             price = order_price(order, TICK)
@@ -122,13 +122,13 @@ class TestSubmit:
 class TestExpire:
     def test_noop_without_expiries(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0, horizon=100), 1)
+        book.submit(*order_at(1, Side.BUY, 299.0, horizon=100), 1)
         assert book.expire(50) is None
         assert book.quote_ticks()[4] == 1
 
     def test_boundary_inclusive(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0, horizon=100), 1)
+        book.submit(*order_at(1, Side.BUY, 299.0, horizon=100), 1)
         book.expire(100)
         assert book.quote_ticks()[4] == 1
         book.expire(101)
@@ -141,9 +141,9 @@ class TestExpire:
         for i in range(200):
             t = i + 1
             horizon = int(rng.integers(5, 80))
-            it = intent(i, Side.BUY if rng.random() < 0.5 else Side.SELL,
+            it = order_at(i, Side.BUY if rng.random() < 0.5 else Side.SELL,
                         float(rng.uniform(200, 400)), horizon=horizon)
-            if book.submit(it, t) is None:  # every agent id is new, so no self-cross
+            if book.submit(*it, t) is None:  # every agent id is new, so no self-cross
                 rested = resting_orders(book)[-1]
                 assert rested.agent_id == i
                 expected_alive.add((rested.order_id, rested.expires_at))
@@ -171,15 +171,15 @@ class TestCurrentPrice:
 
     def test_midpoint(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0), 1)
-        book.submit(intent(2, Side.SELL, 301.0), 1)
+        book.submit(*order_at(1, Side.BUY, 299.0), 1)
+        book.submit(*order_at(2, Side.SELL, 301.0), 1)
         assert price_proxy(book, None, 310.0) == pytest.approx(300.0)
 
     def test_trade_price_wins(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0), 1)
-        book.submit(intent(2, Side.SELL, 301.0), 1)
-        trade = book.submit(intent(3, Side.BUY, 301.0), 2)
+        book.submit(*order_at(1, Side.BUY, 299.0), 1)
+        book.submit(*order_at(2, Side.SELL, 301.0), 1)
+        trade = book.submit(*order_at(3, Side.BUY, 301.0), 2)
         assert price_proxy(book, trade, 310.0) == pytest.approx(301.0)
 
     def test_empty_book_keeps_previous(self):
@@ -188,17 +188,17 @@ class TestCurrentPrice:
 
     def test_one_sided_book_keeps_previous(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0), 1)
+        book.submit(*order_at(1, Side.BUY, 299.0), 1)
         assert price_proxy(book, None, 305.0) == pytest.approx(305.0)
         other = make_book()
-        other.submit(intent(2, Side.SELL, 301.0), 1)
+        other.submit(*order_at(2, Side.SELL, 301.0), 1)
         assert price_proxy(other, None, 305.0) == pytest.approx(305.0)
 
     def test_odd_tick_midpoint_equals_reference(self):
         # a mid-quote between ticks an odd count apart lands off the grid
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0005), 1)
-        book.submit(intent(2, Side.SELL, 301.0), 1)
+        book.submit(*order_at(1, Side.BUY, 299.0005), 1)
+        book.submit(*order_at(2, Side.SELL, 301.0), 1)
         assert price_proxy(book, None, 310.0) == pytest.approx(300.00025)
 
 
@@ -206,9 +206,9 @@ class TestSpreadAndGaps:
     def test_explicit_book(self):
         book = make_book()
         for price in (299.0, 297.5):
-            book.submit(intent(1, Side.BUY, price), 1)
+            book.submit(*order_at(1, Side.BUY, price), 1)
         for price in (301.0, 302.0):
-            book.submit(intent(2, Side.SELL, price), 1)
+            book.submit(*order_at(2, Side.SELL, price), 1)
         stats = book.spread_and_gaps()
         assert stats.spread == pytest.approx(2.0)
         assert stats.bid_gap == pytest.approx(1.5)
@@ -217,8 +217,8 @@ class TestSpreadAndGaps:
 
     def test_single_level_sides(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0), 1)
-        book.submit(intent(2, Side.SELL, 301.0), 1)
+        book.submit(*order_at(1, Side.BUY, 299.0), 1)
+        book.submit(*order_at(2, Side.SELL, 301.0), 1)
         stats = book.spread_and_gaps()
         assert stats.spread == pytest.approx(2.0)
         assert stats.bid_gap is None
@@ -230,8 +230,8 @@ class TestSpreadAndGaps:
 
     def test_same_price_orders_form_one_level(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0), 1)
-        book.submit(intent(2, Side.BUY, 299.0), 2)
+        book.submit(*order_at(1, Side.BUY, 299.0), 1)
+        book.submit(*order_at(2, Side.BUY, 299.0), 2)
         assert book.spread_and_gaps().bid_gap is None
 
 
@@ -239,25 +239,25 @@ class TestQuoteTicks:
     def test_explicit_book(self):
         book = make_book()
         for price in (299.0, 297.5):
-            book.submit(intent(1, Side.BUY, price), 1)
+            book.submit(*order_at(1, Side.BUY, price), 1)
         for price in (301.0, 302.0, 302.0):
-            book.submit(intent(2, Side.SELL, price), 1)
+            book.submit(*order_at(2, Side.SELL, price), 1)
         assert book.quote_ticks() == (598_000, 602_000, 3_000, 2_000, 5)
 
     def test_missing_values_are_no_tick(self):
         book = make_book()
         assert book.quote_ticks() == (NO_TICK, NO_TICK, NO_TICK, NO_TICK, 0)
-        book.submit(intent(1, Side.BUY, 299.0), 1)
-        book.submit(intent(1, Side.BUY, 299.0), 2)
+        book.submit(*order_at(1, Side.BUY, 299.0), 1)
+        book.submit(*order_at(1, Side.BUY, 299.0), 2)
         assert book.quote_ticks() == (598_000, NO_TICK, NO_TICK, NO_TICK, 2)
 
 
 class TestSnapshot:
     def test_ask_volumes_negative(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 299.0), 1)
-        book.submit(intent(2, Side.BUY, 299.0), 1)
-        book.submit(intent(3, Side.SELL, 301.0), 1)
+        book.submit(*order_at(1, Side.BUY, 299.0), 1)
+        book.submit(*order_at(2, Side.BUY, 299.0), 1)
+        book.submit(*order_at(3, Side.SELL, 301.0), 1)
         rows = book.snapshot_levels()
         assert rows == [(pytest.approx(299.0), 2), (pytest.approx(301.0), -1)]
 
@@ -265,12 +265,12 @@ class TestSnapshot:
 class TestPledges:
     def test_resting_orders_pledge_and_every_removal_releases(self):
         book = make_book(n_agents=3)
-        book.submit(intent(0, Side.BUY, 299.0, horizon=5), 1)  # pledges 598_000 ticks
-        book.submit(intent(1, Side.SELL, 301.0), 1)  # pledges one share
+        book.submit(*order_at(0, Side.BUY, 299.0, horizon=5), 1)  # pledges 598_000 ticks
+        book.submit(*order_at(1, Side.SELL, 301.0), 1)  # pledges one share
         assert (book.pledged_cash, book.pledged_shares) == ([598_000, 0, 0], [0, 1, 0])
-        book.submit(intent(2, Side.BUY, 301.0), 2)  # trades: agent 1's ask is released
+        book.submit(*order_at(2, Side.BUY, 301.0), 2)  # trades: agent 1's ask is released
         assert (book.pledged_cash, book.pledged_shares) == ([598_000, 0, 0], [0, 0, 0])
-        book.submit(intent(2, Side.SELL, 400.0), 3)
+        book.submit(*order_at(2, Side.SELL, 400.0), 3)
         assert book.pledged_shares == [0, 0, 1]
         book.expire(6)  # agent 0's bid expires
         assert book.pledged_cash == [0, 0, 0]
@@ -282,9 +282,9 @@ class TestPledges:
 class TestPurge:
     def test_out_of_band_orders_removed(self):
         book = make_book()
-        book.submit(intent(1, Side.BUY, 250.0), 1)
-        book.submit(intent(2, Side.BUY, 299.0), 1)
-        book.submit(intent(3, Side.SELL, 360.0), 1)
+        book.submit(*order_at(1, Side.BUY, 250.0), 1)
+        book.submit(*order_at(2, Side.BUY, 299.0), 1)
+        book.submit(*order_at(3, Side.SELL, 360.0), 1)
         assert book.purge_outside(255.0, 345.0) is None
         assert [o.agent_id for o in resting_orders(book)] == [2]
         assert book.quote_ticks()[4] == 1
@@ -304,8 +304,8 @@ class TestPurge:
             hi = math.nextafter(hi, -math.inf * nudge)
         book, naive = make_book(), NaiveBook()
         for agent, ticks in enumerate([999, 1000, 1000, 1100, 1200, 1201]):
-            it = OrderIntent(agent, side, ticks, 50)
-            book.submit(it, 1)
+            it = Order(agent, side, ticks, 50)
+            book.submit(*it, 1)
             naive.submit(it, 1)
         book.purge_outside(lo, hi)
         naive.purge_outside(lo, hi, TICK)
@@ -317,7 +317,7 @@ class TestPurge:
 
 
 def test_differential_against_naive_reference():
-    """Random intent stream: trades must match the rescan-everything book."""
+    """Random order stream: trades must match the rescan-everything book."""
     rng = np.random.default_rng(7)
     fast = make_book()
     naive = NaiveBook()
@@ -325,13 +325,13 @@ def test_differential_against_naive_reference():
     for t in range(1, 20_000):
         fast.expire(t)
         naive.expire(t)
-        it = intent(
+        it = order_at(
             int(rng.integers(40)),
             Side.BUY if rng.random() < 0.5 else Side.SELL,
             float(rng.uniform(285, 315)),
             horizon=int(rng.integers(5, 200)),
         )
-        trade = fast.submit(it, t)
+        trade = fast.submit(*it, t)
         ref = naive.submit(it, t)
         if trade is None:
             assert ref is None
@@ -370,8 +370,8 @@ class BookAgainstNaive(RuleBasedStateMachine):
     @rule(agent=st.integers(0, N_AGENTS - 1), side=st.sampled_from(Side),
           ticks=st.integers(1, 12), horizon=st.integers(1, 8))
     def submit(self, agent, side, ticks, horizon):
-        it = OrderIntent(agent_id=agent, side=side, ticks=ticks, horizon=horizon)
-        trade = self.book.submit(it, self.t)
+        it = Order(agent_id=agent, side=side, ticks=ticks, horizon=horizon)
+        trade = self.book.submit(*it, self.t)
         ref = self.naive.submit(it, self.t)
         assert (None if trade is None else (trade.ticks, trade.buyer_id, trade.seller_id)) == ref
         if trade is not None:

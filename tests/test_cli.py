@@ -150,6 +150,27 @@ class TestConfigFormat:
             f"error: config field {field}: the total endowment, {total}, reaches 2**63\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, field", [
+        # without the check: numpy overflow warnings, then "cannot convert
+        # float infinity to integer", naming no field
+        pytest.param(["p0=1e307", "pf0=1e307"], "p0", id="tick-0.0005"),
+        pytest.param(["p0=1e300", "pf0=1e300", "tick=1e-12"], "p0", id="tick-1e-12"),
+        # without the check: "math range error"
+        pytest.param(["pf0=1e300", "tick=1e-12"], "pf0", id="pf0-only"),
+    ])
+    def test_price_past_exact_tick_counts_is_named(self, tmp_path, capsys, overrides, field):
+        message = (f"config field {field}: {field} / tick reaches 2**53, "
+                   "past which a float64 holds no exact tick count")
+        with pytest.raises(ValueError) as err:
+            SimConfig(**parse_overrides(overrides)).validate()
+        assert str(err.value) == message
+        out = tmp_path / "out"
+        argv = ["run", "-O", "steps=100", *[a for pair in overrides for a in ("-O", pair)],
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("dt", "0.02"), ("switching_enabled", "false"), ("allow_self_trades", "true"),
         ("sigma_window_aligned", "true"), ("u2_trend_horizon", "chartist"),

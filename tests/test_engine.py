@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from market_abm import engine
-from market_abm.book import OrderBook, OrderIntent, Side, Trade
+from market_abm.book import OrderBook, Side, Trade
 from market_abm.config import SimConfig
 from market_abm.engine import (
     check_escrow,
@@ -26,6 +26,8 @@ from market_abm.engine import (
 )
 from market_abm.population import Population
 
+from oracles import Order
+
 TICK = 0.0005
 
 
@@ -35,21 +37,24 @@ def small_config(**kw):
     return SimConfig(**defaults)
 
 
-def intent(agent, side, price, horizon=100):
-    ticks = int(round(price / TICK))
-    return OrderIntent(agent_id=agent, side=side, ticks=ticks, horizon=horizon)
+def ticks_at(price):
+    return int(round(price / TICK))
+
+
+def order_at(agent, side, price, horizon=100):
+    return Order(agent_id=agent, side=side, ticks=ticks_at(price), horizon=horizon)
 
 
 def run_scripted(monkeypatch, p0, orders, **config):
     """A short run of a chartist-only market whose trader at step t submits
     the t-th (side, price) of `orders` in place of its own decision; the band
     stays anchored at p0. Chartists price their orders through decide_order,
-    which the script replaces."""
+    which the script replaces by the (side, ticks) of each price."""
     script = iter(orders)
 
-    def scripted(agent, horizon, expectation, p, k, tick):
+    def scripted(expectation, p, k, tick):
         side, price = next(script)
-        return intent(agent, side, price, horizon)
+        return side, ticks_at(price)
 
     monkeypatch.setattr(engine, "decide_order", scripted)
     cfg = small_config(steps=len(orders), p0=p0, switch_mode="off", init_frac_f=0.0,
@@ -101,25 +106,23 @@ class TestSelfTrade:
 class TestEnforceBudget:
     def test_no_cash_buy_rejected(self):
         book = OrderBook(TICK, 10)
-        assert enforce_budget(intent(1, Side.BUY, 279.0), book, 0, 5) is None
+        assert enforce_budget(Side.BUY, ticks_at(279.0), book, 0, 5) is False
 
     def test_no_shares_sell_rejected(self):
         book = OrderBook(TICK, 10)
-        assert enforce_budget(intent(1, Side.SELL, 310.0), book, 10**9, 0) is None
+        assert enforce_budget(Side.SELL, ticks_at(310.0), book, 10**9, 0) is False
 
     def test_resting_buy_checked_against_reservation(self):
         book = OrderBook(TICK, 10)
-        it = intent(1, Side.BUY, 279.0)
-        cash_ticks = int(round(300.0 / TICK))
-        assert enforce_budget(it, book, cash_ticks, 0) is it
+        assert enforce_budget(Side.BUY, ticks_at(279.0), book, ticks_at(300.0), 0) is True
 
     def test_marketable_buy_checked_against_best_ask(self):
         book = OrderBook(TICK, 10)
-        book.submit(intent(9, Side.SELL, 300.0), 1)
+        book.submit(*order_at(9, Side.SELL, 300.0), 1)
         # reservation 310 but it would execute at 300: cash for 300 suffices
-        it = intent(1, Side.BUY, 310.0)
-        assert enforce_budget(it, book, int(round(305.0 / TICK)), 0) is it
-        assert enforce_budget(it, book, int(round(295.0 / TICK)), 0) is None
+        buy = (Side.BUY, ticks_at(310.0))
+        assert enforce_budget(*buy, book, ticks_at(305.0), 0) is True
+        assert enforce_budget(*buy, book, ticks_at(295.0), 0) is False
 
 
 class TestSettleTrade:
@@ -158,10 +161,10 @@ class TestSettleTrade:
 class TestEscrow:
     def make_book(self):
         book = OrderBook(TICK, 3)
-        book.submit(intent(0, Side.BUY, 299.0), 1)
-        book.submit(intent(0, Side.BUY, 298.5), 1)
-        book.submit(intent(1, Side.SELL, 301.0), 1)
-        book.submit(intent(1, Side.SELL, 301.0), 2)
+        book.submit(*order_at(0, Side.BUY, 299.0), 1)
+        book.submit(*order_at(0, Side.BUY, 298.5), 1)
+        book.submit(*order_at(1, Side.SELL, 301.0), 1)
+        book.submit(*order_at(1, Side.SELL, 301.0), 2)
         return book
 
     BIDS_0 = int(round(299.0 / TICK)) + int(round(298.5 / TICK))

@@ -197,49 +197,46 @@ def random_orders():
 
 class TestDecideOrder:
     def test_no_order_when_expectation_equals_price(self):
-        assert decide_order(1, 100, 300.0, 300.0, 0.05, 0.0005) is None
+        assert decide_order(300.0, 300.0, 0.05, 0.0005) == (None, 0)
 
     def test_buy_discounts_expectation(self):
-        intent = decide_order(1, 100, 310.0, 300.0, 0.1, 0.0005)
-        assert intent.side == Side.BUY
-        assert intent.ticks * 0.0005 == pytest.approx(279.0)
-        assert intent.ticks == 558000
+        side, ticks = decide_order(310.0, 300.0, 0.1, 0.0005)
+        assert side == Side.BUY
+        assert ticks * 0.0005 == pytest.approx(279.0)
+        assert ticks == 558000
 
     def test_sell_zero_offset_boundary(self):
-        intent = decide_order(2, 300, 290.0, 300.0, 0.0, 0.0005)
-        assert intent.side == Side.SELL
-        assert intent.ticks * 0.0005 == pytest.approx(290.0)
-        assert intent.ticks == 580000
+        side, ticks = decide_order(290.0, 300.0, 0.0, 0.0005)
+        assert side == Side.SELL
+        assert ticks * 0.0005 == pytest.approx(290.0)
+        assert ticks == 580000
 
     def test_reservations_on_grid_and_ordered(self):
         tick = 0.0005
         for expectation, p, k in random_orders():
-            intent = decide_order(3, 100, expectation, p, k, tick)
-            if intent is None:
+            side, ticks = decide_order(expectation, p, k, tick)
+            if ticks <= 0:
                 continue
-            price = intent.ticks * tick
+            price = ticks * tick
             # buy rounds down, so reservation <= expectation*(1-k) <= expectation
-            if intent.side == Side.BUY:
+            if side == Side.BUY:
                 assert price <= expectation + tick
             else:
                 assert price >= expectation - tick
             # a whole number of ticks, so an exact grid multiple
-            assert type(intent.ticks) is int and intent.ticks > 0
+            assert type(ticks) is int
             assert abs(price / tick - round(price / tick)) < 1e-6
 
     @pytest.mark.parametrize("off, buy_ticks, sell_ticks", SNAP_CASES)
     def test_snap_tolerance(self, off, buy_ticks, sell_ticks):
         expectation = (601 + off) / 2
-        assert decide_order(6, 100, expectation, 1.0, 0.0, 0.5).ticks == buy_ticks
-        assert decide_order(6, 100, expectation, 1000.0, 0.0, 0.5).ticks == sell_ticks
+        assert decide_order(expectation, 1.0, 0.0, 0.5) == (Side.BUY, buy_ticks)
+        assert decide_order(expectation, 1000.0, 0.0, 0.5) == (Side.SELL, sell_ticks)
 
     def test_degenerate_reservation_gives_no_order(self):
         # k >= 1 forces the buy reservation to zero or below
-        assert decide_order(4, 100, 310.0, 300.0, 1.0, 0.0005) is None
-
-    def test_horizon_carried_through(self):
-        intent = decide_order(5, 300, 310.0, 300.0, 0.1, 0.0005)
-        assert intent.horizon == 300
+        side, ticks = decide_order(310.0, 300.0, 1.0, 0.0005)
+        assert side == Side.BUY and ticks <= 0
 
     def test_reservation_table_matches_decide_order(self):
         # per tick, (expectation, k) rows: the snap cases; the random draws
@@ -258,7 +255,5 @@ class TestDecideOrder:
                 assert table.dtype == np.float64
                 for e, k_, ticks in zip(expectation.tolist(), k.tolist(), table.tolist()):
                     p = e / 2 if side == Side.BUY else e * 2  # the side decide_order takes
-                    intent = decide_order(0, 1, e, p, k_, tick)
-                    assert intent is None or intent.side == side
-                    assert (int(ticks) if ticks > 0 else None) == (intent and intent.ticks), \
-                        (tick, side, e, k_)
+                    # the same side and tick count, no order (<= 0) included
+                    assert decide_order(e, p, k_, tick) == (side, ticks), (tick, side, e, k_)

@@ -37,6 +37,9 @@ def test_surface_counts():
     assert surface["cli_arguments"]["analyze"] == 5
     # --workers defaults to 1; no setting comes from the environment
     assert surface["env_reads"] == 0
+    # OrderBook, Population, RunOutput, Side, SimConfig, Trade, load_config,
+    # run_seeds, run_simulation, __version__
+    assert surface["public_names"] == len(market_abm.__all__) == 10
 
 
 def test_env_reads_counts_each_use(tmp_path):

@@ -6,9 +6,10 @@ Prints `src_lines` (the lines of each module under `src/market_abm/`, as
 `wc -l` counts them, and their total), `simconfig_fields` (the number of
 `SimConfig` fields, each a config key), `switch_modes` (the values
 `switch_mode` accepts), `cli_arguments` (per subcommand of `market-abm`,
-the arguments its parser takes, `-h` aside) and `env_reads` (the uses of
-`os.environ` and `os.getenv` in the package's modules). It imports the
-library from the `src/` next to this directory.
+the arguments its parser takes, `-h` aside), `env_reads` (the uses of
+`os.environ` and `os.getenv` in the package's modules) and `public_names`
+(the names `market_abm.__all__` exports). It imports the library from the
+`src/` next to this directory.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ def cli_arguments(parser: argparse.ArgumentParser) -> dict[str, int]:
 
 def surface() -> dict:
     sys.path.insert(0, str(SRC))
+    import market_abm
     from market_abm import cli
     from market_abm.config import SWITCH_MODES, SimConfig
 
@@ -55,6 +57,7 @@ def surface() -> dict:
         "switch_modes": len(SWITCH_MODES),
         "cli_arguments": cli_arguments(cli.build_parser()),
         "env_reads": env_reads(SRC / "market_abm"),
+        "public_names": len(market_abm.__all__),
     }
 
 
