@@ -12,7 +12,7 @@ and a resting ask one share, until the order trades, expires or is purged.
 from __future__ import annotations
 
 import bisect
-import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -55,6 +55,10 @@ class BookStats:
     depth: int
 
 
+# tuple.__new__(LimitOrder, fields) builds the same named tuple as
+# LimitOrder(*fields) without the class's Python-level __new__
+_new_tuple = tuple.__new__
+
 NO_TICK = 0  # stands for a missing quote or gap in tick fields; real ones are > 0
 
 
@@ -69,8 +73,16 @@ class OrderBook:
         self._orders: dict[int, LimitOrder] = {}
         self._levels = {BUY: {}, SELL: {}}  # ticks -> deque of order ids
         self._ticks = {BUY: [], SELL: []}  # sorted ascending distinct ticks
-        self.ask_levels = self._ticks[SELL]  # the asks' ticks, best first; for reading only
-        self._expiry: list[tuple[int, int]] = []  # (expires_at, order_id) min-heap
+        # for reading only: the bids' ticks (best last), the asks' (best
+        # first), and the resting orders by id, oldest first
+        self.bid_levels = self._ticks[BUY]
+        self.ask_levels = self._ticks[SELL]
+        self.resting = self._orders
+        # per horizon, (expires_at, order_id) in submission order, which is
+        # expiry order; and the earliest expires_at they hold
+        self._expiry: dict[int, deque[tuple[int, int]]] = {}
+        self._next_due = math.inf
+        self._last_submit = -math.inf
         self._next_id = 0
         self.self_trade_rejections = 0
 
@@ -99,10 +111,14 @@ class OrderBook:
         for `horizon` steps; the trade it makes, else None.
 
         An order whose only match candidate is the submitter's own resting
-        order is dropped and counted in `self_trade_rejections`.
+        order is dropped and counted in `self_trade_rejections`. Steps must
+        not go back: a `t` below the previous submit's is refused.
         """
         if ticks <= 0:
             raise ValueError("reservation price must be positive")
+        if t < self._last_submit:
+            raise ValueError(f"submit at step {t} after step {self._last_submit}")
+        self._last_submit = t
         if side == BUY:
             best = self.best_ask_ticks()
             crossing = best is not None and ticks >= best
@@ -126,26 +142,43 @@ class OrderBook:
         order_id = self._next_id
         self._next_id = order_id + 1
         expires_at = t + horizon
-        order = LimitOrder(order_id, agent_id, side, ticks, t, expires_at)
-        self._orders[order_id] = order
+        self._orders[order_id] = _new_tuple(
+            LimitOrder, (order_id, agent_id, side, ticks, t, expires_at))
         level = self._levels[side].get(ticks)
         if level is None:  # _remove drops a level once it is empty
             level = self._levels[side][ticks] = deque()
             bisect.insort(self._ticks[side], ticks)
         level.append(order_id)
-        heapq.heappush(self._expiry, (expires_at, order_id))
+        queue = self._expiry.get(horizon)
+        if queue is None:
+            queue = self._expiry[horizon] = deque()
+        queue.append((expires_at, order_id))
+        if expires_at < self._next_due:
+            self._next_due = expires_at
         if side == BUY:
             self.pledged_cash[agent_id] += ticks
         else:
             self.pledged_shares[agent_id] += 1
 
     def expire(self, t: int) -> None:
-        """Remove every resting order with expires_at <= t."""
-        expiry = self._expiry
-        while expiry and expiry[0][0] <= t:
-            oid = heapq.heappop(expiry)[1]
-            if oid in self._orders:
-                self._remove(oid)
+        """Remove every resting order with expires_at <= t.
+
+        Each horizon's queue is popped in submission order. The end state
+        does not depend on which order goes first: a level keeps the relative
+        order of what remains, and pledges are sums.
+        """
+        if t < self._next_due:
+            return
+        orders = self._orders
+        next_due = math.inf
+        for queue in self._expiry.values():
+            while queue and queue[0][0] <= t:
+                oid = queue.popleft()[1]
+                if oid in orders:  # else it traded or was purged
+                    self._remove(oid)
+            if queue and queue[0][0] < next_due:
+                next_due = queue[0][0]
+        self._next_due = next_due
 
     def purge_outside(self, lo: float, hi: float) -> None:
         """Remove resting orders priced outside [lo, hi] (currency units).

@@ -211,7 +211,10 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
     book = OrderBook(tick, n_agents)
     tick_size = book.tick_size  # float; the book prices every tick with it
     pledged_cash, pledged_shares = book.pledged_cash, book.pledged_shares
-    asks = book.ask_levels  # the budget filter reads the best ask off it
+    # the level ticks (bids best last, asks best first) and resting orders,
+    # read in place: the budget filter reads the best ask, the record the
+    # quotes, gaps and depth as quote_ticks gives them
+    bids, asks, resting = book.bid_levels, book.ask_levels, book.resting
 
     # Per-step values go through memoryviews, which read and store Python
     # numbers faster than numpy indexing. The quote and gap columns hold tick
@@ -276,11 +279,17 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         # at one tick) and its buy and sell reservations in ticks.
         j = (t - 1) % block
         if j == 0:
+            # the last block's tables go before this block's are drawn
+            picks = noise = ks = e_f = buy_f = sell_f = z = k = None
             picks = memoryview(rng_pick.integers(n_agents, size=block))
             z = rng_noise.standard_normal(block)
-            k = k_scale * rng_offset.standard_exponential(block)
+            k = rng_offset.standard_exponential(block)
+            k *= k_scale
             p_f = fv[t : t + block]
-            e_f = np.maximum(p_f * (1.0 + noise_f * z[: len(p_f)]), tick)  # NaN passes through
+            e_f = np.multiply(noise_f, z[: len(p_f)])
+            e_f += 1.0
+            e_f *= p_f
+            np.maximum(e_f, tick, out=e_f)  # NaN passes through
             buy_f, sell_f = map(memoryview, reservation_ticks(e_f, k[: len(p_f)], tick))
             noise, ks, e_f = memoryview(z), memoryview(k), memoryview(e_f)
         # Per step: the trader's side and reservation in ticks, as
@@ -330,9 +339,19 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                 settle_trade(cash, shares, trade)
                 trade_rows.extend(trade)
 
-        # The price proxy, as current_price takes it: the trade's price, else
-        # the mid-quote of a two-sided book, else the previous price.
-        bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
+        # The quotes as quote_ticks reads them, then the price proxy, as
+        # current_price takes it: the trade's price, else the mid-quote of a
+        # two-sided book, else the previous price.
+        if bids:
+            bid = bids[-1]
+            bid_gap = bid - bids[-2] if len(bids) > 1 else NO_TICK
+        else:
+            bid = bid_gap = NO_TICK
+        if asks:
+            ask = asks[0]
+            ask_gap = asks[1] - ask if len(asks) > 1 else NO_TICK
+        else:
+            ask = ask_gap = NO_TICK
         if trade is not None:
             p_now = trade.ticks * tick_size
         elif bid and ask:
@@ -348,7 +367,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         ask_at[i] = ask
         bid_gap_at[i] = bid_gap
         ask_gap_at[i] = ask_gap
-        depth_at[i] = depth
+        depth_at[i] = len(resting)
 
         if t in snapshot_at:
             snapshots[t] = book.snapshot_levels()

@@ -108,10 +108,19 @@ def reservation_ticks(expectation: np.ndarray, k: np.ndarray, tick: float):
     and offsets: two float64 arrays of tick counts, each element the count
     decide_order gives that side for a finite reservation (<= 0: no order).
     The expressions are decide_order's, in its order, so each element is the
-    same IEEE result; np.rint rounds half to even as round does."""
-    def snap(q, off_grid):
-        ticks = np.rint(q)
-        return np.where(np.abs(q - ticks) > 1e-6, off_grid(q), ticks)
+    same IEEE result; np.rint rounds half to even as round does. Each side
+    computes in place in its own q array, beside one shared scratch array
+    and mask."""
+    scratch = np.empty_like(expectation)
+    off_grid = np.empty(len(expectation), dtype=bool)
 
-    return (snap(expectation * (1.0 - k) / tick, np.floor),
-            snap(expectation * (1.0 + k) / tick, np.ceil))
+    def snap(factor, round_off):
+        q = np.multiply(expectation, factor, out=factor)
+        q /= tick
+        ticks = np.rint(q)
+        np.subtract(q, ticks, out=scratch)
+        np.greater(np.abs(scratch, out=scratch), 1e-6, out=off_grid)
+        np.copyto(ticks, round_off(q, out=q), where=off_grid)
+        return ticks
+
+    return (snap(np.subtract(1.0, k), np.floor), snap(np.add(1.0, k), np.ceil))

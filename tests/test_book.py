@@ -135,26 +135,47 @@ class TestExpire:
         assert book.quote_ticks()[4] == 0
 
     def test_mixed_expiries_match_set_difference(self):
+        # horizons mixed at random, a long one submitted before a short one,
+        # and expiries at steps where nothing, some or everything is due:
+        # after each, the live orders are exactly the naive book's
         rng = np.random.default_rng(2)
-        book = make_book(n_agents=200)
-        expected_alive = set()
-        for i in range(200):
+        book, naive = make_book(n_agents=200), NaiveBook()
+
+        def submit(order, t):
+            got = book.submit(*order, t)
+            want = naive.submit(order, t)
+            assert (got and (got.ticks, got.buyer_id, got.seller_id)) == want
+
+        def expire(t):
+            book.expire(t)
+            naive.expire(t)
+            assert [tuple(o) for o in resting_orders(book)] == naive.live_orders()
+
+        submit(order_at(0, Side.BUY, 250.0, horizon=150), 1)
+        submit(order_at(1, Side.SELL, 350.0, horizon=5), 1)
+        expire(2)  # nothing due
+        expire(6)  # the short one goes, the long one stays
+        assert [o.agent_id for o in resting_orders(book)] == [0]
+        for i in range(2, 200):
             t = i + 1
             horizon = int(rng.integers(5, 80))
-            it = order_at(i, Side.BUY if rng.random() < 0.5 else Side.SELL,
-                        float(rng.uniform(200, 400)), horizon=horizon)
-            if book.submit(*it, t) is None:  # every agent id is new, so no self-cross
-                rested = resting_orders(book)[-1]
-                assert rested.agent_id == i
-                expected_alive.add((rested.order_id, rested.expires_at))
-        cutoff = 120
-        book.expire(cutoff)
-        expected_alive = {oid for oid, exp in expected_alive if exp > cutoff}
-        # some expected-alive orders may have traded; the live set must be a subset
-        live = {o.order_id for o in resting_orders(book)}
-        assert live <= expected_alive
-        for order in resting_orders(book):
-            assert order.expires_at > cutoff
+            side = Side.BUY if rng.random() < 0.5 else Side.SELL
+            submit(order_at(i, side, float(rng.uniform(200, 400)), horizon=horizon), t)
+            if t % 7 == 0:
+                expire(t)
+        for t in (200, 200, 230, 250, 280, 300):
+            expire(t)
+        assert resting_orders(book) == []
+
+    def test_submit_going_back_in_time_is_refused(self):
+        book = make_book()
+        book.submit(*order_at(1, Side.BUY, 299.0, horizon=10), 5)
+        book.submit(*order_at(2, Side.SELL, 301.0, horizon=10), 5)  # the same step is fine
+        before = resting_orders(book)
+        with pytest.raises(ValueError, match="submit at step 4 after step 5"):
+            book.submit(*order_at(3, Side.SELL, 299.0, horizon=10), 4)
+        assert resting_orders(book) == before
+        assert book.quote_ticks() == (598_000, 602_000, NO_TICK, NO_TICK, 2)
 
 
 def price_proxy(book, trade, previous_price):

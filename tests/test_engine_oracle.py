@@ -145,12 +145,21 @@ def test_unknown_agent_type_is_refused(monkeypatch):
 
 def test_non_positive_price_is_refused(monkeypatch):
     # no book the loop builds quotes like these; the check is the last guard
-    # before the analytics take logs of the prices
-    def quote_ticks(self):
-        return -4, 2, NO_TICK, NO_TICK, 0
+    # before the analytics take logs of the prices. The loop reads the
+    # published level lists, the reference quote_ticks, which reads the same.
+    class BadQuotes(engine.OrderBook):
+        def __init__(self, tick_size, n_agents):
+            super().__init__(tick_size, n_agents)
+            self.bid_levels.append(-4)
+            self.ask_levels.append(2)
 
+        def submit(self, agent_id, side, ticks, horizon, t):
+            return None
+
+    assert BadQuotes(1.0, 1).quote_ticks() == (-4, 2, NO_TICK, NO_TICK, 0)
     config = SimConfig(steps=20, n_agents=5, seed=1)
-    monkeypatch.setattr(engine.OrderBook, "quote_ticks", quote_ticks)
+    for module in (engine, oracles):
+        monkeypatch.setattr(module, "OrderBook", BadQuotes)
     for run in (run_simulation, reference_run):
         with pytest.raises(FloatingPointError, match="non-positive price at step 1: -0.0005"):
             run(config)
