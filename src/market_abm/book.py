@@ -71,7 +71,7 @@ class OrderBook:
         self.pledged_cash = [0] * n_agents
         self.pledged_shares = [0] * n_agents
         self._orders: dict[int, LimitOrder] = {}
-        self._levels = {BUY: {}, SELL: {}}  # ticks -> deque of order ids
+        self._levels = {BUY: {}, SELL: {}}  # ticks -> list of order ids, oldest first
         self._ticks = {BUY: [], SELL: []}  # sorted ascending distinct ticks
         # for reading only: the bids' ticks (best last), the asks' (best
         # first), and the resting orders by id, oldest first
@@ -146,7 +146,7 @@ class OrderBook:
             LimitOrder, (order_id, agent_id, side, ticks, t, expires_at))
         level = self._levels[side].get(ticks)
         if level is None:  # _remove drops a level once it is empty
-            level = self._levels[side][ticks] = deque()
+            level = self._levels[side][ticks] = []
             bisect.insort(self._ticks[side], ticks)
         level.append(order_id)
         queue = self._expiry.get(horizon)
@@ -200,17 +200,18 @@ class OrderBook:
     def _remove(self, order_id: int) -> None:
         """Take a resting order off the book and release its pledge; every
         trade, expiry and purge goes through here."""
-        order = self._orders.pop(order_id)
-        if order.side == BUY:
-            self.pledged_cash[order.agent_id] -= order.ticks
+        _, agent_id, side, ticks, _, _ = self._orders.pop(order_id)
+        if side == BUY:
+            self.pledged_cash[agent_id] -= ticks
         else:
-            self.pledged_shares[order.agent_id] -= 1
-        level = self._levels[order.side][order.ticks]
+            self.pledged_shares[agent_id] -= 1
+        levels = self._levels[side]
+        level = levels[ticks]
         level.remove(order_id)
         if not level:
-            del self._levels[order.side][order.ticks]
-            idx = bisect.bisect_left(self._ticks[order.side], order.ticks)
-            self._ticks[order.side].pop(idx)
+            del levels[ticks]
+            side_ticks = self._ticks[side]
+            del side_ticks[bisect.bisect_left(side_ticks, ticks)]
 
     # -- statistics ----------------------------------------------------------
 

@@ -40,12 +40,36 @@ def test_surface_counts():
     # OrderBook, Population, RunOutput, Side, SimConfig, Trade, load_config,
     # run_seeds, run_simulation, __version__
     assert surface["public_names"] == len(market_abm.__all__) == 10
+    # names the benchmark wraps that src/ calls only from inside such names
+    assert surface["tracer_only_names"] == [
+        "best_ask", "best_bid", "current_price", "draw_k", "enforce_budget",
+        "expected_price", "spread_and_gaps"]
 
 
-def test_env_reads_counts_each_use(tmp_path):
+def load_tool():
     spec = importlib.util.spec_from_file_location("surface", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_env_reads_counts_each_use(tmp_path):
+    tool = load_tool()
     (tmp_path / "a.py").write_text('import os\nx = os.environ.get("X", os.getenv("Y"))\n')
     (tmp_path / "b.py").write_text('w = os.environ["W"]\nenviron = "not a read"\n')
     assert tool.env_reads(tmp_path) == 3
+
+
+def test_tracer_only_names_grow_to_a_fixed_point(tmp_path):
+    tool = load_tool()
+    (tmp_path / "a.py").write_text(
+        "def uncalled():\n    return inner()\n\n"
+        "def inner():\n    return obj.leaf() + inner()\n\n"
+        "def leaf():\n    pass\n\n"
+        "def used():\n    pass\n\n"
+        "def loop():\n    used()\n")
+    (tmp_path / "b.py").write_text("import a\n\na.used()\n")
+    # `uncalled` has no call site; `inner` is called from `uncalled` and from
+    # itself, `leaf` from `inner`; `used` is also called at module level
+    traced = {"uncalled", "inner", "leaf", "used", "loop"}
+    assert tool.tracer_only_names(tmp_path, traced) == ["inner", "leaf", "loop", "uncalled"]

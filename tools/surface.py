@@ -7,14 +7,18 @@ Prints `src_lines` (the lines of each module under `src/market_abm/`, as
 `SimConfig` fields, each a config key), `switch_modes` (the values
 `switch_mode` accepts), `cli_arguments` (per subcommand of `market-abm`,
 the arguments its parser takes, `-h` aside), `env_reads` (the uses of
-`os.environ` and `os.getenv` in the package's modules) and `public_names`
-(the names `market_abm.__all__` exports). It imports the library from the
-`src/` next to this directory.
+`os.environ` and `os.getenv` in the package's modules), `public_names`
+(the names `market_abm.__all__` exports) and `tracer_only_names` (the names
+the benchmark wraps, `ENGINE_CALLS` and `BOOK_METHODS` of
+`perfbench/workloads.py`, that the package calls only from inside other such
+names). It imports the library from the `src/` next to this directory and
+reads `perfbench/workloads.py` there too.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import json
 import re
@@ -22,6 +26,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def src_lines() -> dict[str, int]:
@@ -34,6 +39,44 @@ def src_lines() -> dict[str, int]:
 def env_reads(package: Path) -> int:
     return sum(len(re.findall(r"\bos\.(?:environ|getenv)\b", path.read_text()))
                for path in package.glob("*.py"))
+
+
+def call_sites(package: Path, names) -> dict[str, list[tuple[str, ...]]]:
+    """Per name, one entry per call of it (`name(...)` or `x.name(...)`) in
+    the package's modules: the names of the functions the call lies in."""
+    sites = {name: [] for name in names}
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = (*enclosing, node.name)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            if called in sites:
+                sites[called].append(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), ())
+    return sites
+
+
+def tracer_only_names(package: Path, traced) -> list[str]:
+    """The traced names whose every call site lies inside another such name
+    (or inside the name itself, a recursion).
+
+    A name with no call site is one; the set then grows to a fixed point,
+    adding each name whose calls all lie inside names already in it.
+    """
+    sites = call_sites(package, traced)
+    only = set()
+    while True:
+        grown = {name for name, calls in sites.items()
+                 if all(any(f in only or f == name for f in enclosing) for enclosing in calls)}
+        if grown == only:
+            return sorted(only)
+        only = grown
 
 
 def cli_arguments(parser: argparse.ArgumentParser) -> dict[str, int]:
@@ -51,6 +94,9 @@ def surface() -> dict:
     from market_abm import cli
     from market_abm.config import SWITCH_MODES, SimConfig
 
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
     return {
         "src_lines": src_lines(),
         "simconfig_fields": len(dataclasses.fields(SimConfig)),
@@ -58,6 +104,8 @@ def surface() -> dict:
         "cli_arguments": cli_arguments(cli.build_parser()),
         "env_reads": env_reads(SRC / "market_abm"),
         "public_names": len(market_abm.__all__),
+        "tracer_only_names": tracer_only_names(
+            SRC / "market_abm", {*workloads.ENGINE_CALLS, *workloads.BOOK_METHODS}),
     }
 
 
