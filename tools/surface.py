@@ -11,8 +11,8 @@ the arguments its parser takes, `-h` aside), `env_reads` (the uses of
 (the names `market_abm.__all__` exports) and `tracer_only_names` (the names
 the benchmark wraps, `ENGINE_CALLS` and `BOOK_METHODS` of
 `perfbench/workloads.py`, that the package calls only from inside other such
-names). It imports the library from the `src/` next to this directory and
-reads `perfbench/workloads.py` there too.
+names). It imports the library from the `src/`, and `workloads` from the
+`perfbench/`, next to this directory.
 """
 
 from __future__ import annotations
