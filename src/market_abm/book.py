@@ -28,17 +28,6 @@ class Side(IntEnum):
 BUY, SELL = Side.BUY, Side.SELL
 
 
-# A submission is plain values; what the book stores or returns (a resting
-# order, a trade) is a named tuple, built positionally, read by field name.
-class LimitOrder(NamedTuple):
-    order_id: int
-    agent_id: int
-    side: Side
-    ticks: int
-    submitted_at: int
-    expires_at: int
-
-
 class Trade(NamedTuple):
     step: int
     ticks: int  # the price is ticks * tick_size
@@ -55,10 +44,6 @@ class BookStats:
     depth: int
 
 
-# tuple.__new__(LimitOrder, fields) builds the same named tuple as
-# LimitOrder(*fields) without the class's Python-level __new__
-_new_tuple = tuple.__new__
-
 NO_TICK = 0  # stands for a missing quote or gap in tick fields; real ones are > 0
 
 
@@ -70,7 +55,8 @@ class OrderBook:
         # the escrow, per agent id: ticks pledged by resting bids, shares by resting asks
         self.pledged_cash = [0] * n_agents
         self.pledged_shares = [0] * n_agents
-        self._orders: dict[int, LimitOrder] = {}
+        # order id -> (agent_id, side, ticks) of each resting order, oldest first
+        self._orders: dict[int, tuple[int, Side, int]] = {}
         self._levels = {BUY: {}, SELL: {}}  # ticks -> list of order ids, oldest first
         self._ticks = {BUY: [], SELL: []}  # sorted ascending distinct ticks
         # for reading only: the bids' ticks (best last), the asks' (best
@@ -127,23 +113,20 @@ class OrderBook:
             crossing = best is not None and ticks <= best
 
         if crossing:
-            queue = self._levels[SELL if side == BUY else BUY][best]
-            resting = self._orders[queue[0]]
-            if resting.agent_id == agent_id:
+            oid = self._levels[SELL if side == BUY else BUY][best][0]
+            other = self._orders[oid][0]
+            if other == agent_id:
                 self.self_trade_rejections += 1
                 return None
-            self._remove(resting.order_id)
+            self._remove(oid)
             if side == BUY:
-                buyer, seller = agent_id, resting.agent_id
-            else:
-                buyer, seller = resting.agent_id, agent_id
-            return Trade(t, best, buyer, seller, side)
+                return Trade(t, best, agent_id, other, side)
+            return Trade(t, best, other, agent_id, side)
 
         order_id = self._next_id
         self._next_id = order_id + 1
         expires_at = t + horizon
-        self._orders[order_id] = _new_tuple(
-            LimitOrder, (order_id, agent_id, side, ticks, t, expires_at))
+        self._orders[order_id] = (agent_id, side, ticks)
         level = self._levels[side].get(ticks)
         if level is None:  # _remove drops a level once it is empty
             level = self._levels[side][ticks] = []
@@ -200,7 +183,7 @@ class OrderBook:
     def _remove(self, order_id: int) -> None:
         """Take a resting order off the book and release its pledge; every
         trade, expiry and purge goes through here."""
-        _, agent_id, side, ticks, _, _ = self._orders.pop(order_id)
+        agent_id, side, ticks = self._orders.pop(order_id)
         if side == BUY:
             self.pledged_cash[agent_id] -= ticks
         else:
@@ -246,15 +229,16 @@ class OrderBook:
         """The escrow recounted from the resting orders: per agent, its bids' ticks and asks."""
         cash = [0] * len(self.pledged_cash)
         shares = [0] * len(self.pledged_shares)
-        for order in self._orders.values():
-            if order.side == BUY:
-                cash[order.agent_id] += order.ticks
+        for agent_id, side, ticks in self._orders.values():
+            if side == BUY:
+                cash[agent_id] += ticks
             else:
-                shares[order.agent_id] += 1
+                shares[agent_id] += 1
         return cash, shares
 
     def snapshot_levels(self) -> list[tuple[float, int]]:
-        """(price, signed volume) rows, ask volumes negative, ascending price."""
+        """(price, signed volume) rows, ask volumes negative, ascending price:
+        the bids' rows, then the asks', since a crossing order never rests."""
         rows = [
             (ticks * self.tick_size, len(self._levels[BUY][ticks]))
             for ticks in self._ticks[BUY]
@@ -263,7 +247,6 @@ class OrderBook:
             (ticks * self.tick_size, -len(self._levels[SELL][ticks]))
             for ticks in self._ticks[SELL]
         )
-        rows.sort(key=lambda r: r[0])
         return rows
 
 

@@ -378,9 +378,9 @@ class NaiveBook:
         )
 
     def live_orders(self):
-        """(order_id, agent_id, side, ticks, submit_step, expires_at) of every
-        resting order, oldest first, as `OrderBook` records them."""
-        return sorted((o[3], o[4], o[0], o[1], o[2], o[5]) for o in self.orders)
+        """(order_id, agent_id, side, ticks) of every resting order, oldest
+        first, as `resting_orders` reads them off an `OrderBook`."""
+        return sorted((o[3], o[4], o[0], o[1]) for o in self.orders)
 
     def pledges(self, n_agents):
         cash, shares = [0] * n_agents, [0] * n_agents
@@ -393,12 +393,8 @@ class NaiveBook:
 
 
 def resting_orders(book: OrderBook) -> list:
-    """Every resting order, oldest first."""
-    return [book._orders[oid] for oid in sorted(book._orders)]
-
-
-def order_price(order, tick_size: float) -> float:
-    return order.ticks * tick_size
+    """(order_id, agent_id, side, ticks) of every resting order, oldest first."""
+    return [(oid, *book._orders[oid]) for oid in sorted(book._orders)]
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,7 @@ from pathlib import Path
 correct = {correct}
 out = Path(".perfbench_out")
 out.mkdir(exist_ok=True)
+(out / "argv.json").write_text(json.dumps(sys.argv[1:]))
 (out / "hetero-seed1-trace0.json").write_text(json.dumps({{"correct": correct}}))
 if not correct:
     print("FAILED seed_100: digest mismatch", file=sys.stderr)
@@ -164,6 +165,25 @@ def test_run_stops_on_an_incorrect_result(tmp_path, capsys):
     # the parent's run of pair 0 went first and is archived; nothing after it
     assert sorted(p.name for p in archive.iterdir()) == ["parent-hetero-seed1-trace0-pair0.json"]
     assert "pair 0 parent: correct=True" in capsys.readouterr().out
+
+
+def test_run_takes_its_seconds_from_the_benchmark(tmp_path):
+    parent = stub_checkout(tmp_path / "parent", correct=True)
+    change = stub_checkout(tmp_path / "change", correct=True)
+
+    def seconds_passed(*options):
+        bench_pairs.main(["run", "--parent", str(parent), "--change", str(change),
+                          "--workload", "hetero", "--pairs", "1",
+                          "--archive", str(tmp_path / "archive"), *options])
+        argv = {side: json.loads((root / ".perfbench_out" / "argv.json").read_text())
+                for side, root in (("parent", parent), ("change", change))}
+        assert argv["parent"] == argv["change"]
+        return argv["parent"][argv["parent"].index("--seconds") + 1]
+
+    # by default, the run_seconds of the repository's BENCHMARK.json
+    run_seconds = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    assert seconds_passed() == str(float(run_seconds))
+    assert seconds_passed("--seconds", "2.5") == "2.5"
 
 
 def summarize_pairs(tmp_path, values) -> dict:
@@ -227,3 +247,55 @@ def test_gain_shown_in_the_two_pair_archive(summary):
     assert metrics["wall_s"]["gain_shown"] is False
     # load: two wins in two, medians 3.5 -> 2.25 against the parent's q3 - q1 of 0.5
     assert metrics["load_us_per_step"]["gain_shown"] is True
+
+
+
+def test_median_interval_from_order_statistics():
+    # n = 10: r(2) and r(9), coverage 1 - 2 * 11 / 1024
+    got = bench_pairs.median_interval([1.0 + k / 100 for k in (9, 0, 8, 1, 7, 2, 6, 3, 5, 4)])
+    assert got == {"lo": 1.01, "hi": 1.08, "coverage": pytest.approx(1 - 22 / 1024)}
+    # n = 6: the extremes, coverage 1 - 2 / 64; n = 5: even they cover only 0.9375
+    got = bench_pairs.median_interval([3.0, 1.0, 2.0, 6.0, 5.0, 4.0])
+    assert got == {"lo": 1.0, "hi": 6.0, "coverage": pytest.approx(62 / 64)}
+    assert bench_pairs.median_interval([1.0, 2.0, 3.0, 4.0, 5.0]) is None
+
+
+def test_slow_parent_runs_that_flip_the_side_medians_leave_it_unresolved(tmp_path):
+    # the change loses 8 of 10 pairs by 2%, but the machine slowed on the
+    # parent's runs of the two pairs where the parent was fastest
+    parent = [110.0 - 2 * k for k in range(10)]  # 110, 108, ..., 92
+    change = [0.98 * p for p in parent]
+    parent[:2] = [50.0, 40.0]
+    metrics = summarize_pairs(tmp_path, {"sim_steps_per_s": (parent, change)})
+    m = metrics["sim_steps_per_s"]
+    assert m["parent"]["median"] == 97.0  # (96 + 98) / 2
+    assert m["change"]["median"] == pytest.approx(0.98 * 101)  # 0.98 * (100 + 102) / 2
+    assert m["median_ratio"] == pytest.approx(0.98)
+    # r(2) and r(9) of the ten ratios: the interval straddles 1
+    assert m["median_ratio_ci95"]["lo"] == pytest.approx(0.98)
+    assert m["median_ratio_ci95"]["hi"] == pytest.approx(0.98 * 110 / 50)
+    assert m["change_wins"] == 2
+    # the side medians read better, the pairs worse; the spread alone would
+    # not make it unresolved, and the verdicts stay as they were
+    assert m["parent_spread"] < 0.25
+    assert m["unresolved"] is True
+    assert (m["gain_shown"], m["regressed"]) == (False, False)
+
+
+def test_gain_shown_needs_the_median_pair_ratio_beyond_the_parent_spread(tmp_path):
+    # ten wins, and the medians 99 -> 101.5 differ by more than the parent's
+    # q3 - q1 of 2; but the median pair ratio, 1.015, is not 1 + 2 / 99 or more
+    parent = [100.0] * 5 + [98.0] * 5
+    change = [101.5] * 6 + [98.5] * 4
+    metrics = summarize_pairs(tmp_path, {"sim_steps_per_s": (parent, change)})
+    m = metrics["sim_steps_per_s"]
+    assert (m["parent"]["median"], m["change"]["median"]) == (99.0, 101.5)
+    assert m["change_wins"] == 10
+    assert m["median_ratio"] == pytest.approx(1.015)
+    assert m["parent_spread"] == pytest.approx(2 / 99)
+    assert (m["gain_shown"], m["unresolved"]) == (False, False)
+    # the same pairs a little further apart show the gain
+    (tmp_path / "wider").mkdir()
+    metrics = summarize_pairs(tmp_path / "wider", {
+        "sim_steps_per_s": (parent, [102.5] * 6 + [98.5] * 4)})
+    assert metrics["sim_steps_per_s"]["gain_shown"] is True

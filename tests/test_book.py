@@ -11,7 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from market_abm.book import NO_TICK, BookStats, OrderBook, Side, current_price
 from market_abm.engine import check_escrow
 
-from oracles import NaiveBook, Order, current_price_reference, order_price, resting_orders
+from oracles import NaiveBook, Order, current_price_reference, resting_orders
 
 TICK = 0.0005
 
@@ -65,8 +65,16 @@ class TestSubmit:
         book.submit(*order_at(1, Side.SELL, 301.0), 1)
         trade = book.submit(*order_at(2, Side.BUY, 300.5), 2)
         assert trade is None
-        assert resting_orders(book)[-1] == (1, 2, Side.BUY, 601_000, 2, 102)
+        assert resting_orders(book)[-1] == (1, 2, Side.BUY, 601_000)  # (id, agent, side, ticks)
         assert book.best_bid() == pytest.approx(300.5)
+        # the default horizon is 100: the ask of step 1 is due at step 101,
+        # the bid of step 2 rests through step 101 and is due at step 102
+        book.expire(100)
+        assert [o[1] for o in resting_orders(book)] == [1, 2]
+        book.expire(101)
+        assert [o[1] for o in resting_orders(book)] == [2]
+        book.expire(102)
+        assert resting_orders(book) == []
 
     def test_time_priority_at_same_price(self):
         book = make_book()
@@ -88,7 +96,7 @@ class TestSubmit:
         assert book.submit(*order_at(1, Side.BUY, 302.0), 2) is None
         assert book.self_trade_rejections == 1
         assert book.quote_ticks()[4] == 1  # the resting ask is untouched
-        assert [o.order_id for o in resting_orders(book)] == [0]  # and the bid did not rest
+        assert [o[0] for o in resting_orders(book)] == [0]  # and the bid did not rest
 
     def test_no_cross_invariant_random_sequence(self):
         rng = np.random.default_rng(0)
@@ -113,9 +121,9 @@ class TestSubmit:
             it = order_at(int(rng.integers(50)), Side.BUY if rng.random() < 0.5 else Side.SELL,
                         float(rng.uniform(280, 320)))
             book.submit(*it, t)
-        for order in resting_orders(book):
-            assert order.ticks > 0
-            price = order_price(order, TICK)
+        for _, _, _, ticks in resting_orders(book):
+            assert ticks > 0
+            price = ticks * TICK
             assert abs(price / TICK - round(price / TICK)) < 1e-6
 
 
@@ -149,13 +157,13 @@ class TestExpire:
         def expire(t):
             book.expire(t)
             naive.expire(t)
-            assert [tuple(o) for o in resting_orders(book)] == naive.live_orders()
+            assert resting_orders(book) == naive.live_orders()
 
         submit(order_at(0, Side.BUY, 250.0, horizon=150), 1)
         submit(order_at(1, Side.SELL, 350.0, horizon=5), 1)
         expire(2)  # nothing due
         expire(6)  # the short one goes, the long one stays
-        assert [o.agent_id for o in resting_orders(book)] == [0]
+        assert [o[1] for o in resting_orders(book)] == [0]
         for i in range(2, 200):
             t = i + 1
             horizon = int(rng.integers(5, 80))
@@ -307,7 +315,7 @@ class TestPurge:
         book.submit(*order_at(2, Side.BUY, 299.0), 1)
         book.submit(*order_at(3, Side.SELL, 360.0), 1)
         assert book.purge_outside(255.0, 345.0) is None
-        assert [o.agent_id for o in resting_orders(book)] == [2]
+        assert [o[1] for o in resting_orders(book)] == [2]
         assert book.quote_ticks()[4] == 1
 
     @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
@@ -330,10 +338,8 @@ class TestPurge:
             naive.submit(it, 1)
         book.purge_outside(lo, hi)
         naive.purge_outside(lo, hi, TICK)
-        live = [tuple(order) for order in resting_orders(book)]
-        assert live == naive.live_orders()
-        assert [order.ticks for order in resting_orders(book)
-                if order.ticks != 1100] == kept
+        assert resting_orders(book) == naive.live_orders()
+        assert [ticks for _, _, _, ticks in resting_orders(book) if ticks != 1100] == kept
         assert book.pledges() == (book.pledged_cash, book.pledged_shares)
 
 
@@ -413,9 +419,15 @@ class BookAgainstNaive(RuleBasedStateMachine):
     @invariant()
     def agrees_with_naive(self):
         assert self.book.quote_ticks() == self.naive.quote_ticks()
-        # every live order, with its owner, side, price and expiry step
-        assert [(o.order_id, o.agent_id, o.side, o.ticks, o.submitted_at, o.expires_at)
-                for o in resting_orders(self.book)] == self.naive.live_orders()
+        # every live order, with its owner, side and price; as the naive book
+        # drops an order at its expiry step, this checks expiry timing too
+        assert resting_orders(self.book) == self.naive.live_orders()
+        # bid levels below ask levels, so the snapshot's prices rise strictly
+        rows = self.book.snapshot_levels()
+        assert all(a[0] < b[0] for a, b in zip(rows, rows[1:]))
+        bids_first = [volume > 0 for _, volume in rows]  # asks' volumes are negative
+        assert bids_first == sorted(bids_first, reverse=True)
+        assert all(volume for _, volume in rows)
         assert (self.book.pledged_cash, self.book.pledged_shares) == \
             self.naive.pledges(self.N_AGENTS)
         assert self.book.self_trade_rejections == self.naive.self_trade_rejections
