@@ -167,7 +167,7 @@ def test_run_stops_on_an_incorrect_result(tmp_path, capsys):
     assert "pair 0 parent: correct=True" in capsys.readouterr().out
 
 
-def test_run_takes_its_seconds_from_the_benchmark(tmp_path):
+def test_run_takes_its_seconds_from_the_benchmark(tmp_path, monkeypatch):
     parent = stub_checkout(tmp_path / "parent", correct=True)
     change = stub_checkout(tmp_path / "change", correct=True)
 
@@ -183,6 +183,10 @@ def test_run_takes_its_seconds_from_the_benchmark(tmp_path):
     # by default, the run_seconds of the repository's BENCHMARK.json
     run_seconds = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["run_seconds"]
     assert seconds_passed() == str(float(run_seconds))
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"run_seconds": 7}))
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", benchmark)
+    assert seconds_passed() == "7.0"
     assert seconds_passed("--seconds", "2.5") == "2.5"
 
 
