@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .book import OrderBook, Side, Trade
+from .book import OrderBook, Side
 from .config import SimConfig, load_config
 from .engine import RunOutput, run_seeds, run_simulation
 from .population import Population
@@ -13,7 +13,6 @@ __all__ = [
     "RunOutput",
     "Side",
     "SimConfig",
-    "Trade",
     "load_config",
     "run_seeds",
     "run_simulation",

@@ -14,9 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
 
 
 class Side(IntEnum):
@@ -26,22 +24,6 @@ class Side(IntEnum):
 
 # Bound once: reading a member off the enum class costs a lookup on every use.
 BUY, SELL = Side.BUY, Side.SELL
-
-
-class Trade(NamedTuple):
-    step: int
-    ticks: int  # the price is ticks * tick_size
-    buyer_id: int
-    seller_id: int
-    aggressor: Side
-
-
-@dataclass(frozen=True)
-class BookStats:
-    spread: float | None
-    bid_gap: float | None
-    ask_gap: float | None
-    depth: int
 
 
 NO_TICK = 0  # stands for a missing quote or gap in tick fields; real ones are > 0
@@ -92,9 +74,11 @@ class OrderBook:
 
     # -- mutation ----------------------------------------------------------
 
-    def submit(self, agent_id: int, side: Side, ticks: int, horizon: int, t: int) -> Trade | None:
+    def submit(self, agent_id: int, side: Side, ticks: int, horizon: int,
+               t: int) -> tuple[int, int, int] | None:
         """Match or rest one agent's one-unit order at `ticks` (> 0), resting
-        for `horizon` steps; the trade it makes, else None.
+        for `horizon` steps; the fill it makes as (ticks, buyer_id, seller_id),
+        priced at the resting order's ticks, else None.
 
         An order whose only match candidate is the submitter's own resting
         order is dropped and counted in `self_trade_rejections`. Steps must
@@ -120,8 +104,8 @@ class OrderBook:
                 return None
             self._remove(oid)
             if side == BUY:
-                return Trade(t, best, agent_id, other, side)
-            return Trade(t, best, other, agent_id, side)
+                return best, agent_id, other
+            return best, other, agent_id
 
         order_id = self._next_id
         self._next_id = order_id + 1
@@ -214,15 +198,17 @@ class OrderBook:
             len(self._orders),
         )
 
-    def spread_and_gaps(self) -> BookStats:
-        """Best-quote spread, first gap behind each best level, total depth."""
+    def spread_and_gaps(self) -> tuple[float | None, float | None, float | None, int]:
+        """(spread, bid gap, ask gap, depth): the best-quote spread and the first
+        gap behind each best level in currency, None where absent, and the
+        total depth."""
         bid, ask, bid_gap, ask_gap, depth = self.quote_ticks()
         tick = self.tick_size
-        return BookStats(
-            spread=(ask - bid) * tick if bid and ask else None,
-            bid_gap=bid_gap * tick if bid_gap else None,
-            ask_gap=ask_gap * tick if ask_gap else None,
-            depth=depth,
+        return (
+            (ask - bid) * tick if bid and ask else None,
+            bid_gap * tick if bid_gap else None,
+            ask_gap * tick if ask_gap else None,
+            depth,
         )
 
     def pledges(self) -> tuple[list[int], list[int]]:
@@ -250,10 +236,11 @@ class OrderBook:
         return rows
 
 
-def current_price(last_trade: Trade | None, bid: int, ask: int, tick_size: float,
+def current_price(fill_ticks: int | None, bid: int, ask: int, tick_size: float,
                   previous_price: float) -> float:
     """Price proxy for one step: trade price, else mid-quote, else last price.
 
+    `fill_ticks` is the step's fill price in ticks, None without a fill;
     `bid` and `ask` are the book's best quotes after the step, in ticks,
     NO_TICK where absent (as `quote_ticks` reads them). The mid-quote needs
     both sides; a one-sided or empty book keeps the previously traded or
@@ -261,8 +248,8 @@ def current_price(last_trade: Trade | None, bid: int, ask: int, tick_size: float
     """
     if previous_price <= 0.0:
         raise ValueError("previous_price must be > 0")
-    if last_trade is not None:
-        return last_trade.ticks * tick_size
+    if fill_ticks is not None:
+        return fill_ticks * tick_size
     if bid and ask:
         return (bid + ask) * tick_size / 2.0
     return previous_price

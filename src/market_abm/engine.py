@@ -29,7 +29,7 @@ import numpy as np
 # expectations and reservations, per step the rest) and calls decide_order on
 # chartist steps only. The names stay bound in this module, where the
 # benchmark's tracer wraps them, and tests run the loop against them.
-from .book import BUY, NO_TICK, SELL, OrderBook, Side, Trade, current_price  # noqa: F401
+from .book import BUY, NO_TICK, SELL, OrderBook, Side, current_price  # noqa: F401
 from .config import SimConfig
 from .expectations import (  # noqa: F401
     decide_order, draw_k, expected_price, reservation_ticks, rolling_sigma,
@@ -152,20 +152,19 @@ def enforce_budget(side: Side, ticks: int, book: OrderBook, available_cash_ticks
     return available_shares >= 1
 
 
-def settle_trade(cash_ticks, shares, trade: Trade) -> None:
-    """Move the price in cash and one share between the counterparties'
-    holdings, indexed by agent id."""
-    buyer, seller = trade.buyer_id, trade.seller_id
-    if cash_ticks[buyer] < trade.ticks:
-        raise RuntimeError(f"settle at step {trade.step}: buyer {buyer} cannot pay {trade.ticks}")
+def settle_trade(cash_ticks, shares, ticks: int, buyer: int, seller: int, step: int) -> None:
+    """Move `ticks` in cash and one share between the counterparties'
+    holdings, indexed by agent id; `step` names the fill in an error."""
+    if cash_ticks[buyer] < ticks:
+        raise RuntimeError(f"settle at step {step}: buyer {buyer} cannot pay {ticks}")
     if shares[seller] < 1:
-        raise RuntimeError(f"settle at step {trade.step}: seller {seller} holds no share")
-    cash_ticks[buyer] -= trade.ticks
-    cash_ticks[seller] += trade.ticks
+        raise RuntimeError(f"settle at step {step}: seller {seller} holds no share")
+    cash_ticks[buyer] -= ticks
+    cash_ticks[seller] += ticks
     shares[buyer] += 1
     shares[seller] -= 1
     if cash_ticks[buyer] < 0 or shares[seller] < 0:
-        raise RuntimeError(f"settle at step {trade.step}: negative holdings after settle")
+        raise RuntimeError(f"settle at step {step}: negative holdings after settle")
 
 
 def check_escrow(book: OrderBook) -> None:
@@ -323,7 +322,7 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         # The band, then the budget as enforce_budget checks it: a buy needs
         # cash for what it would pay (the best ask when it crosses, else its
         # own reservation), a sell one share, both beyond what is pledged.
-        trade = None
+        fill = None
         if ticks <= 0:
             no_order += 1
         elif not lo <= ticks * tick <= hi:
@@ -334,13 +333,14 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         elif side == SELL and shares[agent] - pledged_shares[agent] < 1:
             budget_sells += 1
         else:
-            trade = book.submit(agent, side, int(ticks), horizon, t)
-            if trade is not None:
-                settle_trade(cash, shares, trade)
-                trade_rows.extend(trade)
+            fill = book.submit(agent, side, int(ticks), horizon, t)
+            if fill is not None:
+                fill_ticks, buyer, seller = fill
+                settle_trade(cash, shares, fill_ticks, buyer, seller, t)
+                trade_rows.extend((t, fill_ticks, buyer, seller, side))
 
         # The quotes as quote_ticks reads them, then the price proxy, as
-        # current_price takes it: the trade's price, else the mid-quote of a
+        # current_price takes it: the fill's price, else the mid-quote of a
         # two-sided book, else the previous price.
         if bids:
             bid = bids[-1]
@@ -352,8 +352,8 @@ def run_simulation(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
             ask_gap = asks[1] - ask if len(asks) > 1 else NO_TICK
         else:
             ask = ask_gap = NO_TICK
-        if trade is not None:
-            p_now = trade.ticks * tick_size
+        if fill is not None:
+            p_now = fill_ticks * tick_size
         elif bid and ask:
             p_now = (bid + ask) * tick_size / 2.0
         else:

@@ -58,7 +58,8 @@ class Population:
         tick_size: float,
     ) -> "Population":
         n_f = round(frac_f * n_agents)
-        n_plus = round(frac_opt * n_agents)
+        # both counts may round up; the optimists then give way to n_f
+        n_plus = min(round(frac_opt * n_agents), n_agents - n_f)
         n_minus = n_agents - n_f - n_plus
         if min(n_f, n_plus, n_minus) < 0:
             raise ValueError("initial fractions exceed 1")

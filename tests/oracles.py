@@ -252,12 +252,12 @@ def rolling_sigma_reference(price_history, tau: int) -> float:
     return math.sqrt(var)
 
 
-def current_price_reference(book: OrderBook, last_trade, previous_price: float) -> float:
+def current_price_reference(book: OrderBook, fill_ticks, previous_price: float) -> float:
     """The price proxy read from the book's best quotes."""
     if previous_price <= 0.0:
         raise ValueError("previous_price must be > 0")
-    if last_trade is not None:
-        return last_trade.ticks * book.tick_size
+    if fill_ticks is not None:
+        return fill_ticks * book.tick_size
     bid = book.best_bid_ticks()
     ask = book.best_ask_ticks()
     if bid is not None and ask is not None:
@@ -595,7 +595,7 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
         k = draw_k(rng_offset, k_scale)
         side, ticks = decide_order(expectation, p_prev, k, tick)
 
-        trade = None
+        fill_ticks = None
         if ticks <= 0:
             rejections["no_order"] += 1
         elif not lo <= ticks * tick <= hi:
@@ -604,14 +604,14 @@ def reference_run(config: SimConfig, lob_snapshot_steps=()) -> RunOutput:
                                 shares[agent] - pledged_shares[agent]):
             rejections["budget_buy" if side == BUY else "budget_sell"] += 1
         else:
-            trade = book.submit(agent, side, ticks, horizon, t)
-            if trade is not None:
-                settle_trade(cash, shares, trade)
-                trade_rows.extend(
-                    (t, trade.ticks, trade.buyer_id, trade.seller_id, trade.aggressor))
+            fill = book.submit(agent, side, ticks, horizon, t)
+            if fill is not None:
+                fill_ticks, buyer, seller = fill
+                settle_trade(cash, shares, fill_ticks, buyer, seller, t)
+                trade_rows.extend((t, fill_ticks, buyer, seller, side))
 
         bid, ask, bid_gap, ask_gap, depth = book.quote_ticks()
-        p_now = current_price(trade, bid, ask, tick_size, p_prev)
+        p_now = current_price(fill_ticks, bid, ask, tick_size, p_prev)
         if not math.isfinite(p_now) or p_now <= 0.0:
             raise FloatingPointError(f"non-finite or non-positive price at step {t}: {p_now!r}")
         price_at[t] = p_now

@@ -323,14 +323,14 @@ def test_c7_book_matches_naive_reference():
             ticks=ticks,
             horizon=int(rng.integers(5, 120)),
         )
-        trade = fast.submit(*it, t)
+        fill = fast.submit(*it, t)
         ref = naive.submit(it, t)
-        if trade is None:
+        if fill is None:
             assert ref is None, f"step {t}: reference traded, book did not"
         else:
             trades += 1
             assert ref is not None, f"step {t}: book traded, reference did not"
-            assert (trade.ticks, trade.buyer_id, trade.seller_id) == ref, f"step {t}"
+            assert fill == ref, f"step {t}"
     check("C7 1e5 random orders match naive reference book trade-for-trade", True,
           f"{trades} trades compared")
 

@@ -3,6 +3,8 @@ reports, and `run` on stub checkouts."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -165,6 +167,36 @@ def test_run_stops_on_an_incorrect_result(tmp_path, capsys):
     # the parent's run of pair 0 went first and is archived; nothing after it
     assert sorted(p.name for p in archive.iterdir()) == ["parent-hetero-seed1-trace0-pair0.json"]
     assert "pair 0 parent: correct=True" in capsys.readouterr().out
+
+
+def test_run_refuses_a_checkout_with_uncommitted_changes(tmp_path):
+    parent = stub_checkout(tmp_path / "parent", correct=True)
+    change = stub_checkout(tmp_path / "change", correct=True)
+
+    def git(*argv):
+        subprocess.run(["git", "-C", str(change), *argv], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "perfbench/run.py")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "stub")
+    archive = tmp_path / "archive"
+    options = ["--workload", "hetero", "--pairs", "1", "--seconds", "1",
+               "--archive", str(archive)]
+    (change / "notes.txt").write_text("untracked\n")
+    # committed, untracked files aside: it runs
+    bench_pairs.main(["run", "--parent", str(parent), "--change", str(change), *options])
+    assert len(list(archive.iterdir())) == 2
+    shutil.rmtree(archive)
+    # a tracked file edited: refused before any run, on either side
+    with open(change / "perfbench" / "run.py", "a") as fh:
+        fh.write("# edited\n")
+    for first, second in ((parent, change), (change, parent)):
+        with pytest.raises(SystemExit) as stop:
+            bench_pairs.main(["run", "--parent", str(first), "--change", str(second), *options])
+        side = "change" if second == change else "parent"
+        assert str(stop.value.code).startswith(f"{side} checkout {change} differs from its HEAD")
+        assert "perfbench/run.py" in str(stop.value.code)
+        assert not archive.exists()
 
 
 def test_run_takes_its_seconds_from_the_benchmark(tmp_path, monkeypatch):

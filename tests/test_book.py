@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from market_abm.book import NO_TICK, BookStats, OrderBook, Side, current_price
+from market_abm.book import NO_TICK, OrderBook, Side, current_price
 from market_abm.engine import check_escrow
 
 from oracles import NaiveBook, Order, current_price_reference, resting_orders
@@ -45,8 +45,8 @@ class TestQuotes:
     def test_emptied_side(self):
         book = make_book()
         book.submit(*order_at(1, Side.SELL, 301.0), 1)
-        trade = book.submit(*order_at(2, Side.BUY, 301.0), 2)
-        assert trade is not None
+        fill = book.submit(*order_at(2, Side.BUY, 301.0), 2)
+        assert fill is not None
         assert book.best_ask() is None
 
 
@@ -54,17 +54,15 @@ class TestSubmit:
     def test_marketable_buy_executes_at_ask(self):
         book = make_book()
         book.submit(*order_at(1, Side.SELL, 301.0), 1)
-        trade = book.submit(*order_at(2, Side.BUY, 301.0), 2)
+        fill = book.submit(*order_at(2, Side.BUY, 301.0), 2)
         assert resting_orders(book) == []
-        assert trade.ticks * TICK == pytest.approx(301.0)
-        assert trade.buyer_id == 2 and trade.seller_id == 1
-        assert trade.aggressor == Side.BUY
+        assert fill == (602_000, 2, 1)  # (ticks, buyer, seller): the ask's price
 
     def test_non_crossing_buy_rests(self):
         book = make_book()
         book.submit(*order_at(1, Side.SELL, 301.0), 1)
-        trade = book.submit(*order_at(2, Side.BUY, 300.5), 2)
-        assert trade is None
+        fill = book.submit(*order_at(2, Side.BUY, 300.5), 2)
+        assert fill is None
         assert resting_orders(book)[-1] == (1, 2, Side.BUY, 601_000)  # (id, agent, side, ticks)
         assert book.best_bid() == pytest.approx(300.5)
         # the default horizon is 100: the ask of step 1 is due at step 101,
@@ -80,15 +78,14 @@ class TestSubmit:
         book = make_book()
         book.submit(*order_at(1, Side.SELL, 301.0), 5)
         book.submit(*order_at(2, Side.SELL, 301.0), 9)
-        trade = book.submit(*order_at(3, Side.BUY, 302.0), 10)
-        assert trade.seller_id == 1  # the older order matches first
+        fill = book.submit(*order_at(3, Side.BUY, 302.0), 10)
+        assert fill == (602_000, 3, 1)  # the older order matches first
 
     def test_marketable_sell_executes_at_bid(self):
         book = make_book()
         book.submit(*order_at(1, Side.BUY, 299.0), 1)
-        trade = book.submit(*order_at(2, Side.SELL, 298.0), 2)
-        assert trade.ticks * TICK == pytest.approx(299.0)
-        assert trade.aggressor == Side.SELL
+        fill = book.submit(*order_at(2, Side.SELL, 298.0), 2)
+        assert fill == (598_000, 1, 2)  # at the bid's price; the seller is the submitter
 
     def test_self_cross_is_dropped_by_default(self):
         book = make_book()
@@ -150,9 +147,7 @@ class TestExpire:
         book, naive = make_book(n_agents=200), NaiveBook()
 
         def submit(order, t):
-            got = book.submit(*order, t)
-            want = naive.submit(order, t)
-            assert (got and (got.ticks, got.buyer_id, got.seller_id)) == want
+            assert book.submit(*order, t) == naive.submit(order, t)
 
         def expire(t):
             book.expire(t)
@@ -186,11 +181,12 @@ class TestExpire:
         assert book.quote_ticks() == (598_000, 602_000, NO_TICK, NO_TICK, 2)
 
 
-def price_proxy(book, trade, previous_price):
+def price_proxy(book, fill, previous_price):
     """The price proxy over the book's best quotes, as the step loop reads them."""
     bid, ask, _, _, _ = book.quote_ticks()
-    got = current_price(trade, bid, ask, book.tick_size, previous_price)
-    assert got == current_price_reference(book, trade, previous_price)
+    fill_ticks = None if fill is None else fill[0]
+    got = current_price(fill_ticks, bid, ask, book.tick_size, previous_price)
+    assert got == current_price_reference(book, fill_ticks, previous_price)
     return got
 
 
@@ -208,8 +204,8 @@ class TestCurrentPrice:
         book = make_book()
         book.submit(*order_at(1, Side.BUY, 299.0), 1)
         book.submit(*order_at(2, Side.SELL, 301.0), 1)
-        trade = book.submit(*order_at(3, Side.BUY, 301.0), 2)
-        assert price_proxy(book, trade, 310.0) == pytest.approx(301.0)
+        fill = book.submit(*order_at(3, Side.BUY, 301.0), 2)
+        assert price_proxy(book, fill, 310.0) == pytest.approx(301.0)
 
     def test_empty_book_keeps_previous(self):
         book = make_book()
@@ -238,30 +234,29 @@ class TestSpreadAndGaps:
             book.submit(*order_at(1, Side.BUY, price), 1)
         for price in (301.0, 302.0):
             book.submit(*order_at(2, Side.SELL, price), 1)
-        stats = book.spread_and_gaps()
-        assert stats.spread == pytest.approx(2.0)
-        assert stats.bid_gap == pytest.approx(1.5)
-        assert stats.ask_gap == pytest.approx(1.0)
-        assert stats.depth == 4
+        spread, bid_gap, ask_gap, depth = book.spread_and_gaps()
+        assert spread == pytest.approx(2.0)
+        assert bid_gap == pytest.approx(1.5)
+        assert ask_gap == pytest.approx(1.0)
+        assert depth == 4
 
     def test_single_level_sides(self):
         book = make_book()
         book.submit(*order_at(1, Side.BUY, 299.0), 1)
         book.submit(*order_at(2, Side.SELL, 301.0), 1)
-        stats = book.spread_and_gaps()
-        assert stats.spread == pytest.approx(2.0)
-        assert stats.bid_gap is None
-        assert stats.ask_gap is None
+        spread, bid_gap, ask_gap, _ = book.spread_and_gaps()
+        assert spread == pytest.approx(2.0)
+        assert bid_gap is None
+        assert ask_gap is None
 
     def test_empty_book(self):
-        stats = make_book().spread_and_gaps()
-        assert stats == BookStats(spread=None, bid_gap=None, ask_gap=None, depth=0)
+        assert make_book().spread_and_gaps() == (None, None, None, 0)
 
     def test_same_price_orders_form_one_level(self):
         book = make_book()
         book.submit(*order_at(1, Side.BUY, 299.0), 1)
         book.submit(*order_at(2, Side.BUY, 299.0), 2)
-        assert book.spread_and_gaps().bid_gap is None
+        assert book.spread_and_gaps()[1] is None  # the bid gap
 
 
 class TestQuoteTicks:
@@ -348,7 +343,6 @@ def test_differential_against_naive_reference():
     rng = np.random.default_rng(7)
     fast = make_book()
     naive = NaiveBook()
-    mismatches = 0
     for t in range(1, 20_000):
         fast.expire(t)
         naive.expire(t)
@@ -358,23 +352,13 @@ def test_differential_against_naive_reference():
             float(rng.uniform(285, 315)),
             horizon=int(rng.integers(5, 200)),
         )
-        trade = fast.submit(*it, t)
-        ref = naive.submit(it, t)
-        if trade is None:
-            assert ref is None
-        else:
-            assert ref is not None
-            ticks, buyer, seller = ref
-            assert trade.ticks == ticks
-            assert trade.buyer_id == buyer
-            assert trade.seller_id == seller
+        assert fast.submit(*it, t) == naive.submit(it, t)
         # occasionally compare the standing quotes as well
         if t % 97 == 0:
             nb = naive.best(Side.BUY)
             na = naive.best(Side.SELL)
             assert fast.best_bid_ticks() == (nb[1] if nb else None)
             assert fast.best_ask_ticks() == (na[1] if na else None)
-    assert mismatches == 0
 
 
 class BookAgainstNaive(RuleBasedStateMachine):
@@ -398,11 +382,7 @@ class BookAgainstNaive(RuleBasedStateMachine):
           ticks=st.integers(1, 12), horizon=st.integers(1, 8))
     def submit(self, agent, side, ticks, horizon):
         it = Order(agent_id=agent, side=side, ticks=ticks, horizon=horizon)
-        trade = self.book.submit(*it, self.t)
-        ref = self.naive.submit(it, self.t)
-        assert (None if trade is None else (trade.ticks, trade.buyer_id, trade.seller_id)) == ref
-        if trade is not None:
-            assert (trade.step, trade.aggressor) == (self.t, side)
+        assert self.book.submit(*it, self.t) == self.naive.submit(it, self.t)
 
     @rule(steps=st.integers(0, 4))
     def expire(self, steps):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from market_abm import engine
-from market_abm.book import OrderBook, Side, Trade
+from market_abm.book import OrderBook, Side
 from market_abm.config import SimConfig
 from market_abm.engine import (
     check_escrow,
@@ -103,6 +103,33 @@ class TestSelfTrade:
         assert out.lob_snapshots[2] == [(100.0, 1)]
 
 
+def test_trade_rows_come_from_the_fills(monkeypatch):
+    # the book returns a fill as (ticks, buyer, seller); the step, the side
+    # and the submitter of the order that made it are the loop's own
+    submits = []
+    submit = OrderBook.submit
+
+    def recorded(self, agent_id, side, ticks, horizon, t):
+        fill = submit(self, agent_id, side, ticks, horizon, t)
+        submits.append((t, agent_id, side, fill))
+        return fill
+
+    monkeypatch.setattr(OrderBook, "submit", recorded)
+    # resting orders each side of 100, then orders that cross them from either side
+    orders = [(Side.BUY, 99.5), (Side.SELL, 100.5), (Side.BUY, 99.0), (Side.SELL, 101.0),
+              (Side.SELL, 99.0), (Side.BUY, 101.5), (Side.BUY, 100.0), (Side.SELL, 99.5),
+              (Side.SELL, 100.0), (Side.BUY, 100.0)] * 3
+    out = run_scripted(monkeypatch, 100.0, orders, n_agents=20)
+    fills = [(t, agent, side, fill) for t, agent, side, fill in submits if fill is not None]
+    assert {side for _, _, side, _ in fills} == {Side.BUY, Side.SELL}
+    assert len(out.trades) == len(fills) > 5
+    for i, (t, agent, side, (ticks, buyer, seller)) in enumerate(fills):
+        assert (buyer if side == Side.BUY else seller) == agent
+        row = [getattr(out.trades, name)[i] for name in engine.TRADE_COLUMNS]
+        assert row == [t, ticks * TICK, buyer, seller, side]
+        assert (out.records.traded[t - 1], out.records.trade_price[t - 1]) == (True, ticks * TICK)
+
+
 class TestEnforceBudget:
     def test_no_cash_buy_rejected(self):
         book = OrderBook(TICK, 10)
@@ -130,20 +157,20 @@ class TestSettleTrade:
         return Population.initial(2, frac_f=1.0, frac_opt=0.0, cash=1000.0, shares=2,
                                   tick_size=TICK)
 
-    def trade(self, price=300.0):
-        ticks = int(round(price / TICK))
-        return Trade(step=1, ticks=ticks, buyer_id=0, seller_id=1, aggressor=Side.BUY)
+    def fill(self, price=300.0):
+        """(ticks, buyer, seller, step) of agent 0 buying from agent 1 at step 1."""
+        return int(round(price / TICK)), 0, 1, 1
 
     def test_moves_cash_and_share(self):
         pop = self.make_pop()
-        settle_trade(pop.cash_ticks, pop.shares, self.trade(300.0))
+        settle_trade(pop.cash_ticks, pop.shares, *self.fill(300.0))
         assert pop.cash_ticks[0] == round(700.0 / TICK)
         assert pop.cash_ticks[1] == round(1300.0 / TICK)
         assert pop.shares[0] == 3 and pop.shares[1] == 1
 
     def test_totals_conserved(self):
         pop = self.make_pop()
-        settle_trade(pop.cash_ticks, pop.shares, self.trade(299.9995))
+        settle_trade(pop.cash_ticks, pop.shares, *self.fill(299.9995))
         assert pop.cash_ticks.sum() == 2 * round(1000.0 / TICK)
         assert pop.shares.sum() == 4
 
@@ -151,11 +178,11 @@ class TestSettleTrade:
         pop = self.make_pop()
         pop.cash_ticks[0] = 10
         with pytest.raises(RuntimeError):
-            settle_trade(pop.cash_ticks, pop.shares, self.trade(300.0))
+            settle_trade(pop.cash_ticks, pop.shares, *self.fill(300.0))
         pop = self.make_pop()
         pop.shares[1] = 0
         with pytest.raises(RuntimeError):
-            settle_trade(pop.cash_ticks, pop.shares, self.trade(300.0))
+            settle_trade(pop.cash_ticks, pop.shares, *self.fill(300.0))
 
 
 class TestEscrow:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from market_abm.config import SimConfig
+from market_abm.engine import run_simulation
 from market_abm.population import (
     FUNDAMENTALIST,
     OPTIMIST,
@@ -269,6 +270,33 @@ def test_initial_population_layout():
     assert pop.cash_ticks.tolist() == [900_000] * 4  # 450 / 0.0005
     assert pop.shares.tolist() == [3] * 4
     assert pop.counts() == (2, 1, 1)
+
+
+# the compositions that passed validate() and then failed to build: both
+# fractions round up past n_agents
+ROUNDED_UP = [(7, 0.5, 0.5), (3, 0.5, 0.5), (5, 0.3, 0.7)]
+
+
+@pytest.mark.parametrize("n_agents", range(1, 41))
+def test_every_validated_composition_runs(n_agents):
+    grid = [(n_agents, i * 0.05, j * 0.05) for i in range(21) for j in range(21 - i)]
+    for n, frac_f, frac_opt in grid + [c for c in ROUNDED_UP if c[0] == n_agents]:
+        config = SimConfig(n_agents=n, steps=20, init_frac_f=frac_f, init_frac_opt=frac_opt)
+        config.validate()
+        run = run_simulation(config)
+        assert len(run.records) == 20
+        counts = Population.initial(n, frac_f, frac_opt, cash=1.0, shares=1,
+                                    tick_size=0.5).counts()
+        n_f, n_plus = round(frac_f * n), round(frac_opt * n)
+        if n - n_f - n_plus >= 0:  # the old rule built these: they keep their counts
+            assert counts == (n_f, n_plus, n - n_f - n_plus), (frac_f, frac_opt)
+        else:  # the old rule failed; the optimists give way to the fundamentalists
+            assert counts == (n_f, n - n_f, 0), (frac_f, frac_opt)
+
+
+def test_rounded_up_compositions_are_the_old_failures():
+    for n, frac_f, frac_opt in ROUNDED_UP:
+        assert round(frac_f * n) + round(frac_opt * n) > n
 
 
 def test_opinion_index_bounds():

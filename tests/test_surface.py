@@ -37,9 +37,9 @@ def test_surface_counts():
     assert surface["cli_arguments"]["analyze"] == 5
     # --workers defaults to 1; no setting comes from the environment
     assert surface["env_reads"] == 0
-    # OrderBook, Population, RunOutput, Side, SimConfig, Trade, load_config,
+    # OrderBook, Population, RunOutput, Side, SimConfig, load_config,
     # run_seeds, run_simulation, __version__
-    assert surface["public_names"] == len(market_abm.__all__) == 10
+    assert surface["public_names"] == len(market_abm.__all__) == 9
     # names the benchmark wraps that src/ calls only from inside such names
     assert surface["tracer_only_names"] == [
         "best_ask", "best_bid", "current_price", "draw_k", "enforce_budget",

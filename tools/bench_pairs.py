@@ -13,7 +13,9 @@ each run it copies the report that `perfbench/run.py` wrote to the
 checkout's `.perfbench_out/` into the archive directory, as
 `<side>-<workload>-seed<seed>-trace<trace>-pair<k>.json`. A run that exits
 non-zero, or whose result says `correct: false`, stops the pairs with an
-error that names its side and pair; its report is not archived.
+error that names its side and pair; its report is not archived. A git
+checkout whose tracked files differ from its HEAD is refused before any run,
+since a report names only the HEAD commit; a directory outside git runs as is.
 
 `summarize` reads every archived report. For each workload, seed and trace
 mode it writes whether each pair's two reports carry the same digests
@@ -61,8 +63,21 @@ SIDES = ("parent", "change")
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
+def uncommitted(root: Path) -> str:
+    """The tracked files of git checkout `root` that differ from its HEAD, as
+    `git status --porcelain` lists them; empty outside a git checkout."""
+    proc = subprocess.run(["git", "-C", str(root), "status", "--porcelain",
+                           "--untracked-files=no"], capture_output=True, text=True, check=False)
+    return proc.stdout if proc.returncode == 0 else ""
+
+
 def run_pairs(args) -> None:
     checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    for side, root in checkouts.items():
+        changed = uncommitted(root)
+        if changed:
+            raise SystemExit(f"{side} checkout {root} differs from its HEAD; commit or stash "
+                             f"first:\n{changed}")
     archive = Path(args.archive)
     archive.mkdir(parents=True, exist_ok=True)
     seconds = args.seconds
